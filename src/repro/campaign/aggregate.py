@@ -17,11 +17,10 @@ never enters the aggregate fingerprint.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.analysis.pareto import front_from_points
+from repro.core.journal import payload_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.campaign.spec import CampaignSpec
@@ -32,14 +31,10 @@ ATLAS_FILENAME = "atlas.json"
 TELEMETRY_FILENAME = "telemetry.json"
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def aggregate_fingerprint(payload: dict) -> str:
     """Digest of an aggregate payload (minus any embedded fingerprint)."""
     body = {k: v for k, v in payload.items() if k != "fingerprint"}
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()[:16]
+    return payload_digest(body)
 
 
 def _best_point(wearer, summary: dict) -> Optional[dict]:

@@ -51,33 +51,19 @@ and every committed shard (whose summaries are already on disk).
 from __future__ import annotations
 
 import hmac
-import json
 import pathlib
 import time
 import uuid
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.campaign.aggregate import (
-    AGGREGATE_FILENAME,
-    ATLAS_FILENAME,
-    TELEMETRY_FILENAME,
-    build_aggregate,
-    telemetry_payload,
-)
-from repro.campaign.shard import shard_assignment
+from repro.campaign.runner import open_campaign_dir, write_artifacts
 from repro.campaign.spec import CampaignSpec
 from repro.core.journal import (
-    CAMPAIGN_MANIFEST_FILENAME,
     QUEUE_LOG_FILENAME,
-    SHARD_MANIFEST_FILENAME,
-    SUMMARY_FILENAME,
     EventLog,
-    JournalError,
-    load_campaign_manifest,
     payload_crc,
+    read_summary,
     shard_directory,
-    write_campaign_manifest,
-    write_shard_manifest,
     write_summary,
 )
 
@@ -198,36 +184,14 @@ class CampaignQueue:
         self.obs = runtime.get_active()
         self._started = clock()
 
-        shards = max(1, int(shards))
-        manifest_path = self.directory / CAMPAIGN_MANIFEST_FILENAME
-        if manifest_path.exists():
-            manifest = load_campaign_manifest(self.directory)
-            if manifest.get("fingerprint") != self.fingerprint:
-                raise JournalError(
-                    f"campaign directory {self.directory} belongs to "
-                    f"campaign {manifest.get('fingerprint')!r}, not "
-                    f"{self.fingerprint!r} — refusing to mix campaigns"
-                )
-            shards = int(manifest.get("shards", shards))
-        else:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            write_campaign_manifest(
-                self.directory, spec.to_dict(), self.fingerprint, shards
-            )
-        self.shards = shards
-
+        self.shards, assignment = open_campaign_dir(
+            spec, self.directory, max(1, int(shards))
+        )
         #: shard index → ordered wearer ids (the work-item decomposition).
-        assignment = shard_assignment(spec, shards)
         self.wearers_of: Dict[int, List[str]] = {
             index: [w.wearer_id for w in wearers]
             for index, wearers in sorted(assignment.items())
         }
-        for index, wearer_ids in self.wearers_of.items():
-            shard_dir = shard_directory(self.directory, index)
-            if not (shard_dir / SHARD_MANIFEST_FILENAME).exists():
-                write_shard_manifest(
-                    self.directory, index, self.fingerprint, wearer_ids
-                )
 
         #: shard index → {"state": pending|leased|split|committed, ...}
         self._shards: Dict[int, dict] = {
@@ -796,13 +760,10 @@ class CampaignQueue:
             # shard-level commit record keyed by the merged content CRC —
             # replay and telemetry cannot tell a merged shard from an
             # unsplit one.
-            merged: Dict[str, dict] = {}
-            for wid in self.wearers_of[shard]:
-                with open(
-                    shard_dir / wid / SUMMARY_FILENAME, "r",
-                    encoding="utf-8",
-                ) as fh:
-                    merged[wid] = json.load(fh)
+            merged = {
+                wid: read_summary(shard_dir / wid)
+                for wid in self.wearers_of[shard]
+            }
             full_crc = shard_payload_crc(merged)
             for live_token, (live_index, _w) in list(self._tokens.items()):
                 if live_index == shard:
@@ -830,10 +791,7 @@ class CampaignQueue:
         identical, 409 when divergent)."""
         shard_dir = shard_directory(self.directory, shard)
         for wid in sorted(summaries):
-            with open(
-                shard_dir / wid / SUMMARY_FILENAME, "r", encoding="utf-8"
-            ) as fh:
-                committed = json.load(fh)
+            committed = read_summary(shard_dir / wid)
             if wearer_payload_crc(committed) != wearer_payload_crc(
                 summaries[wid]
             ):
@@ -902,9 +860,7 @@ class CampaignQueue:
                 continue
             shard_dir = shard_directory(self.directory, index)
             for wearer_id in self.wearers_of[index]:
-                path = shard_dir / wearer_id / SUMMARY_FILENAME
-                with open(path, "r", encoding="utf-8") as fh:
-                    summaries[wearer_id] = json.load(fh)
+                summaries[wearer_id] = read_summary(shard_dir / wearer_id)
         return summaries
 
     def worker_commits(self) -> Dict[str, int]:
@@ -932,23 +888,16 @@ class CampaignQueue:
                 f"campaign {self.fingerprint} is not fully committed: "
                 f"{self.counts()}",
             )
-        from repro.campaign.runner import _write_json
-
-        aggregate = build_aggregate(self.spec, self.committed_summaries())
-        _write_json(self.directory / AGGREGATE_FILENAME, aggregate)
-        from repro.campaign.aggregate import atlas_payload
-
-        _write_json(self.directory / ATLAS_FILENAME, atlas_payload(aggregate))
         workers = self.worker_commits()
-        telemetry = telemetry_payload(
+        aggregate, _ = write_artifacts(
             self.spec,
-            aggregate,
-            wall_seconds=self.clock() - self._started,
+            self.directory,
+            self.committed_summaries(),
+            elapsed=lambda: self.clock() - self._started,
             shards=self.shards,
             jobs=len(workers),
             pool_stats={"workers": workers},
         )
-        _write_json(self.directory / TELEMETRY_FILENAME, telemetry)
         self.obs.event(
             "queue.done",
             campaign=self.fingerprint,

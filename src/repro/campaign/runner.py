@@ -32,11 +32,10 @@ directory a wearer's journal lives in, independent of the worker count.
 
 from __future__ import annotations
 
-import json
 import pathlib
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.aggregate import (
     AGGREGATE_FILENAME,
@@ -55,9 +54,12 @@ from repro.core.journal import (
     SUMMARY_FILENAME,
     JournalError,
     RunJournal,
+    dump_json,
     load_campaign_manifest,
     load_campaign_shards,
+    read_summary,
     shard_directory,
+    write_atomic,
     write_campaign_manifest,
     write_shard_manifest,
     write_summary,
@@ -159,14 +161,12 @@ def run_wearer_task(task: dict) -> dict:
     obs = runtime.get_active()
     wearer = WearerSpec.from_dict(task["wearer"])
     run_dir = pathlib.Path(task["run_dir"])
-    summary_path = run_dir / SUMMARY_FILENAME
-    if summary_path.exists():
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            return {
-                "wearer_id": wearer.wearer_id,
-                "summary": json.load(fh),
-                "state": "loaded",
-            }
+    if (run_dir / SUMMARY_FILENAME).exists():
+        return {
+            "wearer_id": wearer.wearer_id,
+            "summary": read_summary(run_dir),
+            "state": "loaded",
+        }
 
     cache = fingerprint = None
     if task.get("wearer_cache_dir"):
@@ -197,12 +197,11 @@ def run_wearer_task(task: dict) -> dict:
             wearer_id=wearer.wearer_id,
             campaign=task.get("campaign"),
         )
-        with open(summary_path, "r", encoding="utf-8") as fh:
-            return {
-                "wearer_id": wearer.wearer_id,
-                "summary": json.load(fh),
-                "state": "cached",
-            }
+        return {
+            "wearer_id": wearer.wearer_id,
+            "summary": read_summary(run_dir),
+            "state": "cached",
+        }
     if cache is not None:
         obs.counter("cache.wearer_misses").inc()
 
@@ -252,8 +251,7 @@ def run_wearer_task(task: dict) -> dict:
         journal.close()
         oracle.close()
         explorer.oracle.close()
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    summary = read_summary(run_dir)
     if cache is not None:
         # The on-disk summary is already the deterministic projection;
         # storing those bytes makes the entry exactly what a future hit
@@ -273,18 +271,66 @@ def run_wearer_task(task: dict) -> dict:
     }
 
 
-def _write_json(path: pathlib.Path, payload: dict) -> pathlib.Path:
-    """Atomic, sorted, newline-terminated JSON (the byte-diffed artifacts)."""
-    import os
+def open_campaign_dir(
+    spec: CampaignSpec, directory, shards: int
+) -> Tuple[int, Dict[int, List[WearerSpec]]]:
+    """Create, or reopen, the campaign directory of ``spec``.
 
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    A fresh directory gets its campaign manifest and one shard manifest
+    per shard; an existing one must belong to the same campaign, and the
+    shard count pinned in its manifest wins over ``shards``.  Either way
+    the whole manifest chain is cross-validated before any journal is
+    touched.  Returns ``(shards, shard index -> wearers)``.
+    """
+    directory = pathlib.Path(directory)
+    fingerprint = spec.fingerprint()
+    if (directory / CAMPAIGN_MANIFEST_FILENAME).exists():
+        manifest = load_campaign_manifest(directory)
+        if manifest.get("fingerprint") != fingerprint:
+            raise JournalError(
+                f"campaign directory {directory} belongs to campaign "
+                f"{manifest.get('fingerprint')!r}, not {fingerprint!r} — "
+                "refusing to mix campaigns"
+            )
+        shards = int(manifest.get("shards", shards))
+    else:
+        write_campaign_manifest(directory, spec.to_dict(), fingerprint, shards)
+    assignment = shard_assignment(spec, shards)
+    for index, wearers in sorted(assignment.items()):
+        shard_dir = shard_directory(directory, index)
+        if not (shard_dir / SHARD_MANIFEST_FILENAME).exists():
+            write_shard_manifest(
+                directory, index, fingerprint, [w.wearer_id for w in wearers]
+            )
+    load_campaign_shards(directory)
+    return shards, assignment
+
+
+def write_artifacts(
+    spec: CampaignSpec,
+    directory,
+    summaries: Dict[str, dict],
+    elapsed: Callable[[], float],
+    **telemetry,
+) -> Tuple[dict, dict]:
+    """Write ``aggregate.json``, ``atlas.json`` and ``telemetry.json``.
+
+    The aggregate and atlas are deterministic functions of the wearer
+    summaries — the byte-diffed artifacts; ``elapsed()`` is read once
+    they are on disk, for the telemetry's wall clock.  Returns
+    ``(aggregate, telemetry)``.
+    """
+    directory = pathlib.Path(directory)
+    aggregate = build_aggregate(spec, summaries)
+    write_atomic(directory / AGGREGATE_FILENAME, dump_json(aggregate))
+    write_atomic(
+        directory / ATLAS_FILENAME, dump_json(atlas_payload(aggregate))
+    )
+    telemetry = telemetry_payload(
+        spec, aggregate, wall_seconds=elapsed(), **telemetry
+    )
+    write_atomic(directory / TELEMETRY_FILENAME, dump_json(telemetry))
+    return aggregate, telemetry
 
 
 def run_campaign(
@@ -315,31 +361,9 @@ def run_campaign(
     directory = pathlib.Path(directory)
     fingerprint = spec.fingerprint()
     jobs = max(1, int(jobs))
-    shards = max(1, int(shards if shards is not None else jobs))
-
-    manifest_path = directory / CAMPAIGN_MANIFEST_FILENAME
-    if manifest_path.exists():
-        manifest = load_campaign_manifest(directory)
-        if manifest.get("fingerprint") != fingerprint:
-            raise JournalError(
-                f"campaign directory {directory} belongs to campaign "
-                f"{manifest.get('fingerprint')!r}, not {fingerprint!r} — "
-                "refusing to mix campaigns"
-            )
-        shards = int(manifest.get("shards", shards))
-    else:
-        directory.mkdir(parents=True, exist_ok=True)
-        write_campaign_manifest(directory, spec.to_dict(), fingerprint, shards)
-
-    assignment = shard_assignment(spec, shards)
-    for index, wearers in sorted(assignment.items()):
-        shard_dir = shard_directory(directory, index)
-        if not (shard_dir / SHARD_MANIFEST_FILENAME).exists():
-            write_shard_manifest(
-                directory, index, fingerprint, [w.wearer_id for w in wearers]
-            )
-    # Cross-validate the whole manifest chain before touching any journal.
-    load_campaign_shards(directory)
+    shards, assignment = open_campaign_dir(
+        spec, directory, max(1, int(shards if shards is not None else jobs))
+    )
 
     tasks: List[dict] = []
     for index, wearers in sorted(assignment.items()):
@@ -389,16 +413,11 @@ def run_campaign(
         if own_pool:
             pool.shutdown()
 
-    summaries: Dict[str, dict] = {
-        r["wearer_id"]: r["summary"] for r in results
-    }
-    aggregate = build_aggregate(spec, summaries)
-    _write_json(directory / AGGREGATE_FILENAME, aggregate)
-    _write_json(directory / ATLAS_FILENAME, atlas_payload(aggregate))
-    telemetry = telemetry_payload(
+    aggregate, telemetry = write_artifacts(
         spec,
-        aggregate,
-        wall_seconds=time.perf_counter() - start,
+        directory,
+        {r["wearer_id"]: r["summary"] for r in results},
+        elapsed=lambda: time.perf_counter() - start,
         shards=shards,
         jobs=jobs,
         pool_stats={
@@ -409,7 +428,6 @@ def run_campaign(
         },
         resumed_wearers=sum(1 for r in results if r["state"] != "ran"),
     )
-    _write_json(directory / TELEMETRY_FILENAME, telemetry)
     obs.event(
         "campaign.done",
         campaign=fingerprint,

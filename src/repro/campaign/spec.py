@@ -17,11 +17,12 @@ campaign directory can only ever be continued by the spec that created it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pathlib
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.core.journal import dump_json, payload_digest, write_atomic
 
 #: Bumped when the spec schema changes incompatibly.
 SPEC_VERSION = 1
@@ -132,18 +133,11 @@ class CampaignSpec:
             return cls.from_dict(json.load(fh))
 
     def save(self, path) -> pathlib.Path:
-        path = pathlib.Path(path)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        return path
+        return write_atomic(path, dump_json(self.to_dict()))
 
     def fingerprint(self) -> str:
         """Stable hex digest of every result-relevant campaign field."""
-        blob = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        return payload_digest(self.to_dict())
 
     def wearer(self, wearer_id: str) -> WearerSpec:
         for w in self.wearers:

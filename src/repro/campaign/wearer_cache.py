@@ -15,11 +15,12 @@ is a download, not a simulation.
 The store itself is one file per fingerprint
 (``<dir>/<fingerprint>.json``) holding the wearer's *deterministic
 summary projection* (:func:`repro.core.journal.summary_projection` — the
-exact bytes ``summary.json`` carries) inside the self-healing CRC
-envelope from :mod:`repro.core.result_cache`.  Damage handling mirrors
-the simulation cache: a file that fails to parse or fails its CRC is
-moved to a ``.quarantine`` sidecar and treated as a miss, never trusted
-and never fatal.  Writes are first-writer-wins and idempotent; a
+exact bytes ``summary.json`` carries) in a sealed ``{"v", "crc",
+"summary"}`` envelope, on the storage primitive of
+:mod:`repro.core.journal` (DESIGN.md §9): entries are written
+atomically, and an entry that fails to parse or fails its CRC follows
+the advisory damage rule — quarantined and treated as a miss, never
+trusted and never fatal.  Writes are first-writer-wins and idempotent; a
 *divergent* write for the same fingerprint is a determinism violation
 and raises loudly (:class:`WearerCacheDiverged`) instead of silently
 replacing bytes other campaigns may already have aggregated.
@@ -33,15 +34,21 @@ prefetches riding on lease responses).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pathlib
 from typing import Dict, Optional
 
 from repro.campaign.spec import WearerSpec
-from repro.core.journal import summary_projection
-from repro.core.result_cache import open_envelope, seal_envelope
+from repro.core.journal import (
+    payload_crc,
+    payload_digest,
+    quarantine,
+    seal,
+    summary_projection,
+    unseal,
+    write_atomic,
+)
 
 #: Version stamp of the on-disk envelope; bump on incompatible change.
 WEARER_CACHE_VERSION = 1
@@ -87,15 +94,12 @@ def wearer_fingerprint(preset: str, wearer: WearerSpec) -> str:
             ),
             correlated_links=wearer.correlated_links,
         )
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return payload_digest(payload)
 
 
 def summary_crc(summary: dict) -> str:
     """Content CRC of a cached summary (validated on both wire ends)."""
-    from repro.core.result_cache import envelope_crc
-
-    return envelope_crc(summary_projection(summary))
+    return payload_crc(summary_projection(summary))
 
 
 def _count(name: str, amount: int = 1) -> None:
@@ -198,15 +202,10 @@ class WearerResultCache:
         return self._index
 
     def _save_index(self) -> None:
-        if self._index is None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.index_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._index, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.index_path)
+        if self._index is not None:
+            write_atomic(
+                self.index_path, json.dumps(self._index, sort_keys=True)
+            )
 
     def _touch(self, fingerprint: str, size: Optional[int] = None) -> None:
         """Mark ``fingerprint`` most-recently-used (in memory; persisted
@@ -281,30 +280,25 @@ class WearerResultCache:
         """The cached summary for ``fingerprint``, or None.
 
         A damaged entry (unparseable, wrong version, CRC failure) is
-        moved aside to ``<entry>.quarantine`` and reported as a miss, so
-        one flipped bit costs a re-simulation, never a wrong result.
+        appended to ``<entry>.quarantine``, removed, and reported as a
+        miss, so one flipped bit costs a re-simulation, never a wrong
+        result.
         """
         path = self.path_for(fingerprint)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            blob = path.read_bytes()
         except FileNotFoundError:
             self._drop(fingerprint)
             return None
         try:
-            summary = open_envelope(
-                text, WEARER_CACHE_VERSION, key="summary"
-            )
-        except Exception:
-            quarantine = path.with_suffix(path.suffix + ".quarantine")
-            try:
-                os.replace(path, quarantine)
-            except OSError:
-                pass
+            summary = unseal(blob, "summary", WEARER_CACHE_VERSION)
+        except ValueError as exc:
+            quarantine(path, [(1, exc, blob.decode("utf-8", "replace"))])
+            path.unlink(missing_ok=True)
             self._drop(fingerprint)
             _count("cache.wearer_quarantined")
             return None
-        self._touch(fingerprint, size=len(text.encode("utf-8")))
+        self._touch(fingerprint, size=len(blob))
         return summary
 
     def put(self, fingerprint: str, summary: dict) -> bool:
@@ -324,18 +318,10 @@ class WearerResultCache:
                 f"wearer cache entry {fingerprint} already holds different "
                 "bytes — two executions of the same wearer disagreed"
             )
-        path = self.path_for(fingerprint)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        blob = (
-            seal_envelope(projected, WEARER_CACHE_VERSION, key="summary")
-            + "\n"
-        )
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        blob = json.dumps(
+            seal(projected, "summary", WEARER_CACHE_VERSION)
+        ) + "\n"
+        write_atomic(self.path_for(fingerprint), blob)
         _count("cache.wearer_stores")
         self._touch(fingerprint, size=len(blob.encode("utf-8")))
         self._evict_over_caps(protect=fingerprint)

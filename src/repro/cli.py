@@ -640,8 +640,51 @@ def _write_manifest(args, obs) -> None:
     obs.manifest(**fields)
 
 
+#: Flags naming storage a run creates, and whether each names a directory.
+_STORAGE_FLAGS = (
+    ("--cache-dir", True),
+    ("--out", True),
+    ("--root", True),
+    ("--workdir", True),
+    ("--trace-out", False),
+    ("--metrics-out", False),
+)
+
+
+def _storage_path_error(args) -> Optional[str]:
+    """What is wrong with the first storage path that cannot be created,
+    or None — checked before any work, so a bad path costs nothing."""
+    import os
+    import pathlib
+
+    for flag, directory in _STORAGE_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if flag == "--out" and args.command == "bench":
+            directory = False  # bench --out names its report file
+        path = existing = pathlib.Path(value)
+        # os.path.exists is False, not an error, below an unsearchable dir
+        while not os.path.exists(existing):
+            existing = existing.parent
+        if existing == path and path.is_dir() != directory:
+            kind = "is not a directory" if directory else "is a directory"
+            return f"{flag} {value}: {kind}"
+        if existing != path and not existing.is_dir():
+            return f"{flag} {value}: {existing} is not a directory"
+        if not directory and existing not in (path, path.parent):
+            return f"{flag} {value}: {path.parent} does not exist"
+        if not os.access(existing, os.W_OK):
+            return f"{flag} {value}: {existing} is not writable"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _storage_path_error(args)
+    if problem is not None:
+        print(f"hi-explore: {problem}", file=sys.stderr)
+        return 2
     _resolve_jobs(args)
 
     from repro.obs import runtime as obs_runtime
@@ -663,11 +706,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
     finally:
         if getattr(args, "metrics_out", None):
-            import json
+            from repro.core.journal import dump_json
 
             with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                json.dump(obs.metrics.to_dict(), fh, indent=1, sort_keys=True)
-                fh.write("\n")
+                fh.write(dump_json(obs.metrics.to_dict()))
         obs.tracer.close()
 
 

@@ -1,15 +1,42 @@
-"""Crash-safe run journal: checkpoint/resume for Algorithm 1 campaigns.
+"""Durable storage: one primitive under every journal, log, cache and manifest.
 
-A :class:`RunJournal` is an append-only, fsynced JSONL file recording the
-*logical trajectory* of one exploration run — every evaluated candidate
-(with its full simulation record and accept/reject verdict) and every
-MILP cut, in the exact order Algorithm 1 produced them — plus a manifest
-line that fingerprints everything the trajectory depends on (scenario
-fingerprint, PDR bound, chance-constraint quantile, fault ensemble,
-explorer switches).  Because each line is flushed and ``fsync``'d before
-the run advances, a SIGKILL at any point loses at most the line being
-written, and that torn tail is detected (per-line CRC32) and dropped on
-resume.
+Every file the runtime must not lose or misread is built from the same
+parts (DESIGN.md §9):
+
+* **one CRC** — :func:`payload_crc`, CRC32 over a payload's canonical
+  JSON (sorted keys, fixed separators), so any two processes framing the
+  same dict agree;
+* **one frame codec** — :func:`seal` / :func:`unseal` wrap a body as
+  ``{"crc", <key>: body}`` (optionally version-stamped, ``{"v", "crc",
+  <key>}``); the three shapes on disk are log lines (``entry``),
+  manifests (``manifest``) and cache envelopes (``record`` /
+  ``summary``);
+* **one atomic writer** — :func:`write_atomic`: tmp file, fsync,
+  ``os.replace``, so a reader sees the old bytes or the new, never a mix;
+* **one append log** — :class:`EventLog`, the only code that opens a
+  log, truncates a torn tail or appends (each line flushed and fsynced
+  before the call returns);
+* **one quarantine helper** — :func:`quarantine`.
+
+and two damage rules, each stated once:
+
+* *authoritative* files (run journals, ``queue.jsonl``,
+  ``service.jsonl``, ``fencing.jsonl``, manifests) drop a torn final
+  line — the only damage a kill mid-append can cause — and raise
+  :class:`JournalError` on any other damage (:class:`EventLog`,
+  :func:`load_campaign_manifest`);
+* *advisory* stores (result-cache lines, wearer-cache entries) append
+  the damaged bytes to ``<file>.quarantine`` and report a miss
+  (:func:`quarantine`): a flipped bit costs a re-simulation, never a
+  wrong result.
+
+A :class:`RunJournal` is an :class:`EventLog` recording the *logical
+trajectory* of one exploration run — every evaluated candidate (with its
+full simulation record and accept/reject verdict) and every MILP cut, in
+the exact order Algorithm 1 produced them — after a manifest line that
+fingerprints everything the trajectory depends on (scenario fingerprint,
+PDR bound, chance-constraint quantile, fault ensemble, explorer
+switches).  A SIGKILL at any point loses at most the line being written.
 
 Resume protocol (``hi-explore solve/robust --resume <dir>``):
 
@@ -39,11 +66,12 @@ instead of silently producing a franken-trajectory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
 import zlib
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 #: Bumped when the journal line schema changes incompatibly.
 JOURNAL_VERSION = 1
@@ -81,69 +109,124 @@ class JournalError(RuntimeError):
     """A journal could not be created, replayed, or matched to its run."""
 
 
-def _canonical(payload: dict) -> str:
+# -- the storage primitive ----------------------------------------------------
+
+
+def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _crc(payload: dict) -> str:
-    return format(zlib.crc32(_canonical(payload).encode("utf-8")), "08x")
+def payload_crc(payload) -> str:
+    """CRC32 (hex) of a payload's canonical JSON form — the integrity
+    token of every frame on disk, and the key of the campaign fabric's
+    idempotent commits (a worker and the coordinator computing this over
+    the same dict always agree, because canonicalization sorts keys and
+    fixes separators)."""
+    return format(zlib.crc32(canonical_json(payload).encode("utf-8")), "08x")
 
 
-def payload_crc(payload: dict) -> str:
-    """CRC32 of a payload's canonical JSON form — the integrity token the
-    campaign fabric uses to key idempotent shard commits (a worker and
-    the coordinator computing this over the same dict always agree,
-    because canonicalization sorts keys and fixes separators)."""
-    return _crc(payload)
+def payload_digest(payload) -> str:
+    """16 hex digits of sha256 over a payload's canonical JSON: the
+    content address of scenarios, campaign specs, wearers and
+    aggregates (cache file names, campaign ids)."""
+    blob = canonical_json(payload).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _load_entries(path: pathlib.Path):
-    """Replay a journal file, verifying per-line CRCs.
+def seal(
+    body: dict, key: str = "entry", version: Optional[int] = None
+) -> dict:
+    """Frame ``body`` under ``key`` with its CRC (and a version stamp)."""
+    frame = {} if version is None else {"v": version}
+    frame["crc"] = payload_crc(body)
+    frame[key] = body
+    return frame
 
-    A torn *final* line (the crash-mid-append case) is dropped silently;
-    a bad line anywhere else means the fsynced prefix itself is damaged,
-    which is not survivable — that raises :class:`JournalError`.
 
-    Returns ``(entries, valid_bytes)`` where ``valid_bytes`` is the byte
-    length of the intact prefix: everything past it is the torn tail,
-    which :meth:`RunJournal.resume` physically truncates away so the
-    append handle never writes after a fragment.
+def unseal(frame, key: str = "entry", version: Optional[int] = None) -> dict:
+    """Inverse of :func:`seal`, given the frame or its JSON text.
+
+    Raises ``ValueError`` on any damage (unparseable, wrong version,
+    missing body, CRC mismatch), so no caller can trust a corrupt body.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.readlines()
-    lines = [
-        (i, line.strip()) for i, line in enumerate(raw) if line.strip()
-    ]
+    if isinstance(frame, (str, bytes)):
+        frame = json.loads(frame)
+    if not isinstance(frame, dict):
+        raise ValueError("frame is not a JSON object")
+    if version is not None and frame.get("v") != version:
+        raise ValueError(f"unsupported frame version {frame.get('v')!r}")
+    body = frame.get(key)
+    if not isinstance(body, dict):
+        raise ValueError(f"frame has no {key!r} body")
+    if frame.get("crc") != payload_crc(body):
+        raise ValueError("frame failed its CRC32 check")
+    return body
+
+
+def dump_json(payload) -> str:
+    """Sorted, indented, newline-terminated JSON: the byte format of
+    summaries, manifests and campaign artifacts."""
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def _sync(fh) -> None:
+    fh.flush()
+    os.fsync(fh.fileno())
+
+
+def write_atomic(path, text: str) -> pathlib.Path:
+    """Replace ``path`` with ``text`` all-or-nothing (tmp, fsync,
+    ``os.replace``); returns the path."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        _sync(fh)
+    os.replace(tmp, path)
+    return path
+
+
+def quarantine(path, damaged: Iterable[Tuple[int, Exception, str]]) -> None:
+    """The advisory damage rule: append each damaged ``(line number,
+    error, line)`` of ``path`` to ``<path>.quarantine`` as one JSON line
+    ``{"line_number", "reason", "line"}``; the caller reports a miss."""
+    path = pathlib.Path(path)
+    with open(path.with_name(path.name + ".quarantine"), "a",
+              encoding="utf-8") as fh:
+        for number, exc, line in damaged:
+            fh.write(json.dumps({
+                "line_number": number,
+                "reason": f"{type(exc).__name__}: {exc}",
+                "line": line,
+            }) + "\n")
+        _sync(fh)
+
+
+def _decode_lines(blob: bytes) -> Tuple[List[dict], int]:
+    """The whole, CRC-valid log lines at the start of ``blob``.
+
+    Returns ``(entries, consumed)``: decoding stops at the first line
+    with no terminating newline (a torn or in-flight write) or a failed
+    frame check, and ``consumed`` is the byte length of the good prefix.
+    """
     entries: List[dict] = []
-    last_index = lines[-1][0] if lines else -1
-    valid_bytes = 0
-    offset = 0
-    offsets = []
-    for line in raw:
-        offset += len(line.encode("utf-8"))
-        offsets.append(offset)
-    for i, line in lines:
-        entry: Optional[dict] = None
-        try:
-            wrapper = json.loads(line)
-            if (
-                isinstance(wrapper, dict)
-                and isinstance(wrapper.get("entry"), dict)
-                and wrapper.get("crc") == _crc(wrapper["entry"])
-            ):
-                entry = wrapper["entry"]
-        except ValueError:
-            entry = None
-        if entry is None:
-            if i == last_index:
-                break  # torn tail from a kill mid-append: drop it
-            raise JournalError(
-                f"corrupt journal line {i + 1} in {path} (not a torn "
-                "tail); the journal cannot be trusted"
-            )
-        entries.append(entry)
-        valid_bytes = offsets[i]
-    return entries, valid_bytes
+    consumed = 0
+    while True:
+        newline = blob.find(b"\n", consumed)
+        if newline < 0:
+            break
+        text = blob[consumed:newline].strip()
+        if text:
+            try:
+                entries.append(unseal(text))
+            except ValueError:
+                break
+        consumed = newline + 1
+    return entries, consumed
+
+
+# -- run summaries and campaign manifests ------------------------------------
 
 
 def summary_projection(payload: dict) -> dict:
@@ -165,63 +248,41 @@ def summary_projection(payload: dict) -> dict:
 
 def write_summary(directory, payload: dict) -> pathlib.Path:
     """Atomically write the deterministic run summary into ``directory``."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / SUMMARY_FILENAME
-    tmp = directory / (SUMMARY_FILENAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(summary_projection(payload), fh, indent=1, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    return write_atomic(
+        pathlib.Path(directory) / SUMMARY_FILENAME,
+        dump_json(summary_projection(payload)),
+    )
 
 
-# -- multi-shard campaign manifests ----------------------------------------------
-#
+def read_summary(directory) -> dict:
+    """The summary :func:`write_summary` left in ``directory``."""
+    path = pathlib.Path(directory) / SUMMARY_FILENAME
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 # A campaign directory holds many journaled runs (one per wearer) spread
-# over shard subdirectories.  The linkage is CRC-checked JSON manifests:
+# over shard subdirectories.  The linkage is CRC-sealed JSON manifests:
 # ``campaign.json`` at the root pins the campaign spec and fingerprint,
 # and each ``shards/shard-NN/shard.json`` pins the same fingerprint plus
 # its wearer list.  ``load_campaign_shards`` re-validates the whole chain
 # on resume, so a campaign directory can never silently mix trajectories
 # from two different specs (the per-run analogue is the RunJournal
-# manifest check above).
+# manifest check below).
 
 
-def _write_checked_json(path: pathlib.Path, payload: dict) -> pathlib.Path:
-    """Atomically write ``{"crc": ..., "manifest": payload}``."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(
-            {"crc": _crc(payload), "manifest": payload},
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+def _write_manifest(path: pathlib.Path, payload: dict) -> pathlib.Path:
+    return write_atomic(path, dump_json(seal(payload, "manifest")))
 
 
-def _load_checked_json(path: pathlib.Path, what: str) -> dict:
-    path = pathlib.Path(path)
-    if not path.exists():
-        raise JournalError(f"no {what} at {path}")
+def _load_manifest(path: pathlib.Path, what: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            wrapper = json.load(fh)
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise JournalError(f"no {what} at {path}") from None
+    try:
+        return unseal(text, "manifest")
     except ValueError as exc:
-        raise JournalError(f"unreadable {what} at {path}: {exc}") from None
-    manifest = wrapper.get("manifest") if isinstance(wrapper, dict) else None
-    if not isinstance(manifest, dict) or wrapper.get("crc") != _crc(manifest):
-        raise JournalError(f"corrupt {what} at {path} (CRC mismatch)")
-    return manifest
+        raise JournalError(f"corrupt {what} at {path}: {exc}") from None
 
 
 def shard_directory(campaign_dir, index: int) -> pathlib.Path:
@@ -238,13 +299,13 @@ def write_campaign_manifest(
         "shards": int(shards),
         "spec": spec_dict,
     }
-    return _write_checked_json(
+    return _write_manifest(
         pathlib.Path(campaign_dir) / CAMPAIGN_MANIFEST_FILENAME, payload
     )
 
 
 def load_campaign_manifest(campaign_dir) -> dict:
-    manifest = _load_checked_json(
+    manifest = _load_manifest(
         pathlib.Path(campaign_dir) / CAMPAIGN_MANIFEST_FILENAME,
         "campaign manifest",
     )
@@ -270,7 +331,7 @@ def write_shard_manifest(
         "index": int(index),
         "wearers": list(wearer_ids),
     }
-    return _write_checked_json(
+    return _write_manifest(
         shard_directory(campaign_dir, index) / SHARD_MANIFEST_FILENAME, payload
     )
 
@@ -293,7 +354,7 @@ def load_campaign_shards(campaign_dir) -> List[dict]:
         for entry in sorted(shards_root.iterdir()):
             if not entry.is_dir():
                 continue
-            manifest = _load_checked_json(
+            manifest = _load_manifest(
                 entry / SHARD_MANIFEST_FILENAME, "shard manifest"
             )
             if manifest.get("fingerprint") != fingerprint:
@@ -322,30 +383,40 @@ def load_campaign_shards(campaign_dir) -> List[dict]:
     return manifests
 
 
+# -- the append log -----------------------------------------------------------
+
+
 class EventLog:
     """Append-only, fsynced, CRC-framed JSONL log of plain dict events.
 
-    The generic sibling of :class:`RunJournal`: same wire format (one
-    ``{"crc", "entry"}`` wrapper per line), same torn-tail semantics (a
-    kill mid-append loses at most the line being written; the fragment is
-    detected on open and physically truncated), but no replay cursor or
-    trajectory verification — it is a durable record, not a checkpoint.
-    The campaign fabric stores its lease/commit records in one of these
-    (``queue.jsonl``), which is what lets a restarted coordinator recover
-    every in-flight lease instead of forgetting who holds what.
+    One sealed ``{"crc", "entry"}`` frame per line.  Opening a log
+    applies the authoritative damage rule: a torn final line (the
+    crash-mid-append case) is dropped and physically truncated, so the
+    append handle never writes after a fragment; damage anywhere else
+    means the fsynced prefix itself is bad and raises
+    :class:`JournalError`.  The campaign fabric keeps its lease/commit
+    records (``queue.jsonl``), campaign states (``service.jsonl``) and
+    fencing epochs (``fencing.jsonl``) in these; :class:`RunJournal`
+    adds a manifest check and a replay cursor on top.
     """
 
     def __init__(self, path) -> None:
         self.path = pathlib.Path(path)
         self._entries: List[dict] = []
         if self.path.exists():
-            entries, valid_bytes = _load_entries(self.path)
-            if valid_bytes < self.path.stat().st_size:
+            blob = self.path.read_bytes()
+            self._entries, valid = _decode_lines(blob)
+            tail = blob[valid:]
+            if b"\n" in tail.strip():
+                line = blob.count(b"\n", 0, valid) + 1
+                raise JournalError(
+                    f"corrupt journal line {line} in {self.path} (not a "
+                    "torn tail); the journal cannot be trusted"
+                )
+            if tail:
                 with open(self.path, "r+b") as fh:
-                    fh.truncate(valid_bytes)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            self._entries = entries
+                    fh.truncate(valid)
+                    _sync(fh)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
@@ -354,15 +425,19 @@ class EventLog:
     def entries(self) -> List[dict]:
         return list(self._entries)
 
-    def append(self, entry: dict) -> dict:
-        """Durably append one event (flushed + fsynced before returning)."""
+    def _add(self, entry: dict) -> None:
         if self._fh is None:
-            raise JournalError(f"event log {self.path} is closed")
-        line = json.dumps({"crc": _crc(entry), "entry": entry})
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+            raise JournalError(f"{self.path} is closed")
+        self._fh.write(json.dumps(seal(entry)) + "\n")
+        _sync(self._fh)
         self._entries.append(entry)
+
+    def append(self, entry: dict) -> dict:
+        """Durably append one event (flushed + fsynced before returning).
+
+        :class:`RunJournal` records go through :meth:`_add` instead, so
+        a traced run counts each of them once, under its own method."""
+        self._add(entry)
         return entry
 
     def close(self) -> None:
@@ -379,7 +454,7 @@ class EventLog:
         primary's log without interfering with the writer."""
         return EventLogFollower(path)
 
-    def __enter__(self) -> "EventLog":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
@@ -402,7 +477,7 @@ class EventLogFollower:
     terminator), so it is held back and retried — if the writer
     truncated a torn tail on restart the bytes simply disappear under
     us, which ``poll`` detects as file shrinkage and handles by
-    re-reading from the last consumed offset.
+    re-reading from the start of the file.
 
     The follower holds no file handle between polls and never writes, so
     any number of them can tail one log without coordination.
@@ -417,51 +492,19 @@ class EventLogFollower:
         """Every whole CRC-valid record appended since the last poll."""
         try:
             with open(self.path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                if size < self._offset:
-                    # The file shrank (writer restart truncated a torn
+                if fh.seek(0, os.SEEK_END) < self._offset:
+                    # The file shrank (a writer restart truncated a torn
                     # tail past our consumed prefix, or the log was
-                    # replaced): drop back to the start of the file so
-                    # the next read realigns on a line boundary.
+                    # replaced): realign on the start of the file.
                     self._offset = 0
                 fh.seek(self._offset)
                 blob = fh.read()
         except FileNotFoundError:
             self._offset = 0
             return []
-        out: List[dict] = []
-        consumed = 0
-        while True:
-            newline = blob.find(b"\n", consumed)
-            if newline < 0:
-                break  # torn tail (no terminator yet): withhold
-            line = blob[consumed : newline + 1]
-            text = line.strip()
-            if not text:
-                consumed = newline + 1
-                continue
-            entry: Optional[dict] = None
-            try:
-                wrapper = json.loads(text.decode("utf-8"))
-                if (
-                    isinstance(wrapper, dict)
-                    and isinstance(wrapper.get("entry"), dict)
-                    and wrapper.get("crc") == _crc(wrapper["entry"])
-                ):
-                    entry = wrapper["entry"]
-            except (ValueError, UnicodeDecodeError):
-                entry = None
-            if entry is None:
-                # A complete line that fails its CRC: not a torn write
-                # (those lack the newline), so either mid-truncation
-                # churn or corruption.  Hold position; a later poll
-                # re-reads once the writer has settled.
-                break
-            out.append(entry)
-            consumed = newline + 1
+        entries, consumed = _decode_lines(blob)
         self._offset += consumed
-        return out
+        return entries
 
     def __repr__(self) -> str:
         return (
@@ -469,7 +512,7 @@ class EventLogFollower:
         )
 
 
-class RunJournal:
+class RunJournal(EventLog):
     """One run's append-only checkpoint log (see the module docstring).
 
     Use the :meth:`create` / :meth:`resume` constructors; the journal then
@@ -482,41 +525,26 @@ class RunJournal:
     append.
     """
 
-    def __init__(
-        self,
-        directory: pathlib.Path,
-        manifest: dict,
-        entries: List[dict],
-        fh,
-    ) -> None:
+    def __init__(self, directory) -> None:
         self.directory = pathlib.Path(directory)
-        self.path = self.directory / JOURNAL_FILENAME
-        self.manifest = manifest
-        self._entries = entries
-        self._cursor = 0
-        self._fh = fh
+        super().__init__(self.directory / JOURNAL_FILENAME)
+        #: Index of the next entry to verify (0 is the manifest line).
+        self._cursor = 1
 
     # -- constructors ------------------------------------------------------------
 
     @classmethod
     def create(cls, directory, **manifest) -> "RunJournal":
         """Start a fresh journal in ``directory`` (must not hold one)."""
-        directory = pathlib.Path(directory)
-        path = directory / JOURNAL_FILENAME
+        path = pathlib.Path(directory) / JOURNAL_FILENAME
         if path.exists():
             raise JournalError(
                 f"{path} already exists; use --resume to continue that "
                 "run (or point --out at a fresh directory)"
             )
-        directory.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "a", encoding="utf-8")
-        manifest_entry = {
-            "kind": "manifest",
-            "version": JOURNAL_VERSION,
-            **manifest,
-        }
-        journal = cls(directory, manifest_entry, [], fh)
-        journal._append(manifest_entry)
+        journal = cls(directory)
+        journal._add({"kind": "manifest", "version": JOURNAL_VERSION,
+                      **manifest})
         return journal
 
     @classmethod
@@ -524,46 +552,37 @@ class RunJournal:
         """Reopen a journal, verifying its manifest against the resumed
         run's arguments.  Returns a journal whose replay cursor covers the
         recorded prefix."""
-        directory = pathlib.Path(directory)
-        path = directory / JOURNAL_FILENAME
+        path = pathlib.Path(directory) / JOURNAL_FILENAME
         if not path.exists():
             raise JournalError(f"no journal to resume at {path}")
-        entries, valid_bytes = _load_entries(path)
-        if valid_bytes < path.stat().st_size:
-            # physically drop the torn tail: the append handle must
-            # start at a clean line boundary, or the fragment would
-            # fuse with the next entry and corrupt the journal
-            with open(path, "r+b") as fh:
-                fh.truncate(valid_bytes)
-                fh.flush()
-                os.fsync(fh.fileno())
-        if not entries or entries[0].get("kind") != "manifest":
-            raise JournalError(f"{path} has no readable manifest line")
-        manifest = entries[0]
+        journal = cls(directory)
+        try:
+            journal._check_manifest(expected_manifest)
+        except JournalError:
+            journal.close()
+            raise
+        return journal
+
+    def _check_manifest(self, expected: dict) -> None:
+        if not self._entries or self._entries[0].get("kind") != "manifest":
+            raise JournalError(f"{self.path} has no readable manifest line")
+        manifest = self.manifest
         if manifest.get("version") != JOURNAL_VERSION:
             raise JournalError(
-                f"journal version {manifest.get('version')} in {path} is "
-                f"not version {JOURNAL_VERSION}"
+                f"journal version {manifest.get('version')} in {self.path} "
+                f"is not version {JOURNAL_VERSION}"
             )
-        for key, value in expected_manifest.items():
+        for key, value in expected.items():
             if manifest.get(key) != value:
                 raise JournalError(
                     f"journal manifest mismatch on {key!r}: journal has "
                     f"{manifest.get(key)!r}, the resumed run supplies "
                     f"{value!r} — refusing to mix trajectories"
                 )
-        fh = open(path, "a", encoding="utf-8")
-        return cls(directory, manifest, entries[1:], fh)
 
-    # -- low-level append --------------------------------------------------------
-
-    def _append(self, entry: dict) -> None:
-        if self._fh is None:
-            raise JournalError("journal is closed")
-        line = json.dumps({"crc": _crc(entry), "entry": entry})
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+    @property
+    def manifest(self) -> dict:
+        return self._entries[0]
 
     def _record(self, entry: dict, what: str) -> bool:
         """Advance the replay cursor (verifying) or append ``entry``.
@@ -576,14 +595,13 @@ class RunJournal:
             if expected != entry:
                 raise JournalError(
                     f"resumed trajectory diverged from the journal at "
-                    f"entry {self._cursor + 1} ({what}): journal has "
-                    f"{_canonical(expected)[:200]}, the run produced "
-                    f"{_canonical(entry)[:200]}"
+                    f"entry {self._cursor} ({what}): journal has "
+                    f"{canonical_json(expected)[:200]}, the run produced "
+                    f"{canonical_json(entry)[:200]}"
                 )
             self._cursor += 1
             return False
-        self._append(entry)
-        self._entries.append(entry)
+        self._add(entry)
         self._cursor += 1
         return True
 
@@ -626,12 +644,11 @@ class RunJournal:
 
     @property
     def entries(self) -> List[dict]:
-        return list(self._entries)
+        """The journaled trajectory (every entry after the manifest)."""
+        return self._entries[1:]
 
     def replay_cuts(self) -> List[float]:
-        return [
-            e["p_star_mw"] for e in self._entries if e.get("kind") == "cut"
-        ]
+        return [e["p_star_mw"] for e in self.entries if e.get("kind") == "cut"]
 
     def replay_records(self) -> List[object]:
         """Every journaled nominal :class:`EvaluationRecord`, in order."""
@@ -639,16 +656,14 @@ class RunJournal:
 
         return [
             record_from_dict(e["record"])
-            for e in self._entries
+            for e in self.entries
             if e.get("kind") == "candidate"
         ]
 
     def replay_robust_payloads(self) -> List[dict]:
         """Journaled robust candidates as raw payload dicts (the ensemble
         oracle deserializes them into its per-fault-world sub-oracles)."""
-        return [
-            e for e in self._entries if e.get("kind") == "robust_candidate"
-        ]
+        return [e for e in self.entries if e.get("kind") == "robust_candidate"]
 
     def preload_into(self, oracle) -> int:
         """Feed the journaled nominal records into a simulation oracle's
@@ -664,21 +679,8 @@ class RunJournal:
         ensemble_oracle.preload_journal(payloads)
         return len(payloads)
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         return (
-            f"RunJournal({str(self.path)!r}, entries={len(self._entries)}, "
-            f"cursor={self._cursor})"
+            f"RunJournal({str(self.path)!r}, entries={len(self.entries)}, "
+            f"cursor={self._cursor - 1})"
         )

@@ -58,6 +58,8 @@ from repro.net.network import (
     average_outcomes,
     run_replicate_job,
 )
+from repro.obs import runtime
+from repro.obs.metrics import MetricsRegistry
 
 #: Confidence level of the adaptive protocol's stopping interval; matches
 #: the default of ``estimate_pdr_with_tolerance``.
@@ -128,21 +130,40 @@ def _maybe_chaos_crash() -> None:
     os._exit(CHAOS_EXIT_STATUS)
 
 
-def pool_task(fn: Callable, task):
+def pool_task(fn: Callable, task) -> Tuple[object, dict]:
     """The wrapper actually submitted to worker processes.
 
     Exists so the chaos-crash hook runs *only* inside pool workers —
     serial, quarantine, and degraded paths call ``fn`` directly in the
-    parent and are never chaos targets.
+    parent and are never chaos targets.  Returns ``(result, counters)``:
+    the counter increments the task made (``des.runs``, ``des.events``,
+    ...), which the parent adds to its own registry so ``--jobs N``
+    totals equal serial ones.
     """
     _maybe_chaos_crash()
-    return fn(task)
+    metrics = MetricsRegistry()
+    tracer = runtime.get_active().tracer
+    with runtime.activate(runtime.Instrumentation(metrics, tracer)):
+        result = fn(task)
+    return result, {
+        name: entry["value"]
+        for name, entry in metrics.to_dict().items()
+        if entry["type"] == "counter"
+    }
+
+
+def _adopt(outcome: Tuple[object, dict]):
+    """Merge a pool task's counters into the ambient registry; return
+    its result."""
+    result, counters = outcome
+    obs = runtime.get_active()
+    for name, value in counters.items():
+        obs.counter(name).inc(value)
+    return result
 
 
 def _observe(kind: str, counter: Optional[str] = None, **fields) -> None:
     """Emit a pool resilience event + counter on the ambient obs."""
-    from repro.obs import runtime
-
     obs = runtime.get_active()
     if counter:
         obs.counter(counter).inc()
@@ -338,8 +359,8 @@ class WorkerPool:
                 if i not in futures or hung is not None:
                     continue
                 try:
-                    results[i] = futures[i].result(
-                        timeout=self.task_timeout_s
+                    results[i] = _adopt(
+                        futures[i].result(timeout=self.task_timeout_s)
                     )
                     _done(i)
                 except FutureTimeout:
@@ -357,7 +378,7 @@ class WorkerPool:
                         fut = futures[j]
                         if fut.done():
                             try:
-                                results[j] = fut.result(timeout=0)
+                                results[j] = _adopt(fut.result(timeout=0))
                                 _done(j)
                             except Exception:
                                 failed.append(j)
@@ -381,8 +402,6 @@ class WorkerPool:
                 hung_task=hung,
                 round=round_index,
             )
-            from repro.obs import runtime
-
             runtime.get_active().counter("pool.retries").inc(len(retrying))
 
             self._kill_executor()

@@ -37,13 +37,17 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
-import os
 import pathlib
-import zlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
+from repro.core.journal import (
+    payload_digest,
+    quarantine,
+    seal,
+    unseal,
+    write_atomic,
+)
 from repro.net.network import SimulationOutcome
 
 #: Version stamp written into each cache-line envelope; bump when the
@@ -91,8 +95,7 @@ def scenario_fingerprint(scenario) -> str:
         for f in dataclasses.fields(scenario)
         if f.name not in EXECUTION_ONLY_FIELDS
     }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    return payload_digest(payload)
 
 
 def record_to_dict(record) -> dict:
@@ -169,50 +172,10 @@ def record_from_dict(payload: dict):
     )
 
 
-def envelope_crc(body: dict) -> str:
-    """CRC32 (hex) over a JSON body's canonical serialization."""
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return format(zlib.crc32(blob.encode("utf-8")), "08x")
-
-
-def seal_envelope(body: dict, version: int, key: str = "record") -> str:
-    """One CRC32-sealed, version-stamped JSON envelope.
-
-    The generic form of this cache's self-healing line format, reused by
-    every store that wants the same corruption story (the wearer-result
-    cache keeps one sealed summary per file): a ``{"v", "crc", <key>}``
-    wrapper whose CRC covers the canonical JSON of the body alone.
-    """
-    return json.dumps({"v": version, "crc": envelope_crc(body), key: body})
-
-
-def open_envelope(text: str, version: int, key: str = "record") -> dict:
-    """Inverse of :func:`seal_envelope`; raises ``ValueError`` on any
-    damage (wrong version, missing body, CRC mismatch) so callers can
-    quarantine rather than trust a corrupt payload."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("envelope is not a JSON object")
-    if payload.get("v") != version:
-        raise ValueError(
-            f"unsupported envelope version {payload.get('v')!r}"
-        )
-    body = payload.get(key)
-    if not isinstance(body, dict):
-        raise ValueError(f"envelope has no {key!r} body")
-    if payload.get("crc") != envelope_crc(body):
-        raise ValueError("envelope failed CRC32 check")
-    return body
-
-
-def _record_crc(record_dict: dict) -> str:
-    return envelope_crc(record_dict)
-
-
 def encode_cache_line(record) -> str:
     """One v2 cache line: a CRC32-sealed, version-stamped envelope."""
-    return seal_envelope(
-        record_to_dict(record), CACHE_SCHEMA_VERSION, key="record"
+    return json.dumps(
+        seal(record_to_dict(record), "record", CACHE_SCHEMA_VERSION)
     )
 
 
@@ -228,7 +191,7 @@ def decode_cache_line(line: str):
     if not isinstance(payload, dict):
         raise ValueError("cache line is not a JSON object")
     if "v" in payload or "crc" in payload or "record" in payload:
-        record_dict = open_envelope(line, CACHE_SCHEMA_VERSION, key="record")
+        record_dict = unseal(payload, "record", CACHE_SCHEMA_VERSION)
         return record_from_dict(record_dict), False
     # Legacy v1: the record dict itself was the line.
     return record_from_dict(payload), True
@@ -279,7 +242,7 @@ class ResultCache:
         self._loaded = True
         if not self.path.exists():
             return
-        quarantined: List[dict] = []
+        quarantined: List[Tuple[int, Exception, str]] = []
         legacy_lines = 0
         with open(self.path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -289,42 +252,24 @@ class ResultCache:
                 try:
                     record, is_legacy = decode_cache_line(line)
                 except Exception as exc:  # any damage: quarantine, not fatal
-                    quarantined.append(
-                        {
-                            "line_number": lineno,
-                            "reason": f"{type(exc).__name__}: {exc}",
-                            "line": line,
-                        }
-                    )
+                    quarantined.append((lineno, exc, line))
                     continue
                 if is_legacy:
                     legacy_lines += 1
                 self._records[record.config.key()] = record
         self.quarantined_lines = len(quarantined)
         if quarantined:
-            self._write_quarantine(quarantined)
+            quarantine(self.path, quarantined)
             _count("cache.quarantined_lines", len(quarantined))
         if quarantined or legacy_lines:
             self._compact()
 
-    def _write_quarantine(self, quarantined: List[dict]) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with open(self.quarantine_path, "a", encoding="utf-8") as fh:
-            for item in quarantined:
-                fh.write(json.dumps(item) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def _compact(self) -> None:
         """Atomically rewrite the file as the loaded records, v2 format."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for record in self._records.values():
-                fh.write(encode_cache_line(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        write_atomic(self.path, "".join(
+            encode_cache_line(record) + "\n"
+            for record in self._records.values()
+        ))
         self.compacted = True
         _count("cache.compactions")
 

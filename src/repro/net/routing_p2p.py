@@ -11,7 +11,7 @@ dynamic body channel), which is exactly the trade-off the paper predicts.
 
 Routes are shortest paths by mean path loss over the connectivity graph
 whose edges are the links whose *average* budget closes at the configured
-TX power (networkx Dijkstra at construction — static routing, mirroring a
+TX power (Dijkstra at construction — static routing, mirroring a
 protocol that amortizes route discovery).  Every node derives the same
 tables from the same mean channel, so next-hop forwarding is consistent.
 
@@ -24,10 +24,10 @@ overheard copy — reception is free redundancy on a broadcast medium.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional
-
-import networkx as nx
 
 from repro.channel.pathloss import MeanPathLossModel
 from repro.des.engine import Simulator
@@ -52,21 +52,52 @@ def build_route_tables(
     prefer strong links.  Unreachable destinations are omitted (callers
     fall back to a direct attempt).
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(placement)
+    # Each node lists its links in placement order, which fixes how
+    # equal-loss routes (left/right body symmetry makes them common) tie.
+    links: Dict[int, List[tuple]] = {node: [] for node in placement}
     for a_index, a in enumerate(placement):
         for b in placement[a_index + 1:]:
             loss = mean_model.mean_path_loss(a, b)
             if tx_dbm - loss >= sensitivity_dbm + margin_db:
-                graph.add_edge(a, b, weight=loss)
+                links[a].append((b, loss))
+                links[b].append((a, loss))
 
     tables: Dict[int, Dict[int, int]] = {node: {} for node in placement}
     for source in placement:
-        paths = nx.single_source_dijkstra_path(graph, source, weight="weight")
-        for dst, path in paths.items():
-            if dst != source and len(path) >= 2:
+        for dst, path in _shortest_paths(links, source).items():
+            if dst != source:
                 tables[source][dst] = path[1]
     return tables
+
+
+def _shortest_paths(links, source: int) -> Dict[int, List[int]]:
+    """Least-loss path from ``source`` to every reachable node, in the
+    order the nodes are settled.
+
+    Between equal-loss paths the first one found wins: the fringe orders
+    equal distances by push order, and a node's predecessor only changes
+    for a strictly shorter path.
+    """
+    paths: Dict[int, List[int]] = {}
+    best = {source: 0.0}
+    via = {source: None}
+    order = itertools.count()
+    fringe = [(0.0, next(order), source)]
+    while fringe:
+        dist, _, node = heapq.heappop(fringe)
+        if node in paths:
+            continue
+        parent = via[node]
+        paths[node] = [node] if parent is None else paths[parent] + [node]
+        for neighbour, loss in links[node]:
+            candidate = dist + loss
+            if neighbour not in paths and (
+                neighbour not in best or candidate < best[neighbour]
+            ):
+                best[neighbour] = candidate
+                via[neighbour] = node
+                heapq.heappush(fringe, (candidate, next(order), neighbour))
+    return paths
 
 
 class P2pRouting:

@@ -142,6 +142,51 @@ class TestFlagPropagation:
         assert captured == [0.90, 0.90]
 
 
+class TestStoragePathsCheckedUpFront:
+    """A storage path under a regular file exits 2 with one line naming
+    the flag and the path, before any simulation."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--pdr-min", "90", "--preset", "smoke",
+             "--cache-dir", "BAD"],
+            ["solve", "--pdr-min", "90", "--preset", "smoke", "--out", "BAD"],
+            ["robust", "--pdr-min", "85", "--preset", "smoke", "--out", "BAD"],
+            ["campaign", "--wearers", "1", "--preset", "smoke",
+             "--out", "BAD"],
+            ["solve", "--pdr-min", "90", "--preset", "smoke",
+             "--metrics-out", "BAD"],
+            ["solve", "--pdr-min", "90", "--preset", "smoke",
+             "--trace-out", "BAD"],
+            ["serve", "--root", "BAD", "--port", "0"],
+            ["worker", "--coordinator", "http://127.0.0.1:9",
+             "--workdir", "BAD"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[argv.index('BAD') - 1]}",
+    )
+    def test_path_under_a_regular_file_exits_2(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        bad = str(blocker / "sub")
+        flag = argv[argv.index("BAD") - 1]
+        argv = [bad if arg == "BAD" else arg for arg in argv]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert flag in lines[0] and bad in lines[0]
+
+    def test_output_file_needs_an_existing_directory(self, tmp_path, capsys):
+        bad = str(tmp_path / "missing" / "m.json")
+        assert cli.main([
+            "solve", "--pdr-min", "90", "--preset", "smoke",
+            "--metrics-out", bad,
+        ]) == 2
+        assert f"--metrics-out {bad}" in capsys.readouterr().err
+
+
 class TestObservabilityOutputs:
     def test_trace_out_writes_manifest_then_events(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
@@ -181,6 +226,23 @@ class TestObservabilityOutputs:
         assert payload["simplex.solves"]["value"] >= 1
         assert payload["des.runs"]["value"] >= 1
         assert payload["oracle.wall_seconds"]["count"] >= 1
+
+    def test_metrics_out_counts_pool_work_at_any_jobs(self, tmp_path, capsys):
+        """Counters incremented inside pool processes reach the parent's
+        registry: DES totals are the same serial and parallel."""
+        totals = {}
+        for jobs in ("1", "2"):
+            metrics = tmp_path / f"m{jobs}.json"
+            assert cli.main([
+                "solve", "--pdr-min", "90", "--preset", "smoke",
+                "--jobs", jobs, "--metrics-out", str(metrics),
+            ]) == 0
+            payload = json.loads(metrics.read_text())
+            totals[jobs] = (
+                payload["des.runs"]["value"], payload["des.events"]["value"]
+            )
+        assert totals["1"] == totals["2"]
+        assert totals["1"][0] >= 1
 
     def test_trace_report_summarizes_run(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"

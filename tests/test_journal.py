@@ -25,8 +25,8 @@ from repro.core.journal import (
     RunJournal,
     SUMMARY_FILENAME,
     summary_projection,
+    payload_crc,
     write_summary,
-    _crc,
 )
 from repro.experiments.scenario import get_preset, make_problem
 from repro.faults.model import hub_stress_ensemble
@@ -88,7 +88,7 @@ def test_manifest_mismatch_is_rejected(tmp_path):
 
 def test_version_mismatch_is_rejected(tmp_path):
     entry = {"kind": "manifest", "version": 999}
-    line = json.dumps({"crc": _crc(entry), "entry": entry})
+    line = json.dumps({"crc": payload_crc(entry), "entry": entry})
     (tmp_path / JOURNAL_FILENAME).write_text(line + "\n")
     with pytest.raises(JournalError, match="version 999"):
         RunJournal.resume(tmp_path)

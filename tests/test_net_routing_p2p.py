@@ -1,11 +1,18 @@
 """Tests for the point-to-point forwarding mesh extension."""
 
+import hashlib
+import json
+import random
+
+import pytest
+
 from repro.channel.body import STANDARD_BODY
 from repro.channel.fading import FadingParameters
 from repro.channel.link import Channel
 from repro.channel.pathloss import MeanPathLossModel
 from repro.des.engine import Simulator
 from repro.des.rng import RngStreams
+from repro.experiments.scenario import make_space
 from repro.library.mac_options import (
     MacKind,
     MacOptions,
@@ -64,6 +71,73 @@ class TestRouteTables:
             for dst, hop in tables[src].items():
                 assert hop in placement
                 assert hop != src
+
+
+def _networkx_tables(placement, tx_dbm, margin_db=0.0):
+    """The route tables networkx's Dijkstra builds: the reference the
+    in-house Dijkstra must match, route for route and in order."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(placement)
+    for a_index, a in enumerate(placement):
+        for b in placement[a_index + 1:]:
+            loss = MEAN_MODEL.mean_path_loss(a, b)
+            if tx_dbm - loss >= CC2650.sensitivity_dbm + margin_db:
+                graph.add_edge(a, b, weight=loss)
+    tables = {node: {} for node in placement}
+    for source in placement:
+        paths = nx.single_source_dijkstra_path(graph, source, weight="weight")
+        for dst, path in paths.items():
+            if dst != source:
+                tables[source][dst] = path[1]
+    return tables
+
+
+class TestRouteTablesMatchReference:
+    """Left/right body symmetry gives 15 path-loss values shared by two
+    or more of the 45 body links, so equal-loss routes are common and
+    tie-breaking decides next hops.  The tables must equal networkx's
+    over every smoke placement and TX level."""
+
+    #: sha256 of the canonical JSON of ``[placement, tx_dbm, tables]``
+    #: over all 110 smoke placements x 3 TX levels, as built by networkx
+    #: ``single_source_dijkstra_path`` (pins the routes where networkx is
+    #: not installed).
+    DIGEST = "d08ba56c4cce0ea4920e23936ef0f109125cd5aa7a1b81b26fc68e063835eb2a"
+
+    def _grid(self):
+        space = make_space("smoke")
+        return [
+            (list(p), tx)
+            for p in space.placements()
+            for tx in space.tx_levels_dbm
+        ]
+
+    def test_smoke_grid_digest(self):
+        tables = [
+            [placement, tx, build_route_tables(
+                placement, MEAN_MODEL, tx, CC2650.sensitivity_dbm
+            )]
+            for placement, tx in self._grid()
+        ]
+        assert len(tables) == 330
+        blob = json.dumps(tables, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode()).hexdigest() == self.DIGEST
+
+    def test_equal_to_networkx_in_any_placement_order(self):
+        rng = random.Random(7)
+        for placement, tx in self._grid():
+            shuffled = rng.sample(placement, len(placement))
+            for order, margin in ((placement, 0.0), (shuffled, 0.0),
+                                  (shuffled, 5.0)):
+                ours = build_route_tables(
+                    order, MEAN_MODEL, tx, CC2650.sensitivity_dbm, margin
+                )
+                reference = _networkx_tables(order, tx, margin)
+                # same routes, listed in the same order
+                assert [list(t.items()) for t in ours.values()] == [
+                    list(t.items()) for t in reference.values()
+                ], (order, tx, margin)
 
 
 class TestForwardingMechanics:

@@ -535,6 +535,20 @@ class TestResultCacheUnit:
             assert len(fh.readlines()) == 1
         assert len(cache) == 1
 
+    def test_put_appends_without_fsync(self, tmp_path, monkeypatch):
+        """A cache line is advisory (a lost one costs a re-simulation),
+        so ``put`` appends it without paying for an fsync."""
+        import os
+
+        scenario = tiny_scenario()
+        record = SimulationOracle(scenario).evaluate(REFERENCE_CONFIG)
+        cache = ResultCache(tmp_path, scenario_fingerprint(scenario))
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        cache.put(record)
+        assert synced == []
+        assert len(cache.path.read_text().splitlines()) == 1
+
     def test_missing_directory_is_created_lazily(self, tmp_path):
         target = tmp_path / "nested" / "cache"
         scenario = tiny_scenario(cache_dir=str(target))

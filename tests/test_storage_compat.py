@@ -1,0 +1,112 @@
+"""On-disk compatibility of the storage primitive (DESIGN.md §9).
+
+The files under ``tests/fixtures/storage`` were written by the storage
+code that preceded the shared primitive (git commit 18ea66c), and
+``expected.json`` records what that code loaded from them:
+
+* ``run/journal.jsonl`` — a run journal ending in a torn line;
+* ``campaign/`` — a campaign manifest, two shard manifests, one
+  committed wearer summary and a ``queue.jsonl`` holding a committed
+  shard and a lease still in flight;
+* ``result_cache/<fingerprint>.jsonl`` — a result cache mixing v2
+  envelopes with a legacy v1 line;
+* ``wearer_cache/`` — one wearer-cache entry with its ``index.json``.
+
+Each test loads a copy of one of them with today's code and requires the
+same entries, records and summaries.
+"""
+
+import json
+import pathlib
+import shutil
+
+import pytest
+
+from repro.campaign.queue import CampaignQueue
+from repro.campaign.spec import CampaignSpec
+from repro.campaign.wearer_cache import INDEX_FILENAME, WearerResultCache
+from repro.core.journal import (
+    JOURNAL_FILENAME,
+    QUEUE_LOG_FILENAME,
+    EventLog,
+    RunJournal,
+    load_campaign_manifest,
+    load_campaign_shards,
+)
+from repro.core.result_cache import ResultCache, record_to_dict
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "storage"
+EXPECTED = json.loads((FIXTURES / "expected.json").read_text())
+
+
+@pytest.fixture
+def copy(tmp_path):
+    def _copy(name):
+        return shutil.copytree(FIXTURES / name, tmp_path / name)
+
+    return _copy
+
+
+def test_run_journal_with_a_torn_tail(copy):
+    run = copy("run")
+    expected = EXPECTED["journal"]
+    with RunJournal.resume(run, command="solve") as journal:
+        assert journal.manifest == expected["manifest"]
+        assert journal.entries == expected["entries"]
+    original = (FIXTURES / "run" / JOURNAL_FILENAME).read_bytes()
+    assert (run / JOURNAL_FILENAME).read_bytes() == (
+        original[: expected["intact_bytes"]]
+    )
+
+
+def test_campaign_manifests_and_queue_log(copy):
+    campaign = copy("campaign")
+    expected = EXPECTED["campaign"]
+    assert load_campaign_manifest(campaign) == expected["manifest"]
+    assert load_campaign_shards(campaign) == expected["shards"]
+    with EventLog(campaign / QUEUE_LOG_FILENAME) as log:
+        assert log.entries == expected["queue_entries"]
+    queue = CampaignQueue(
+        CampaignSpec.from_dict(expected["spec"]), campaign, shards=2,
+        clock=lambda: 1000.0,
+    )
+    try:
+        assert queue.counts() == expected["counts"]
+        assert queue.committed_summaries() == expected["summaries"]
+    finally:
+        queue.close()
+    # replaying the log appended and truncated nothing
+    assert (campaign / QUEUE_LOG_FILENAME).read_bytes() == (
+        FIXTURES / "campaign" / QUEUE_LOG_FILENAME
+    ).read_bytes()
+
+
+def test_result_cache_mixing_v1_and_v2_lines(copy):
+    directory = copy("result_cache")
+    expected = EXPECTED["result_cache"]
+    cache = ResultCache(directory, expected["fingerprint"])
+    cache.load()
+    assert [record_to_dict(r) for r in cache] == expected["records"]
+    assert cache.compacted == expected["compacted"]
+    assert cache.quarantined_lines == expected["quarantined_lines"]
+    # the compacted file holds the same records, in the current format
+    again = ResultCache(directory, expected["fingerprint"])
+    again.load()
+    assert [record_to_dict(r) for r in again] == expected["records"]
+    assert not again.compacted
+
+
+def test_wearer_cache_entry_and_index(copy):
+    directory = copy("wearer_cache")
+    expected = EXPECTED["wearer_cache"]
+    cache = WearerResultCache(directory)
+    assert len(cache) == 1
+    assert cache.get(expected["fingerprint"]) == expected["summary"]
+    assert json.loads((directory / INDEX_FILENAME).read_text()) == (
+        expected["index"]
+    )
+    assert cache.total_bytes() == sum(
+        entry["bytes"] for entry in expected["index"]["entries"].values()
+    )
+    # an identical re-put is a no-op, not a divergence
+    assert cache.put(expected["fingerprint"], expected["summary"]) is False

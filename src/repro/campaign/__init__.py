@@ -5,27 +5,22 @@ The paper optimizes one network for one wearer; this package treats
 :class:`~repro.campaign.spec.CampaignSpec` describes the population
 (per-wearer seeds, reliability bounds, solve/robust knobs) and fingerprints
 it; :mod:`~repro.campaign.shard` deterministically partitions wearers into
-shards; :mod:`~repro.campaign.runner` executes the shards over the
-fault-tolerant :class:`~repro.core.parallel.WorkerPool` with one crash-safe
-:class:`~repro.core.journal.RunJournal` per wearer run under the campaign
-directory; :mod:`~repro.campaign.aggregate` rolls the per-wearer summaries
-up into fleet-level artifacts (per-cohort Pareto atlases, deterministic
-aggregate fingerprint, throughput telemetry); and
-:mod:`~repro.campaign.service` serves submit/status/result/artifact over a
-stdlib-only async HTTP API with the journals as the durable backend, so a
-killed service resumes every in-flight campaign byte-identically.
+shards; :class:`~repro.campaign.queue.CampaignQueue` is the one campaign
+engine — it owns the campaign directory's manifests, records each shard's
+committed per-wearer summaries, and writes the fleet artifacts through
+:mod:`~repro.campaign.aggregate` (per-cohort Pareto atlases, deterministic
+aggregate fingerprint, throughput telemetry).
 
-The cross-host fabric rides on top: :mod:`~repro.campaign.queue` turns a
-submitted campaign into a lease-based shard queue (at-least-once
-execution, CRC-keyed idempotent commits, journal-backed lease recovery)
-hosted by the service's pull/lease endpoints, and
-:mod:`~repro.campaign.worker` is the agent (``hi-explore worker``) that
-turns any host into simulation capacity — the fleet's aggregate stays
-byte-identical to a single-host run of the same spec.
-
-Both the ``hi-explore campaign``/``serve`` subcommands and programmatic
-callers go through the same :func:`~repro.campaign.runner.run_campaign`
-code path — the CLI is a thin shell over this package.
+Two drivers feed it the same work items and run every wearer through the
+same crash-safe, journaled :func:`~repro.campaign.runner.run_wearer_task`:
+:func:`~repro.campaign.runner.run_campaign` on one host (``hi-explore
+campaign``, or a service-local submission) over the fault-tolerant
+:class:`~repro.core.parallel.WorkerPool`, committing without leases; and
+:mod:`~repro.campaign.worker` agents (``hi-explore worker``) leasing shards
+from :mod:`~repro.campaign.service`, the stdlib-only async HTTP API.  A
+fleet campaign is therefore byte-identical to a local one by
+construction, and a killed service resumes every campaign from its
+journals.
 """
 
 from repro.campaign.spec import CampaignSpec, WearerSpec, make_population

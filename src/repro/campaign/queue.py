@@ -1,51 +1,41 @@
-"""Lease-based shard queue: the coordinator side of the campaign fabric.
+"""The campaign engine: one shard queue per campaign directory.
 
-PR 7's campaign runtime shards a wearer population across *processes* on
-one host; this module decomposes a campaign into shard-grain work items
-that flow across *hosts*.  A :class:`CampaignQueue` owns one campaign's
-shards and hands them to pulling workers under time-limited leases:
+A :class:`CampaignQueue` is the only code that creates and checks a
+campaign's manifests, records a shard as done, and writes
+``aggregate.json``, ``atlas.json`` and ``telemetry.json``
+(:meth:`~CampaignQueue.finalize`).  A local run
+(:func:`~repro.campaign.runner.run_campaign`) commits each shard as the
+directory's only writer, without a lease; the coordinator service hands
+shards to pulling :mod:`~repro.campaign.worker` agents under
+time-limited leases — ``acquire`` (expired leases are reclaimed first),
+``heartbeat`` (an unknown or expired token is refused, which is how a
+worker that lost its lease finds out) and ``release`` (graceful drain).
 
-* ``acquire(worker)`` — lease the lowest pending shard to ``worker``
-  (expired leases are reclaimed first, so a dead worker's shard goes
-  back on offer after at most one TTL);
-* ``heartbeat(token)`` — renew a live lease; an unknown or expired token
-  is refused, which is how a worker that lost its lease finds out;
-* ``release(token)`` — voluntary return (graceful drain);
-* ``commit(shard, summaries, crc, ...)`` — upload the shard's per-wearer
-  summaries, CRC-checked and **idempotent**: commits are keyed by the
-  payload's content CRC, so a double-commit of identical bytes is a
-  no-op while divergent bytes are a loud integrity error (determinism
-  makes divergence a bug, never a race).
+``commit(shard, summaries, crc, ...)`` is CRC-checked and
+**idempotent**: commits are keyed by the payload's content CRC, so a
+repeat of identical bytes is a no-op that journals nothing, while
+divergent bytes are a loud integrity error (determinism makes divergence
+a bug, never a race).  Execution is therefore *at-least-once*: a shard
+may run several times across reassignments or resumes, the first commit
+wins, and since the artifacts are built only from committed summaries a
+fleet campaign is byte-identical to a local one by construction.
 
-Execution is therefore *at-least-once* with *idempotent commits*: a
-shard may be simulated by several workers across reassignments, but
-every one of them produces byte-identical summaries (per-wearer runs are
-pure functions of the spec), so the first commit wins and the rest
-collapse into no-ops.  That is the whole correctness argument — the
-aggregate built from committed summaries is byte-identical to a
-single-host ``run_campaign`` of the same spec.
-
-**Wearer-grain work stealing** (PR 9) extends the same state machine one
-level down.  When ``acquire`` finds no pending shard, the queue *splits*
-a straggler (the leased shard with the most wearers) into per-wearer
+**Wearer-grain work stealing** extends the state machine one level
+down.  When ``acquire`` finds no pending shard, the queue *splits* a
+straggler (the leased shard with the most wearers) into per-wearer
 sub-leases: the original holder's lease stays valid — its heartbeats now
-return the set of wearers stolen from under it, which it skips — while
-idle workers lease remaining wearers one at a time, **tail-first**
-(the original runs head-first, so the two fronts meet with at most one
-wearer of overlap).  Sub-commits go through the same CRC-keyed
-idempotent path at wearer grain; a commit against a split shard may
-cover any subset of its wearers and merges wearer by wearer, and the
-shard seals with an ordinary shard-level commit record once every wearer
-has landed.  All of it is journaled (``split`` / ``sub_lease`` /
-``sub_renew`` / ``sub_release`` / ``sub_expire`` / ``sub_commit``), so a
-restarted coordinator recovers mid-steal exactly like mid-lease.
+return the wearers stolen from under it, which it skips — while idle
+workers lease the rest one at a time, **tail-first** (the holder runs
+head-first, so the two fronts overlap by at most one wearer).  A commit
+against a split shard may cover any subset of its wearers and merges
+wearer by wearer under the same CRC rules; the shard seals with an
+ordinary commit record once every wearer has landed.
 
-Durability mirrors the rest of the runtime: every lease/renew/expire/
-release/commit is appended to a CRC-framed
-:class:`~repro.core.journal.EventLog` (``queue.jsonl``) *after* its
-filesystem effects, so a restarted coordinator replays the log and
-recovers every in-flight lease (which then expires and is reassigned)
-and every committed shard (whose summaries are already on disk).
+Every lease/renew/expire/release/commit/split/sub-lease is appended to a
+CRC-framed :class:`~repro.core.journal.EventLog` (``queue.jsonl``)
+*after* its filesystem effects, so a reopened queue recovers every
+in-flight lease (which then expires and is reassigned) and every
+committed shard (whose summaries are already on disk).
 """
 
 from __future__ import annotations
@@ -56,14 +46,31 @@ import time
 import uuid
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.campaign.runner import open_campaign_dir, write_artifacts
+from repro.campaign.aggregate import (
+    AGGREGATE_FILENAME,
+    ATLAS_FILENAME,
+    TELEMETRY_FILENAME,
+    atlas_payload,
+    build_aggregate,
+    telemetry_payload,
+)
+from repro.campaign.shard import shard_assignment
 from repro.campaign.spec import CampaignSpec
 from repro.core.journal import (
+    CAMPAIGN_MANIFEST_FILENAME,
     QUEUE_LOG_FILENAME,
+    SHARD_MANIFEST_FILENAME,
     EventLog,
+    JournalError,
+    dump_json,
+    load_campaign_manifest,
+    load_campaign_shards,
     payload_crc,
     read_summary,
     shard_directory,
+    write_atomic,
+    write_campaign_manifest,
+    write_shard_manifest,
     write_summary,
 )
 
@@ -141,7 +148,8 @@ def wearer_payload_crc(summary: dict) -> str:
     return payload_crc({"summary": summary})
 
 
-def _fresh_sub() -> dict:
+def _pending_slot() -> dict:
+    """A pending lease slot (a shard's, or one wearer's of a split shard)."""
     return {"state": "pending", "worker": None, "token": None,
             "expires_at": None, "crc": None}
 
@@ -184,20 +192,14 @@ class CampaignQueue:
         self.obs = runtime.get_active()
         self._started = clock()
 
-        self.shards, assignment = open_campaign_dir(
-            spec, self.directory, max(1, int(shards))
+        # wearers_of: shard index → ordered wearer ids (the work items).
+        self.shards, self.wearers_of = self._open_directory(
+            max(1, int(shards))
         )
-        #: shard index → ordered wearer ids (the work-item decomposition).
-        self.wearers_of: Dict[int, List[str]] = {
-            index: [w.wearer_id for w in wearers]
-            for index, wearers in sorted(assignment.items())
-        }
 
         #: shard index → {"state": pending|leased|split|committed, ...}
         self._shards: Dict[int, dict] = {
-            index: {"state": "pending", "worker": None, "token": None,
-                    "expires_at": None, "crc": None}
-            for index in self.wearers_of
+            index: _pending_slot() for index in self.wearers_of
         }
         #: split shard index → wearer id → sub-lease state (same fields).
         self._subs: Dict[int, Dict[str, dict]] = {}
@@ -215,6 +217,46 @@ class CampaignQueue:
                             worker="coordinator", token=None)
 
     # -- durable state -----------------------------------------------------------
+
+    def _open_directory(
+        self, shards: int
+    ) -> Tuple[int, Dict[int, List[str]]]:
+        """Create, or reopen, the campaign directory; returns its shard
+        count and each shard's ordered wearer ids.
+
+        A fresh directory gets its campaign and shard manifests; an
+        existing one must belong to the same campaign, and the shard
+        count pinned in its manifest wins over ``shards``.  Either way
+        the whole manifest chain is cross-validated before any journal
+        is touched.
+        """
+        if (self.directory / CAMPAIGN_MANIFEST_FILENAME).exists():
+            manifest = load_campaign_manifest(self.directory)
+            if manifest.get("fingerprint") != self.fingerprint:
+                raise JournalError(
+                    f"campaign directory {self.directory} belongs to "
+                    f"campaign {manifest.get('fingerprint')!r}, not "
+                    f"{self.fingerprint!r} — refusing to mix campaigns"
+                )
+            shards = int(manifest.get("shards", shards))
+        else:
+            write_campaign_manifest(
+                self.directory, self.spec.to_dict(), self.fingerprint, shards
+            )
+        wearers_of = {
+            index: [w.wearer_id for w in wearers]
+            for index, wearers in sorted(
+                shard_assignment(self.spec, shards).items()
+            )
+        }
+        for index, wearer_ids in wearers_of.items():
+            shard_dir = shard_directory(self.directory, index)
+            if not (shard_dir / SHARD_MANIFEST_FILENAME).exists():
+                write_shard_manifest(
+                    self.directory, index, self.fingerprint, wearer_ids
+                )
+        load_campaign_shards(self.directory)
+        return shards, wearers_of
 
     def _replay(self, entries: List[dict]) -> None:
         """Fold the queue log back into in-memory shard state.
@@ -260,7 +302,7 @@ class CampaignQueue:
                 if state["state"] != "committed":
                     state["state"] = "split"
                     self._subs[shard] = {
-                        wid: _fresh_sub() for wid in self.wearers_of[shard]
+                        wid: _pending_slot() for wid in self.wearers_of[shard]
                     }
             elif kind == "sub_lease" and sub is not None:
                 if sub["state"] != "committed":
@@ -315,61 +357,80 @@ class CampaignQueue:
         when someone is around to observe or acquire.
         """
         now = self.clock()
-        reclaimed = []
-        for index, state in self._shards.items():
-            if (
-                state["state"] in ("leased", "split")
-                and state["expires_at"] is not None
-                and state["expires_at"] <= now
-            ):
-                self._tokens.pop(state["token"], None)
-                self._record(
-                    "expire", shard=index, token=state["token"],
-                    worker=state["worker"],
-                )
-                self.obs.counter("queue.expirations").inc()
-                self.obs.event(
-                    "queue.expire", campaign=self.fingerprint, shard=index,
-                    worker=state["worker"],
-                )
-                if state["state"] == "split":
-                    # The original holder died mid-split: its remaining
-                    # wearers are already individually stealable.
-                    state.update(worker=None, token=None, expires_at=None)
-                else:
-                    state.update(state="pending", worker=None, token=None,
-                                 expires_at=None)
-                reclaimed.append(index)
-        for index, subs in self._subs.items():
-            for wid, sub in subs.items():
-                if (
-                    sub["state"] == "leased"
-                    and sub["expires_at"] is not None
-                    and sub["expires_at"] <= now
-                ):
-                    self._tokens.pop(sub["token"], None)
-                    self._record(
-                        "sub_expire", shard=index, wearer=wid,
-                        token=sub["token"], worker=sub["worker"],
-                    )
-                    self.obs.counter("queue.expirations").inc()
-                    self.obs.event(
-                        "queue.expire", campaign=self.fingerprint,
-                        shard=index, wearer=wid, worker=sub["worker"],
-                    )
-                    sub.update(state="pending", worker=None, token=None,
-                               expires_at=None)
-                    reclaimed.append(index)
-        return reclaimed
+
+        def lapsed(slot: dict) -> bool:
+            return slot["expires_at"] is not None and slot["expires_at"] <= now
+
+        ended = [
+            (index, None) for index, state in self._shards.items()
+            if state["state"] in ("leased", "split") and lapsed(state)
+        ] + [
+            (index, wid) for index, subs in self._subs.items()
+            for wid, sub in subs.items()
+            if sub["state"] == "leased" and lapsed(sub)
+        ]
+        for index, wearer in ended:
+            self._end_lease("expire", index, wearer)
+        return [index for index, _ in ended]
+
+    def _end_lease(
+        self, kind: str, index: int, wearer: Optional[str], **fields
+    ) -> str:
+        """Journal, count and apply the end (``expire`` or ``release``)
+        of the lease on shard ``index`` — or on its wearer ``wearer`` of
+        a split shard.  The slot goes back to ``pending``, except that a
+        split shard stays split: when its original holder goes away, the
+        remaining wearers are already individually stealable.  Returns
+        the slot's new state."""
+        if wearer is None:
+            slot, where = self._shards[index], {"shard": index}
+        else:
+            slot = self._subs[index][wearer]
+            where = {"shard": index, "wearer": wearer}
+        self._tokens.pop(slot["token"], None)
+        self._record(
+            kind if wearer is None else f"sub_{kind}", **where,
+            token=slot["token"], worker=slot["worker"], **fields,
+        )
+        self.obs.counter(
+            "queue.expirations" if kind == "expire" else "queue.releases"
+        ).inc()
+        self.obs.event(
+            f"queue.{kind}", campaign=self.fingerprint, **where,
+            worker=slot["worker"], **fields,
+        )
+        if slot["state"] != "split":
+            slot["state"] = "pending"
+        slot.update(worker=None, token=None, expires_at=None)
+        return slot["state"]
+
+    def work_item(
+        self, index: int, wearer_ids: Optional[List[str]] = None
+    ) -> dict:
+        """What running shard ``index`` (or ``wearer_ids`` of it) takes:
+        campaign, name, preset, shard and wearer specs.  A lease is this
+        plus its token and TTL."""
+        wanted = set(
+            self.wearers_of[index] if wearer_ids is None else wearer_ids
+        )
+        return {
+            "campaign": self.fingerprint,
+            "name": self.spec.name,
+            "preset": self.spec.preset,
+            "shard": index,
+            "wearers": [
+                w.to_dict() for w in self.spec.wearers
+                if w.wearer_id in wanted
+            ],
+        }
 
     def acquire(self, worker: str) -> Optional[dict]:
         """Lease work to ``worker`` (None = nothing to hand out).
 
-        Preference order: the lowest pending shard (whole-shard lease,
-        the payload carrying everything a remote worker needs — campaign
-        fingerprint, preset, wearer specs, token, TTL); then, with
-        stealing enabled, a pending wearer of an already-split shard;
-        finally, splitting the biggest leased straggler to steal from.
+        Preference order: the lowest pending shard (a whole-shard lease:
+        its :meth:`work_item` plus token and TTL); then, with stealing
+        enabled, a pending wearer of an already-split shard; finally,
+        splitting the biggest leased straggler to steal from.
         """
         self.reclaim_expired()
         for index in sorted(self._shards):
@@ -390,19 +451,8 @@ class CampaignQueue:
                 "queue.lease", campaign=self.fingerprint, shard=index,
                 worker=worker,
             )
-            wearer_ids = set(self.wearers_of[index])
             return {
-                "campaign": self.fingerprint,
-                "name": self.spec.name,
-                "preset": self.spec.preset,
-                "shard": index,
-                "token": token,
-                "ttl": self.lease_ttl,
-                "wearers": [
-                    w.to_dict()
-                    for w in self.spec.wearers
-                    if w.wearer_id in wearer_ids
-                ],
+                **self.work_item(index), "token": token, "ttl": self.lease_ttl
             }
         if not self.steal_enabled:
             return None
@@ -436,7 +486,7 @@ class CampaignQueue:
         """
         state = self._shards[index]
         self._subs[index] = {
-            wid: _fresh_sub() for wid in self.wearers_of[index]
+            wid: _pending_slot() for wid in self.wearers_of[index]
         }
         state["state"] = "split"
         self._record("split", shard=index, worker=state["worker"],
@@ -477,14 +527,10 @@ class CampaignQueue:
                     wearer=wid, worker=worker,
                 )
                 return {
-                    "campaign": self.fingerprint,
-                    "name": self.spec.name,
-                    "preset": self.spec.preset,
-                    "shard": index,
+                    **self.work_item(index, [wid]),
                     "sub": wid,
                     "token": token,
                     "ttl": self.lease_ttl,
-                    "wearers": [self.spec.wearer(wid).to_dict()],
                 }
         return None
 
@@ -567,37 +613,10 @@ class CampaignQueue:
         """Voluntarily return a leased shard (or stolen wearer) to the
         pending pool."""
         index, wearer = self._lease_for(token)
-        self._tokens.pop(token, None)
+        state = self._end_lease("release", index, wearer, reason=reason)
         if wearer is not None:
-            sub = self._subs[index][wearer]
-            self._record(
-                "sub_release", shard=index, wearer=wearer, token=token,
-                worker=sub["worker"], reason=reason,
-            )
-            self.obs.counter("queue.releases").inc()
-            self.obs.event(
-                "queue.release", campaign=self.fingerprint, shard=index,
-                wearer=wearer, worker=sub["worker"], reason=reason,
-            )
-            sub.update(state="pending", worker=None, token=None,
-                       expires_at=None)
-            return {"shard": index, "wearer": wearer, "state": "pending"}
-        state = self._shards[index]
-        self._record(
-            "release", shard=index, token=token, worker=state["worker"],
-            reason=reason,
-        )
-        self.obs.counter("queue.releases").inc()
-        self.obs.event(
-            "queue.release", campaign=self.fingerprint, shard=index,
-            worker=state["worker"], reason=reason,
-        )
-        if state["state"] == "split":
-            state.update(worker=None, token=None, expires_at=None)
-            return {"shard": index, "state": "split"}
-        state.update(state="pending", worker=None, token=None,
-                     expires_at=None)
-        return {"shard": index, "state": "pending"}
+            return {"shard": index, "wearer": wearer, "state": state}
+        return {"shard": index, "state": state}
 
     # -- commits -----------------------------------------------------------------
 
@@ -872,15 +891,17 @@ class CampaignQueue:
                 tally[worker] = tally.get(worker, 0) + 1
         return tally
 
-    def finalize(self) -> dict:
-        """Build the fleet artifacts once every shard has committed.
+    def finalize(self, **telemetry) -> Tuple[dict, dict]:
+        """Write the three artifacts once every shard has committed;
+        returns ``(aggregate, telemetry)``.
 
-        The aggregate/atlas path is *exactly* the single-host one
-        (:func:`~repro.campaign.aggregate.build_aggregate` over the
-        deterministic summary projections), which is what makes a
-        fleet-executed campaign byte-identical to ``hi-explore
-        campaign`` on the same spec.  Non-deterministic fleet facts
-        (wall clock, worker census) go to ``telemetry.json`` as always.
+        The aggregate and atlas are
+        :func:`~repro.campaign.aggregate.build_aggregate` over the
+        committed summaries, so how shards were executed never shows in
+        their bytes.  ``telemetry.json`` holds the rest: wall clock since
+        the queue opened plus, by default, the census of committing
+        workers; a local run overrides ``jobs``/``pool_stats`` with its
+        pool's and adds ``resumed_wearers``.
         """
         if not self.done:
             raise QueueError(
@@ -889,15 +910,20 @@ class CampaignQueue:
                 f"{self.counts()}",
             )
         workers = self.worker_commits()
-        aggregate, _ = write_artifacts(
-            self.spec,
-            self.directory,
-            self.committed_summaries(),
-            elapsed=lambda: self.clock() - self._started,
-            shards=self.shards,
-            jobs=len(workers),
-            pool_stats={"workers": workers},
+        telemetry = {
+            "jobs": len(workers), "pool_stats": {"workers": workers},
+            **telemetry,
+        }
+        aggregate = build_aggregate(self.spec, self.committed_summaries())
+        write_atomic(self.directory / AGGREGATE_FILENAME, dump_json(aggregate))
+        write_atomic(
+            self.directory / ATLAS_FILENAME, dump_json(atlas_payload(aggregate))
         )
+        telemetry = telemetry_payload(
+            self.spec, aggregate, wall_seconds=self.clock() - self._started,
+            shards=self.shards, **telemetry,
+        )
+        write_atomic(self.directory / TELEMETRY_FILENAME, dump_json(telemetry))
         self.obs.event(
             "queue.done",
             campaign=self.fingerprint,
@@ -905,7 +931,7 @@ class CampaignQueue:
             feasible=aggregate["feasible"],
             wearers=aggregate["wearers"],
         )
-        return aggregate
+        return aggregate, telemetry
 
     def close(self) -> None:
         self._log.close()

@@ -1,10 +1,11 @@
-"""Campaign execution: shard the population, journal every wearer run.
+"""Campaign execution on one host, and the per-wearer task fleets share.
 
 One campaign directory holds everything (layout pinned by the manifests
 in :mod:`repro.core.journal`)::
 
     <campaign_dir>/
       campaign.json            CRC-checked manifest: spec + fingerprint + shards
+      queue.jsonl              shard commit log (plus leases, in a fleet)
       shards/shard-NN/
         shard.json             CRC-checked shard manifest (linked by fingerprint)
         <wearer_id>/           one PR-5 journaled run directory per wearer
@@ -14,54 +15,40 @@ in :mod:`repro.core.journal`)::
       atlas.json               per-cohort Pareto atlases (byte-stable)
       telemetry.json           throughput/resilience roll-up (wall clock!)
 
-Crash safety is inherited, not reimplemented: each wearer run is an
-ordinary journaled exploration, so killing the campaign runner at any
-instant loses at most one fsynced journal line per in-flight wearer.
-:func:`run_campaign` on an existing campaign directory *resumes*: wearers
-with a ``summary.json`` are loaded (their runs completed), wearers with a
-journal but no summary replay through the PR-5 path to a bit-identical
-summary, and untouched wearers run fresh — so the final aggregate is
-byte-identical to an uninterrupted run no matter how many times the
-campaign was killed.
+The directory belongs to its :class:`~repro.campaign.queue.CampaignQueue`,
+the one campaign engine.  :func:`run_campaign` drives it locally: every
+wearer runs through :func:`run_wearer_task` on the fault-tolerant
+:class:`~repro.core.parallel.WorkerPool` (one wearer per task, serial
+inside the worker), every shard is committed without a lease, and the
+queue writes the artifacts.  Fleet workers lease the same work items and
+build the same tasks (:func:`wearer_tasks`).
 
-Wearers are fanned out over the fault-tolerant
-:class:`~repro.core.parallel.WorkerPool` (one wearer run per task,
-serial inside the worker); the deterministic sharder decides which shard
-directory a wearer's journal lives in, independent of the worker count.
+Crash safety is inherited, not reimplemented: each wearer run is an
+ordinary journaled exploration, so a kill at any instant loses at most
+one fsynced journal line per in-flight wearer.  On an existing directory
+:func:`run_campaign` *resumes*: finished wearers load their
+``summary.json``, journaled ones replay bit-identically, untouched ones
+run fresh, and recommitting an already committed shard is a no-op — so
+the aggregate is byte-identical to an uninterrupted run however often
+the campaign was killed (a directory from before ``queue.jsonl``
+existed simply gains one).
 """
 
 from __future__ import annotations
 
 import pathlib
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.campaign.aggregate import (
-    AGGREGATE_FILENAME,
-    ATLAS_FILENAME,
-    TELEMETRY_FILENAME,
-    atlas_payload,
-    build_aggregate,
-    telemetry_payload,
-)
-from repro.campaign.shard import shard_assignment
+from repro.campaign.aggregate import AGGREGATE_FILENAME, ATLAS_FILENAME
+from repro.campaign.queue import CampaignQueue, shard_payload_crc
 from repro.campaign.spec import CampaignSpec, WearerSpec
 from repro.core.journal import (
-    CAMPAIGN_MANIFEST_FILENAME,
     JOURNAL_FILENAME,
-    SHARD_MANIFEST_FILENAME,
     SUMMARY_FILENAME,
-    JournalError,
     RunJournal,
-    dump_json,
-    load_campaign_manifest,
-    load_campaign_shards,
     read_summary,
     shard_directory,
-    write_atomic,
-    write_campaign_manifest,
-    write_shard_manifest,
     write_summary,
 )
 from repro.core.parallel import WorkerPool
@@ -75,10 +62,6 @@ class CampaignReport:
     directory: pathlib.Path
     aggregate: dict
     telemetry: dict
-
-    @property
-    def fingerprint(self) -> str:
-        return self.aggregate["fingerprint"]
 
     @property
     def aggregate_path(self) -> pathlib.Path:
@@ -143,15 +126,14 @@ def run_wearer_task(task: dict) -> dict:
     — all three converge on the same summary bytes, which is what makes
     the campaign aggregate invariant under kills and retries.
 
-    Two optional fast paths sit in front of the simulation (PR 9):
-    ``task["cached_summary"]`` carries a summary prefetched from the
-    coordinator's cross-campaign wearer cache, and
-    ``task["wearer_cache_dir"]`` names a local one keyed by
-    :func:`~repro.campaign.wearer_cache.wearer_fingerprint`.  Either hit
-    replays the cached bytes through :func:`write_summary` — the same
-    projection a fresh run goes through, so the resulting
-    ``summary.json`` is byte-identical to simulating — and returns state
-    ``"cached"``.  Fresh results are stored back into the local cache.
+    Two optional fast paths sit in front of the simulation: a summary
+    prefetched from the coordinator's cross-campaign wearer cache
+    (``task["cached_summary"]``) and a local cache under
+    ``task["wearer_cache_dir"]`` keyed by
+    :func:`~repro.campaign.wearer_cache.wearer_fingerprint`.  A hit goes
+    through :func:`write_summary` like a fresh run, so the resulting
+    ``summary.json`` is byte-identical to simulating, and returns state
+    ``"cached"``; fresh results are stored back into the local cache.
     """
     from repro.core.explorer import HumanIntranetExplorer
     from repro.core.result_cache import scenario_fingerprint
@@ -271,66 +253,36 @@ def run_wearer_task(task: dict) -> dict:
     }
 
 
-def open_campaign_dir(
-    spec: CampaignSpec, directory, shards: int
-) -> Tuple[int, Dict[int, List[WearerSpec]]]:
-    """Create, or reopen, the campaign directory of ``spec``.
+def wearer_tasks(
+    work: dict,
+    campaign_root,
+    cache_dir: Optional[str],
+    batch_mode: str,
+    wearer_cache_dir: Optional[str],
+) -> List[dict]:
+    """One :func:`run_wearer_task` description per wearer of ``work``.
 
-    A fresh directory gets its campaign manifest and one shard manifest
-    per shard; an existing one must belong to the same campaign, and the
-    shard count pinned in its manifest wins over ``shards``.  Either way
-    the whole manifest chain is cross-validated before any journal is
-    touched.  Returns ``(shards, shard index -> wearers)``.
+    ``work`` is a :meth:`~repro.campaign.queue.CampaignQueue.work_item`:
+    a fleet lease, or a shard of a local run.  Each wearer journals under
+    ``<campaign_root>/shards/shard-NN/<wearer_id>/``; summaries a lease
+    prefetched from the wearer cache (``work["cached"]``) ride along.
     """
-    directory = pathlib.Path(directory)
-    fingerprint = spec.fingerprint()
-    if (directory / CAMPAIGN_MANIFEST_FILENAME).exists():
-        manifest = load_campaign_manifest(directory)
-        if manifest.get("fingerprint") != fingerprint:
-            raise JournalError(
-                f"campaign directory {directory} belongs to campaign "
-                f"{manifest.get('fingerprint')!r}, not {fingerprint!r} — "
-                "refusing to mix campaigns"
-            )
-        shards = int(manifest.get("shards", shards))
-    else:
-        write_campaign_manifest(directory, spec.to_dict(), fingerprint, shards)
-    assignment = shard_assignment(spec, shards)
-    for index, wearers in sorted(assignment.items()):
-        shard_dir = shard_directory(directory, index)
-        if not (shard_dir / SHARD_MANIFEST_FILENAME).exists():
-            write_shard_manifest(
-                directory, index, fingerprint, [w.wearer_id for w in wearers]
-            )
-    load_campaign_shards(directory)
-    return shards, assignment
-
-
-def write_artifacts(
-    spec: CampaignSpec,
-    directory,
-    summaries: Dict[str, dict],
-    elapsed: Callable[[], float],
-    **telemetry,
-) -> Tuple[dict, dict]:
-    """Write ``aggregate.json``, ``atlas.json`` and ``telemetry.json``.
-
-    The aggregate and atlas are deterministic functions of the wearer
-    summaries — the byte-diffed artifacts; ``elapsed()`` is read once
-    they are on disk, for the telemetry's wall clock.  Returns
-    ``(aggregate, telemetry)``.
-    """
-    directory = pathlib.Path(directory)
-    aggregate = build_aggregate(spec, summaries)
-    write_atomic(directory / AGGREGATE_FILENAME, dump_json(aggregate))
-    write_atomic(
-        directory / ATLAS_FILENAME, dump_json(atlas_payload(aggregate))
-    )
-    telemetry = telemetry_payload(
-        spec, aggregate, wall_seconds=elapsed(), **telemetry
-    )
-    write_atomic(directory / TELEMETRY_FILENAME, dump_json(telemetry))
-    return aggregate, telemetry
+    cached = work.get("cached") or {}
+    return [
+        {
+            "campaign": work["campaign"],
+            "preset": work["preset"],
+            "wearer": wearer,
+            "run_dir": str(
+                wearer_run_dir(campaign_root, work["shard"], wearer["wearer_id"])
+            ),
+            "cache_dir": cache_dir,
+            "batch_mode": batch_mode,
+            "wearer_cache_dir": wearer_cache_dir,
+            "cached_summary": cached.get(wearer["wearer_id"]),
+        }
+        for wearer in work["wearers"]
+    ]
 
 
 def run_campaign(
@@ -340,7 +292,6 @@ def run_campaign(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     batch_mode: str = "auto",
-    pool: Optional[WorkerPool] = None,
     wearer_cache_dir: Optional[str] = None,
 ) -> CampaignReport:
     """Execute (or resume) a campaign in ``directory``.
@@ -353,89 +304,81 @@ def run_campaign(
     ``wearer_cache_dir`` (optional) points at a cross-campaign wearer
     cache: hits skip simulation entirely, with byte-identical artifacts
     either way.
+
+    The directory's :class:`~repro.campaign.queue.CampaignQueue` records
+    the outcome: every wearer runs (a finished one only loads its
+    summary), every shard is committed as ``worker="local"`` without a
+    lease — this process is the directory's only writer — and the
+    queue's :meth:`~repro.campaign.queue.CampaignQueue.finalize` writes
+    the artifacts, exactly as for a fleet campaign.
     """
     from repro.obs import runtime
 
     obs = runtime.get_active()
-    start = time.perf_counter()
-    directory = pathlib.Path(directory)
-    fingerprint = spec.fingerprint()
     jobs = max(1, int(jobs))
-    shards, assignment = open_campaign_dir(
-        spec, directory, max(1, int(shards if shards is not None else jobs))
+    queue = CampaignQueue(
+        spec, directory, shards=shards if shards is not None else jobs
     )
+    try:
+        tasks = [
+            task
+            for index in sorted(queue.wearers_of)
+            for task in wearer_tasks(
+                queue.work_item(index), queue.directory, cache_dir,
+                batch_mode, wearer_cache_dir,
+            )
+        ]
+        obs.event(
+            "campaign.start",
+            campaign=queue.fingerprint,
+            name=spec.name,
+            preset=spec.preset,
+            wearers=len(tasks),
+            shards=queue.shards,
+            jobs=jobs,
+        )
+        obs.counter("campaign.runs").inc()
 
-    tasks: List[dict] = []
-    for index, wearers in sorted(assignment.items()):
-        for wearer in wearers:
-            tasks.append(
-                {
-                    "campaign": fingerprint,
-                    "preset": spec.preset,
-                    "wearer": wearer.to_dict(),
-                    "run_dir": str(
-                        wearer_run_dir(directory, index, wearer.wearer_id)
-                    ),
-                    "cache_dir": cache_dir,
-                    "batch_mode": batch_mode,
-                    "wearer_cache_dir": wearer_cache_dir,
-                }
+        def _progress(index: int, result: dict) -> None:
+            obs.counter("campaign.wearers_done").inc()
+            if result["state"] != "ran":
+                obs.counter("campaign.wearers_resumed").inc()
+            obs.event(
+                "campaign.wearer_done",
+                campaign=queue.fingerprint,
+                wearer_id=result["wearer_id"],
+                state=result["state"],
+                found=result["summary"].get("best") is not None,
             )
 
-    obs.event(
-        "campaign.start",
-        campaign=fingerprint,
-        name=spec.name,
-        preset=spec.preset,
-        wearers=len(tasks),
-        shards=shards,
-        jobs=jobs,
-    )
-    obs.counter("campaign.runs").inc()
-
-    def _progress(index: int, result: dict) -> None:
-        obs.counter("campaign.wearers_done").inc()
-        if result["state"] != "ran":
-            obs.counter("campaign.wearers_resumed").inc()
-        obs.event(
-            "campaign.wearer_done",
-            campaign=fingerprint,
-            wearer_id=result["wearer_id"],
-            state=result["state"],
-            found=result["summary"].get("best") is not None,
+        with WorkerPool(jobs) as pool:
+            results = pool.map_ordered(
+                run_wearer_task, tasks, on_result=_progress
+            )
+        summaries = {r["wearer_id"]: r["summary"] for r in results}
+        for index, wearer_ids in sorted(queue.wearers_of.items()):
+            shard = {wid: summaries[wid] for wid in wearer_ids}
+            queue.commit(index, shard, shard_payload_crc(shard), worker="local")
+        aggregate, telemetry = queue.finalize(
+            jobs=jobs,
+            pool_stats={
+                "retries": pool.retries,
+                "respawns": pool.respawns,
+                "quarantined": pool.quarantined,
+                "degraded": pool.degraded,
+            },
+            resumed_wearers=sum(1 for r in results if r["state"] != "ran"),
         )
-
-    own_pool = pool is None
-    pool = pool if pool is not None else WorkerPool(jobs)
-    try:
-        results = pool.map_ordered(run_wearer_task, tasks, on_result=_progress)
     finally:
-        if own_pool:
-            pool.shutdown()
-
-    aggregate, telemetry = write_artifacts(
-        spec,
-        directory,
-        {r["wearer_id"]: r["summary"] for r in results},
-        elapsed=lambda: time.perf_counter() - start,
-        shards=shards,
-        jobs=jobs,
-        pool_stats={
-            "retries": pool.retries,
-            "respawns": pool.respawns,
-            "quarantined": pool.quarantined,
-            "degraded": pool.degraded,
-        },
-        resumed_wearers=sum(1 for r in results if r["state"] != "ran"),
-    )
+        queue.close()
     obs.event(
         "campaign.done",
-        campaign=fingerprint,
+        campaign=queue.fingerprint,
         aggregate_fingerprint=aggregate["fingerprint"],
         feasible=aggregate["feasible"],
         wearers=aggregate["wearers"],
     )
     return CampaignReport(
-        spec=spec, directory=directory, aggregate=aggregate,
+        spec=spec, directory=queue.directory, aggregate=aggregate,
         telemetry=telemetry,
     )

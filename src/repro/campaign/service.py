@@ -1,8 +1,10 @@
 """Stdlib-only async HTTP API over the campaign runtime.
 
 A tiny, dependency-free HTTP/1.1 server hand-rolled on
-:func:`asyncio.start_server` (one request per connection, JSON in/out)
-that turns :func:`repro.campaign.runner.run_campaign` into a service::
+:func:`asyncio.start_server` (JSON in/out) that serves campaigns run
+here by :func:`repro.campaign.runner.run_campaign` or by pulling
+workers, both through the campaign's
+:class:`~repro.campaign.queue.CampaignQueue`::
 
     GET  /healthz                       liveness probe
     POST /campaigns                     submit a CampaignSpec (JSON body);
@@ -59,17 +61,16 @@ Campaign ids are spec fingerprints, so submission is naturally
 idempotent and the id is stable across service restarts.
 
 Durability is the whole point: the service holds **no** authoritative
-state.  Every campaign lives in ``<root>/<id>/`` as manifests + per-wearer
-journals + artifacts; on startup :meth:`CampaignService.recover` scans the
-root and re-runs every campaign that has a manifest but no aggregate —
-completed wearers load their summaries, in-flight wearers replay their
-journals (PR 5), so a SIGKILLed service finishes every interrupted
-campaign with byte-identical artifacts.  Fleet campaigns recover through
-their ``queue.jsonl`` lease/commit log instead: committed shards stay
-committed (the summaries are on disk), in-flight leases are restored
-with their original expiry and reassigned once the TTL lapses, and a
-campaign killed between its last commit and aggregation is finalized on
-the spot.
+state.  Every campaign lives in ``<root>/<id>/`` as manifests, a
+``queue.jsonl`` commit log, per-wearer journals and artifacts; on startup
+:meth:`CampaignService.recover` resumes every campaign that has a
+manifest but no aggregate the way ``service.jsonl`` last saw it
+executing.  A local one runs again (completed wearers load their
+summaries, in-flight wearers replay their journals); a fleet one
+reopens its queue (committed shards stay committed, in-flight leases
+keep their expiry, and a campaign killed between its last commit and
+aggregation is finalized on the spot) — byte-identical artifacts either
+way.
 
 Campaign execution is CPU-bound and runs on a worker thread
 (``asyncio.to_thread``); inside that thread the fault-tolerant
@@ -136,7 +137,6 @@ from repro.campaign.wearer_cache import (
 )
 from repro.core.journal import (
     CAMPAIGN_MANIFEST_FILENAME,
-    QUEUE_LOG_FILENAME,
     SUMMARY_FILENAME,
     EventLog,
     JournalError,
@@ -197,6 +197,23 @@ _REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+def _fold_states(
+    entries, states: Dict[str, str], errors: Dict[str, str]
+) -> None:
+    """Fold service-journal records into ``states`` and ``errors``: the
+    last state wins, and any state but ``failed`` clears the error."""
+    for entry in entries:
+        cid = str(entry.get("id", ""))
+        if not cid:
+            continue
+        if entry.get("kind") == "state":
+            states[cid] = str(entry.get("state", ""))
+            if states[cid] != "failed":
+                errors.pop(cid, None)
+        elif entry.get("kind") == "error":
+            errors[cid] = str(entry.get("error", ""))
 
 
 class HttpError(Exception):
@@ -385,52 +402,34 @@ class CampaignService:
         if self._fenced:
             self._check_fenced()  # raise via the fenced fast path
 
-    def _replay_states(self) -> None:
-        """Restore remembered campaign outcomes from the service journal.
+    def _replay_states(self) -> Dict[str, str]:
+        """Restore remembered campaign outcomes from the service journal,
+        and return every campaign's last journaled state.
 
         Only terminal *failures* are restored into memory: ``done`` is
-        always derivable from the aggregate on disk, and transient
-        states (queued/running/fleet) mean the campaign was interrupted
-        and should go through :meth:`recover` as before.  A restored
-        failure keeps its error message and is **not** auto-relaunched —
-        retrying is an explicit resubmission.
+        always derivable from the aggregate on disk, and a transient
+        state means the campaign was interrupted — :meth:`recover` uses
+        it to resume the campaign the way it was executing (``fleet``
+        reopens its queue; ``queued``/``running`` runs it here).  A
+        restored failure keeps its error message and is **not**
+        auto-relaunched — retrying is an explicit resubmission.
         """
-        if self._journal is None:
-            return
         states: Dict[str, str] = {}
         errors: Dict[str, str] = {}
-        for entry in self._journal.entries:
-            kind = entry.get("kind")
-            cid = str(entry.get("id", ""))
-            if not cid:
-                continue
-            if kind == "state":
-                states[cid] = str(entry.get("state", ""))
-                if states[cid] != "failed":
-                    errors.pop(cid, None)
-            elif kind == "error":
-                errors[cid] = str(entry.get("error", ""))
+        if self._journal is not None:
+            _fold_states(self._journal.entries, states, errors)
         for cid, state in states.items():
             if state == "failed":
                 self._states[cid] = "failed"
                 if cid in errors:
                     self._errors[cid] = errors[cid]
+        return states
 
     def _refresh_standby_view(self) -> None:
         """Fold any new primary journal records into the standby's
         read-only state view (all states, not just failures — this view
         exists for operator status, not for relaunch decisions)."""
-        for entry in self._service_follower.poll():
-            kind = entry.get("kind")
-            cid = str(entry.get("id", ""))
-            if not cid:
-                continue
-            if kind == "state":
-                self._states[cid] = str(entry.get("state", ""))
-                if self._states[cid] != "failed":
-                    self._errors.pop(cid, None)
-            elif kind == "error":
-                self._errors[cid] = str(entry.get("error", ""))
+        _fold_states(self._service_follower.poll(), self._states, self._errors)
 
     def _set_state(
         self, campaign_id: str, state: str, error: Optional[str] = None
@@ -603,10 +602,14 @@ class CampaignService:
         """Resume every interrupted campaign found under the root.
 
         Called at service start; each resumed campaign finishes through
-        the journal-replay path to byte-identical artifacts.  Returns the
-        number of campaigns resumed.
+        the journal-replay path to byte-identical artifacts, executing
+        the way the service journal last saw it: a ``fleet`` campaign
+        reopens its shard queue, any other (``queued``/``running``, or
+        nothing journaled) runs here.  Returns the number of campaigns
+        resumed.
         """
         resumed = 0
+        journaled = self._replay_states()
         if not self.root.exists():
             return 0
         for entry in sorted(self.root.iterdir()):
@@ -629,12 +632,12 @@ class CampaignService:
                     error=f"unrecoverable manifest: {exc}",
                 )
                 continue
-            if (entry / QUEUE_LOG_FILENAME).exists():
-                # Fleet campaign: rebuild the queue from its lease/commit
-                # log.  Committed shards stay committed, in-flight leases
-                # keep their original expiry (and are reassigned once it
-                # lapses) — the coordinator must never re-run shards
-                # locally behind its workers' backs.
+            if journaled.get(entry.name) == "fleet":
+                # Rebuild the queue from its lease/commit log.  Committed
+                # shards stay committed, in-flight leases keep their
+                # original expiry (and are reassigned once it lapses) —
+                # the coordinator must never re-run shards locally behind
+                # its workers' backs.
                 try:
                     self._open_queue(entry.name, spec)
                 except (JournalError, QueueError, OSError, ValueError) as exc:
@@ -717,7 +720,6 @@ class CampaignService:
         self._states.clear()
         self._errors.clear()
         self._journal = EventLog(self.root / SERVICE_LOG_FILENAME)
-        self._replay_states()
         resumed = self.recover()
         from repro.obs import runtime
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.journal import dump_json, payload_digest, write_atomic
@@ -29,6 +30,33 @@ SPEC_VERSION = 1
 
 #: Wearer accept-test modes.
 MODES = ("solve", "robust")
+
+#: A wearer id names its run directory, so it may not reach outside it.
+_WEARER_ID = re.compile(r"[A-Za-z0-9_-]{1,64}")
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fraction(value) -> bool:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and 0.0 <= value <= 1.0
+
+
+#: WearerSpec field → (what it must be, check).
+_WEARER_RULES = {
+    "wearer_id": ("1-64 letters, digits, '-' or '_'",
+                  lambda v: isinstance(v, str) and _WEARER_ID.fullmatch(v)),
+    "seed": ("an integer", _integer),
+    "pdr_min": ("a fraction in (0, 1]", lambda v: _fraction(v) and v > 0),
+    "cohort": ("a string", lambda v: isinstance(v, str)),
+    "mode": (f"one of {MODES}", lambda v: v in MODES),
+    "quantile": ("within [0, 1]", _fraction),
+    "ensemble_size": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
+    "outage_fraction": ("within [0, 1]", _fraction),
+    "fault_seed": ("an integer or null", lambda v: v is None or _integer(v)),
+}
 
 
 @dataclass(frozen=True)
@@ -54,27 +82,31 @@ class WearerSpec:
     correlated_links: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(
-                f"wearer {self.wearer_id!r}: mode must be one of {MODES}, "
-                f"got {self.mode!r}"
-            )
-        if not 0.0 < self.pdr_min <= 1.0:
-            raise ValueError(
-                f"wearer {self.wearer_id!r}: pdr_min must be a fraction in "
-                f"(0, 1], got {self.pdr_min}"
-            )
+        """Refuse a setting no run could use, before it names a
+        directory or reaches a worker."""
+        for name, (rule, check) in _WEARER_RULES.items():
+            value = getattr(self, name)
+            if not check(value):
+                raise ValueError(
+                    f"wearer {self.wearer_id!r}: {name} must be {rule}, "
+                    f"got {value!r}"
+                )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "WearerSpec":
+        if not isinstance(payload, dict):
+            raise ValueError(f"a wearer must be a JSON object, got {payload!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown wearer fields: {sorted(unknown)}")
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # a required field is missing
+            raise ValueError(f"bad wearer {payload!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -93,7 +125,13 @@ class CampaignSpec:
     wearers: Tuple[WearerSpec, ...]
 
     def __post_init__(self) -> None:
+        from repro.experiments.scenario import PRESETS
+
         object.__setattr__(self, "wearers", tuple(self.wearers))
+        if self.preset not in PRESETS:
+            raise ValueError(
+                f"unknown preset {self.preset!r}; available: {sorted(PRESETS)}"
+            )
         if not self.wearers:
             raise ValueError("a campaign needs at least one wearer")
         ids = [w.wearer_id for w in self.wearers]

@@ -458,39 +458,10 @@ class WorkerAgent:
         with self._stolen_lock:
             return wearer_id in self._stolen_wearers
 
-    def _shard_tasks(self, lease: dict) -> List[dict]:
-        from repro.campaign.runner import wearer_run_dir
-
-        campaign_root = self.workdir / lease["campaign"]
-        if lease.get("sub"):
-            # A stolen wearer must not share run directories with the
-            # original holder (same-host fleets share workdirs, and a
-            # journal is single-writer): thieves run in their own
-            # namespace.  Byte-identity makes the duplicate dirs cheap.
-            campaign_root = campaign_root / "steal" / self.name
-        cached = lease.get("cached") or {}
-        return [
-            {
-                "campaign": lease["campaign"],
-                "preset": lease["preset"],
-                "wearer": wearer,
-                "run_dir": str(
-                    wearer_run_dir(
-                        campaign_root, lease["shard"], wearer["wearer_id"]
-                    )
-                ),
-                "cache_dir": self.cache_dir,
-                "batch_mode": self.batch_mode,
-                "wearer_cache_dir": str(self.wearer_cache_dir),
-                "cached_summary": cached.get(wearer["wearer_id"]),
-            }
-            for wearer in lease["wearers"]
-        ]
-
     def _run_shard(self, campaign_id: str, lease: dict) -> bool:
         """Execute one leased shard (or stolen wearer) and commit it.
         Returns True when the commit landed (duplicates included)."""
-        from repro.campaign.runner import run_wearer_task
+        from repro.campaign.runner import run_wearer_task, wearer_tasks
 
         token = lease["token"]
         shard = lease["shard"]
@@ -519,9 +490,19 @@ class WorkerAgent:
                 f"({len(lease['wearers'])} wearer(s))"
             )
         )
+        campaign_root = self.workdir / lease["campaign"]
+        if is_sub:
+            # A stolen wearer must not share run directories with the
+            # original holder (same-host fleets share workdirs, and a
+            # journal is single-writer): thieves run in their own
+            # namespace.  Byte-identity makes the duplicate dirs cheap.
+            campaign_root = campaign_root / "steal" / self.name
         skipped: List[str] = []
         try:
-            tasks = self._shard_tasks(lease)
+            tasks = wearer_tasks(
+                lease, campaign_root, self.cache_dir, self.batch_mode,
+                str(self.wearer_cache_dir),
+            )
             results = []
             if self.jobs > 1 and len(tasks) > 1:
                 # Pool path: tasks fan out up front, so mid-flight steal

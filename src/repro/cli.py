@@ -30,8 +30,9 @@ import sys
 from typing import List, Optional
 
 
-def _positive_jobs(text: str) -> int:
-    """argparse type for ``--jobs``: a positive worker count.
+def _positive_count(text: str) -> int:
+    """argparse type for ``--jobs`` and ``--shards``: a positive count
+    (argparse names the flag in its error line).
 
     ``resolve_jobs`` still accepts 0/negative (joblib convention) for
     programmatic callers, but on the command line those spellings are far
@@ -41,11 +42,11 @@ def _positive_jobs(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"--jobs must be a positive integer, got {text!r}"
+            f"must be a positive integer, got {text!r}"
         )
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"--jobs must be a positive integer, got {value}"
+            f"must be a positive integer, got {value}"
         )
     return value
 
@@ -59,7 +60,7 @@ def add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     """
     parser.add_argument(
         "--jobs",
-        type=_positive_jobs,
+        type=_positive_count,
         default=None,
         help="worker processes for the simulation oracle "
         "(positive integer; 1 = the serial escape hatch; omitted = "
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--shards",
-        type=_positive_jobs,
+        type=_positive_count,
         default=None,
         help="shard count pinning the campaign directory layout "
         "(default: --jobs); a resumed campaign keeps its original "
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8732)
     serve.add_argument(
         "--shards",
-        type=_positive_jobs,
+        type=_positive_count,
         default=None,
         help="shard count per campaign (default: --jobs for local "
         "execution; one shard per wearer capped at 8 for fleet "
@@ -787,7 +788,12 @@ def _run_campaign_command(args, obs) -> int:
     if args.resume is not None and not manifest_path.exists():
         raise JournalError(f"no campaign to resume at {manifest_path}")
 
-    spec = _build_campaign_spec(args)
+    try:
+        spec = _build_campaign_spec(args)
+    except (ValueError, OSError) as exc:
+        source = f"--spec {args.spec}" if args.spec else "campaign"
+        print(f"hi-explore: {source}: {exc}", file=sys.stderr)
+        return 2
     report = run_campaign(
         spec,
         directory,

@@ -90,8 +90,8 @@ CAMPAIGN_MANIFEST_FILENAME = "campaign.json"
 SHARD_MANIFEST_FILENAME = "shard.json"
 SHARDS_DIRNAME = "shards"
 
-#: Lease/commit record log of a distributed (fleet-executed) campaign —
-#: the durable state of the coordinator's shard queue (DESIGN.md §12).
+#: Commit (and, in a fleet, lease) record log of a campaign — the durable
+#: state of its shard queue (DESIGN.md §11-§12).
 QUEUE_LOG_FILENAME = "queue.jsonl"
 
 #: ``oracle_stats`` keys that are deterministic across interrupted/resumed

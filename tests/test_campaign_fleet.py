@@ -26,7 +26,12 @@ from repro.campaign.runner import run_campaign, run_wearer_task, wearer_run_dir
 from repro.campaign.service import CampaignService
 from repro.campaign.spec import make_population
 from repro.campaign.worker import WorkerAgent
-from repro.core.journal import JOURNAL_FILENAME, SUMMARY_FILENAME
+from repro.core.journal import (
+    JOURNAL_FILENAME,
+    QUEUE_LOG_FILENAME,
+    SUMMARY_FILENAME,
+    EventLog,
+)
 
 from tests.test_campaign_service import _request
 
@@ -84,6 +89,39 @@ async def _drain_workers(agents):
     while any(t.is_alive() for t in threads):
         await asyncio.sleep(0.1)
     return codes
+
+
+class TestLocalRunsShareTheEngine:
+    """``run_campaign`` drives the same queue a fleet does: one commit per
+    shard and no lease, artifacts written by ``CampaignQueue.finalize``,
+    and a re-run of a finished directory journals nothing."""
+
+    def test_local_commits_and_idempotent_rerun(self, tmp_path):
+        spec = _spec(size=2, name="local-engine")
+        directory = tmp_path / "camp"
+        report = run_campaign(spec, directory, shards=3, jobs=1)
+        log = directory / QUEUE_LOG_FILENAME
+        with EventLog(log) as events:
+            records = events.entries
+        assert [e["kind"] for e in records] == ["commit"] * 3
+        assert sorted(e["shard"] for e in records) == [0, 1, 2]
+        # empty shards are committed by the queue itself, the rest locally
+        assert "local" in {e["worker"] for e in records}
+        assert {e["worker"] for e in records} <= {"local", "coordinator"}
+        telemetry = report.telemetry
+        assert (telemetry["jobs"], telemetry["shards"]) == (1, 3)
+        assert sorted(telemetry["pool"]) == [
+            "degraded", "quarantined", "respawns", "retries",
+        ]
+        assert telemetry["resumed_wearers"] == 0
+
+        names = ("aggregate.json", "atlas.json")
+        artifacts = {n: (directory / n).read_bytes() for n in names}
+        log_bytes = log.read_bytes()
+        again = run_campaign(spec, directory, jobs=1)
+        assert log.read_bytes() == log_bytes  # repeat commits are no-ops
+        assert {n: (directory / n).read_bytes() for n in names} == artifacts
+        assert again.telemetry["resumed_wearers"] == 2  # both only loaded
 
 
 class TestFleetExecution:

@@ -15,11 +15,12 @@ import json
 
 import pytest
 
+from repro.campaign.queue import CampaignQueue
 from repro.campaign.runner import run_campaign
 from repro.campaign.service import SERVICE_LOG_FILENAME, CampaignService
-from repro.campaign.spec import make_population
+from repro.campaign.spec import CampaignSpec, make_population
 from repro.campaign.wearer_cache import summary_crc, wearer_fingerprint
-from repro.core.journal import write_campaign_manifest
+from repro.core.journal import EventLog, write_campaign_manifest
 
 
 async def _request(port, method, path, payload=None):
@@ -279,6 +280,109 @@ class TestServiceRecovery:
                 await service.join()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("journaled", [None, "queued", "running", "fleet"])
+    def test_recover_follows_the_journaled_execution(self, tmp_path, journaled):
+        """Every campaign directory has a queue log now, so recovery
+        resumes a campaign the way ``service.jsonl`` last saw it
+        executing: ``fleet`` reopens its queue for workers (nothing runs
+        here), anything else — no journaled state included — runs here."""
+        spec = _spec(size=1, base_seed=57, name="journaled")
+        cid = spec.fingerprint()
+        CampaignQueue(spec, tmp_path / cid, shards=1).close()
+        if journaled is not None:
+            with EventLog(tmp_path / SERVICE_LOG_FILENAME) as log:
+                log.append({"kind": "state", "id": cid, "state": journaled})
+
+        async def scenario():
+            service = CampaignService(tmp_path, jobs=1)
+            await service.start("127.0.0.1", 0)
+            try:
+                if journaled == "fleet":
+                    assert cid in service._queues
+                    assert service.status(cid)["state"] == "fleet"
+                else:
+                    assert cid not in service._queues
+                    await service.join()
+                    assert service.status(cid)["state"] == "done"
+            finally:
+                await service.stop()
+                await service.join()
+
+        asyncio.run(scenario())
+        ran_here = journaled != "fleet"
+        assert (tmp_path / cid / "aggregate.json").exists() == ran_here
+        assert any((tmp_path / cid).glob("shards/*/*/journal.jsonl")) == ran_here
+
+
+#: One field of an otherwise good spec set to a value no run could use.
+_BAD_SPECS = {
+    "path-escaping wearer_id": {"wearer_id": "../../../../outside"},
+    "empty wearer_id": {"wearer_id": ""},
+    "65-character wearer_id": {"wearer_id": "w" * 65},
+    "quantile above 1": {"mode": "robust", "quantile": 2},
+    "negative quantile": {"mode": "robust", "quantile": -0.5},
+    "outage_fraction above 1": {"outage_fraction": 5},
+    "zero ensemble_size": {"ensemble_size": 0},
+    "string seed": {"seed": "x"},
+    "float fault_seed": {"fault_seed": 1.5},
+    "string pdr_min": {"pdr_min": "0.9"},
+    "missing pdr_min": {"pdr_min": None},
+    "unknown preset": {"preset": "nope"},
+}
+
+
+def _bad_spec(fields):
+    wearer = {"wearer_id": "w000", "seed": 3, "pdr_min": 0.9}
+    spec = {"name": "bad", "preset": fields.get("preset", "smoke")}
+    wearer.update({k: v for k, v in fields.items() if k != "preset"})
+    spec["wearers"] = [{k: v for k, v in wearer.items() if v is not None}]
+    return spec
+
+
+class TestBadSpecsRefused:
+    """A spec no run could use is refused when it is built — before a
+    wearer id can name a directory outside the root, and before a fleet
+    worker leases a shard it cannot run."""
+
+    @pytest.mark.parametrize("fields", _BAD_SPECS.values(), ids=list(_BAD_SPECS))
+    def test_from_dict_raises_value_error(self, fields):
+        with pytest.raises(ValueError):
+            CampaignSpec.from_dict(_bad_spec(fields))
+
+    @pytest.mark.parametrize("execution", ["local", "fleet"])
+    @pytest.mark.parametrize("fields", _BAD_SPECS.values(), ids=list(_BAD_SPECS))
+    def test_post_answers_400_and_creates_nothing(
+        self, tmp_path, fields, execution
+    ):
+        root = tmp_path / "root"
+
+        def snapshot():
+            return {
+                path: path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")
+            }
+
+        async def scenario():
+            service = CampaignService(root, jobs=1)
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                before = snapshot()
+                status, payload = await _request(
+                    port, "POST", "/campaigns",
+                    {"spec": _bad_spec(fields), "execution": execution},
+                )
+                await service.join()
+                assert snapshot() == before
+                return status, payload
+            finally:
+                await service.stop()
+                await service.join()
+
+        status, payload = asyncio.run(scenario())
+        assert status == 400
+        assert "bad campaign spec" in payload["error"]
+        assert not (tmp_path / "outside").exists()
 
 
 async def _submit_fleet(port, spec):

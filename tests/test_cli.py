@@ -596,6 +596,47 @@ class TestCampaignCommand:
         assert CampaignSpec.load(spec_path).fingerprint() == spec.fingerprint()
 
 
+class TestCampaignBadInputs:
+    """A campaign no run could use exits 2 with one line, before any
+    directory is created — never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            (["--wearers", "0"], "population size"),
+            (["--wearers", "-1"], "population size"),
+            (["--pdr-min", "150"], "pdr_min"),
+            (["--spec", "MISSING"], "--spec"),
+            (["--spec", "BAD_JSON"], "--spec"),
+            (["--mode", "robust", "--quantile", "2"], "quantile"),
+            (["--ensemble-size", "0"], "ensemble_size"),
+            (["--shards", "0"], "--shards"),
+        ],
+        ids=["wearers-0", "wearers-negative", "pdr-min-150", "spec-missing",
+             "spec-bad-json", "quantile-2", "ensemble-size-0", "shards-0"],
+    )
+    def test_exits_2_with_one_line(self, extra, expected, tmp_path, capsys):
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        paths = {"MISSING": str(tmp_path / "missing.json"),
+                 "BAD_JSON": str(bad_json)}
+        camp = tmp_path / "camp"
+        argv = ["campaign", "--preset", "smoke", "--jobs", "1",
+                "--out", str(camp)] + [paths.get(a, a) for a in extra]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refused the flag's value
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        if not err.startswith("usage:"):
+            assert len(lines) == 1
+        assert expected in lines[-1] and "--jobs" not in lines[-1]
+        assert not camp.exists()
+
+
 class TestServeParsing:
     def test_serve_requires_root(self):
         with pytest.raises(SystemExit) as exc:

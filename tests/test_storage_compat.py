@@ -14,6 +14,14 @@ code that preceded the shared primitive (git commit 18ea66c), and
 
 Each test loads a copy of one of them with today's code and requires the
 same entries, records and summaries.
+
+``local_campaign/`` was written by the code before local campaigns
+committed through the shard queue (git commit e0ee553): ``aggregate.json``
+and ``atlas.json`` of an uninterrupted 2-wearer, 2-shard smoke campaign
+(``campaign --wearers 2 --preset smoke --pdr-min 90 --jobs 1 --shards
+2``), and in ``killed/`` the same campaign cut back to what a kill during
+its second wearer leaves: no ``queue.jsonl``, that wearer's journal torn
+mid-line and its ``summary.json`` gone, no artifacts.
 """
 
 import json
@@ -23,6 +31,7 @@ import shutil
 import pytest
 
 from repro.campaign.queue import CampaignQueue
+from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.wearer_cache import INDEX_FILENAME, WearerResultCache
 from repro.core.journal import (
@@ -110,3 +119,19 @@ def test_wearer_cache_entry_and_index(copy):
     )
     # an identical re-put is a no-op, not a divergence
     assert cache.put(expected["fingerprint"], expected["summary"]) is False
+
+
+def test_local_campaign_killed_before_the_queue_log(copy):
+    campaign = copy("local_campaign")
+    killed = campaign / "killed"
+    assert not (killed / QUEUE_LOG_FILENAME).exists()
+    spec = CampaignSpec.from_dict(load_campaign_manifest(killed)["spec"])
+    report = run_campaign(spec, killed, jobs=1)
+    for name in ("aggregate.json", "atlas.json"):
+        assert (killed / name).read_bytes() == (campaign / name).read_bytes()
+    # the resume recorded both shards in the queue log it created
+    with EventLog(killed / QUEUE_LOG_FILENAME) as log:
+        assert [(e["kind"], e["shard"], e["worker"]) for e in log.entries] == [
+            ("commit", 0, "local"), ("commit", 1, "local"),
+        ]
+    assert report.telemetry["resumed_wearers"] == 2  # one loaded, one replayed

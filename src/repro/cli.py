@@ -814,7 +814,66 @@ def _run_campaign_command(args, obs) -> int:
     return 0
 
 
+def _build_problem(args):
+    """``(problem, ensemble)`` of a ``solve``, ``robust`` or ``dual`` run;
+    the fault ensemble is ``None`` except for ``robust``.
+
+    Raises ValueError on a numeric input no run could use: a PDR bound
+    outside [0, 1], a quantile outside [0, 1], an empty ensemble or a
+    non-positive lifetime bound.
+    """
+    from repro.experiments.scenario import make_problem
+
+    if args.command == "dual":
+        if not args.min_lifetime_days > 0:
+            raise ValueError(
+                "lifetime bound must be positive, got "
+                f"{args.min_lifetime_days}"
+            )
+        pdr_min = 0.5
+    else:
+        pdr_min = args.pdr_min / 100.0 if args.pdr_min > 1 else args.pdr_min
+    problem = make_problem(
+        pdr_min, args.preset, seed=args.seed,
+        n_jobs=args.jobs, cache_dir=args.cache_dir,
+        batch_mode=args.batch,
+    )
+    if args.command != "robust":
+        return problem, None
+    if not 0.0 <= args.quantile <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {args.quantile}")
+    from repro.faults.model import hub_stress_ensemble, sample_fault_ensemble
+
+    scenario = problem.scenario
+    if args.hub_stress:
+        ensemble = hub_stress_ensemble(
+            scenario.tsim_s,
+            coordinator=scenario.coordinator_location,
+            outage_fraction=args.outage_fraction,
+            size=args.ensemble_size,
+        )
+    else:
+        fault_seed = (
+            args.fault_seed if args.fault_seed is not None else args.seed
+        )
+        ensemble = sample_fault_ensemble(
+            args.ensemble_size,
+            fault_seed,
+            scenario.tsim_s,
+            coordinator=scenario.coordinator_location,
+            correlated_links=args.correlated_links,
+        )
+    return problem, ensemble
+
+
 def _run_command(args, obs) -> int:
+    if args.command in ("solve", "robust", "dual"):
+        try:
+            problem, ensemble = _build_problem(args)
+        except ValueError as exc:
+            print(f"hi-explore: {args.command}: {exc}", file=sys.stderr)
+            return 2
+
     if args.command == "table1":
         from repro.experiments.table1 import format_table1
 
@@ -913,14 +972,8 @@ def _run_command(args, obs) -> int:
 
     if args.command == "solve":
         from repro.core.explorer import HumanIntranetExplorer
-        from repro.experiments.scenario import get_preset, make_problem
+        from repro.experiments.scenario import get_preset
 
-        pdr_min = args.pdr_min / 100.0 if args.pdr_min > 1 else args.pdr_min
-        problem = make_problem(
-            pdr_min, args.preset, seed=args.seed,
-            n_jobs=args.jobs, cache_dir=args.cache_dir,
-            batch_mode=args.batch,
-        )
         preset = get_preset(args.preset)
         from repro.core.result_cache import scenario_fingerprint
 
@@ -929,7 +982,7 @@ def _run_command(args, obs) -> int:
             command="solve",
             preset=args.preset,
             seed=args.seed,
-            pdr_min=pdr_min,
+            pdr_min=problem.pdr_min,
             exhaustive=bool(args.exhaustive),
             scenario_fingerprint=scenario_fingerprint(problem.scenario),
         )
@@ -951,35 +1004,10 @@ def _run_command(args, obs) -> int:
     if args.command == "robust":
         from repro.core.explorer import HumanIntranetExplorer
         from repro.experiments.robustness import resilience_line
-        from repro.experiments.scenario import get_preset, make_problem
-        from repro.faults.model import hub_stress_ensemble, sample_fault_ensemble
+        from repro.experiments.scenario import get_preset
         from repro.faults.resilience import EnsembleOracle
 
-        pdr_min = args.pdr_min / 100.0 if args.pdr_min > 1 else args.pdr_min
-        problem = make_problem(
-            pdr_min, args.preset, seed=args.seed,
-            n_jobs=args.jobs, cache_dir=args.cache_dir,
-            batch_mode=args.batch,
-        )
         scenario = problem.scenario
-        if args.hub_stress:
-            ensemble = hub_stress_ensemble(
-                scenario.tsim_s,
-                coordinator=scenario.coordinator_location,
-                outage_fraction=args.outage_fraction,
-                size=args.ensemble_size,
-            )
-        else:
-            fault_seed = (
-                args.fault_seed if args.fault_seed is not None else args.seed
-            )
-            ensemble = sample_fault_ensemble(
-                args.ensemble_size,
-                fault_seed,
-                scenario.tsim_s,
-                coordinator=scenario.coordinator_location,
-                correlated_links=args.correlated_links,
-            )
         preset = get_preset(args.preset)
         from repro.core.result_cache import scenario_fingerprint
 
@@ -988,7 +1016,7 @@ def _run_command(args, obs) -> int:
             command="robust",
             preset=args.preset,
             seed=args.seed,
-            pdr_min=pdr_min,
+            pdr_min=problem.pdr_min,
             quantile=args.quantile,
             scenario_fingerprint=scenario_fingerprint(scenario),
             ensemble=[fs.to_dict() for fs in ensemble],
@@ -1064,13 +1092,8 @@ def _run_command(args, obs) -> int:
 
     if args.command == "dual":
         from repro.core.explorer import HumanIntranetExplorer
-        from repro.experiments.scenario import get_preset, make_problem
+        from repro.experiments.scenario import get_preset
 
-        problem = make_problem(
-            0.5, args.preset, seed=args.seed,
-            n_jobs=args.jobs, cache_dir=args.cache_dir,
-            batch_mode=args.batch,
-        )
         preset = get_preset(args.preset)
         explorer = HumanIntranetExplorer(
             problem, candidate_cap=preset.candidate_cap, obs=obs

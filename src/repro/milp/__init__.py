@@ -6,7 +6,8 @@ substitute: a small but complete MILP stack consisting of
 
 * a modeling layer (:mod:`repro.milp.expr`, :mod:`repro.milp.model`) with
   variables, linear expressions, constraints, and an objective;
-* a bounded-variable primal simplex LP solver (:mod:`repro.milp.simplex`);
+* a two-phase dense-tableau simplex LP solver with explicit bound rows
+  (:mod:`repro.milp.simplex`);
 * a best-first branch-and-bound MILP solver
   (:mod:`repro.milp.branch_bound`);
 * an optimum-set enumerator (:mod:`repro.milp.enumerate_optima`) used by

@@ -6,14 +6,23 @@ The solver follows the classic LP-relaxation scheme:
    node's tightened bounds).
 2. Prune if infeasible or if the relaxation bound cannot beat the incumbent.
 3. If the relaxation is integral, update the incumbent.
-4. Otherwise pick the *most fractional* integer variable and branch on
-   ``x <= floor(v)`` / ``x >= ceil(v)``.
+4. Otherwise branch on ``x <= floor(v)`` / ``x >= ceil(v)``, choosing the
+   variable *objective first*: the most fractional integer variable with a
+   nonzero objective coefficient, and only when all of those are integral
+   the most fractional integer variable overall.  On the Human Intranet
+   models the objective sits on the (routing, TX level, N) combination
+   indicators, so the tree settles the power level before it looks at
+   placement bits, which carry no objective weight.
 
 Nodes are explored best-bound-first (a heap keyed on the parent relaxation
 value), which gives strong pruning on the Human Intranet models where the
 coarse power objective takes few distinct values.  Determinism: ties in the
 heap break on node creation order, so repeated solves of the same model
 produce identical trajectories.
+
+Each child relaxation is re-solved from its parent's optimal basis (see
+:mod:`repro.milp.simplex`); a pending node holds only that basis, never a
+tableau.
 """
 
 from __future__ import annotations
@@ -81,9 +90,12 @@ class BranchAndBoundSolver:
     use_warm_starts:
         Re-optimize each child relaxation from its parent's optimal basis
         (and the root from ``root_warm_start``, when given) instead of a
-        cold two-phase solve.  The simplex layer falls back cold on any
-        numerical doubt, so the search trajectory and results do not
-        depend on this flag — only the pivot counts do.
+        cold two-phase solve; ``False`` is the cold reference.  The simplex
+        layer returns only checked warm verdicts and falls back cold
+        otherwise, so the optimum does not depend on this flag.  The node
+        and pivot counts do: a degenerate relaxation has several optimal
+        vertices, and warm and cold solves can return different ones, which
+        branch differently.
     """
 
     def __init__(
@@ -104,6 +116,7 @@ class BranchAndBoundSolver:
         """Solve ``model`` to optimality (in the model's objective sense)."""
         c, a_ub, b_ub, a_eq, b_eq, bounds, c0 = model.to_standard_arrays()
         int_indices = np.array(model.integer_indices, dtype=int)
+        objective_ints = int_indices[c[int_indices] != 0.0]
 
         # Integer variables with infinite bounds would make the search
         # potentially endless; the Human Intranet models never need them.
@@ -165,7 +178,9 @@ class BranchAndBoundSolver:
             if relax_obj >= incumbent_obj - self.gap_tol:
                 continue
 
-            frac_j, frac_val = self._most_fractional(result.x, int_indices)
+            frac_j, frac_val = self._branch_variable(
+                result.x, objective_ints, int_indices
+            )
             if frac_j is None:
                 # Integral within tolerance.  Rounding can nudge a point
                 # across a constraint that is only epsilon-deep (e.g. the
@@ -180,8 +195,8 @@ class BranchAndBoundSolver:
                     incumbent_value = x
                     incumbent_updates += 1
                     continue
-                frac_j, frac_val = self._most_fractional(
-                    result.x, int_indices, tol=1e-12
+                frac_j, frac_val = self._branch_variable(
+                    result.x, objective_ints, int_indices, tol=1e-12
                 )
                 if frac_j is None:
                     # Exactly integral yet infeasible after rounding:
@@ -264,21 +279,24 @@ class BranchAndBoundSolver:
         )
 
     @staticmethod
-    def _most_fractional(
-        x: np.ndarray, int_indices: np.ndarray, tol: float = INT_TOL
+    def _branch_variable(
+        x: np.ndarray,
+        objective_ints: np.ndarray,
+        int_indices: np.ndarray,
+        tol: float = INT_TOL,
     ) -> Tuple[Optional[int], float]:
-        """Return the integer index whose value is farthest from integral."""
-        best_j: Optional[int] = None
-        best_dist = tol
-        for j in int_indices:
-            v = x[j]
-            dist = abs(v - round(v))
-            if dist > best_dist:
-                best_dist = dist
-                best_j = int(j)
-        if best_j is None:
-            return None, 0.0
-        return best_j, float(x[best_j])
+        """Objective-first branching: the most fractional integer variable
+        with a nonzero objective coefficient, else the most fractional of
+        all integer variables; ``(None, 0.0)`` when all are integral."""
+        for candidates in (objective_ints, int_indices):
+            if len(candidates) == 0:
+                continue
+            values = x[candidates]
+            dist = np.abs(values - np.round(values))
+            best = int(np.argmax(dist))
+            if dist[best] > tol:
+                return int(candidates[best]), float(values[best])
+        return None, 0.0
 
     @staticmethod
     def _rounded_point_feasible(

@@ -15,22 +15,30 @@ and reduces them internally to the textbook standard form
 
 via variable shifting (finite lower bounds), reflection (upper-bounded free
 variables), splitting (fully free variables), explicit upper-bound rows, and
-slack variables.  Phase 1 minimizes the sum of artificial variables to find
-a basic feasible solution; phase 2 optimizes the true objective.
+slack variables.  Finite upper bounds are ordinary rows with their own
+slacks; this is not a bounded-variable simplex.  Phase 1 minimizes the sum
+of artificial variables to find a basic feasible solution; phase 2
+optimizes the true objective.
 
 Pivoting uses Dantzig's rule with an automatic switch to Bland's rule after
 a cycling-suspicion threshold, which guarantees termination.  The dense
 tableau implementation is appropriate for the problem sizes that appear in
 Human Intranet design-space exploration (tens of variables and rows) and is
 validated against ``scipy.optimize.linprog`` in the test suite.
+
+Re-solves from a stored basis (:class:`WarmStartBasis`) skip phase 1.  The
+basis is refactorized through its slack structure (:class:`_SlackBasis`),
+dual-simplex pivots restore primal feasibility, and every verdict of that
+path is checked against the LP's own standard-form data: an optimum by its
+residual, an infeasibility by a Farkas certificate.  Anything unchecked
+goes to the cold two-phase solve.
 """
 
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +46,9 @@ from repro.obs.runtime import get_active
 
 #: Numerical tolerance for reduced costs, ratio tests, and feasibility.
 EPS = 1e-9
+#: Tolerance of the warm path's checks against the standard-form data: the
+#: residual and sign of an optimum, and both sides of a Farkas certificate.
+VERIFY_TOL = 1e-7
 
 
 class SimplexStatus(enum.Enum):
@@ -114,8 +125,8 @@ class SimplexResult:
 
     ``basis`` is populated (on optimal solves) only when the caller asked
     for it with ``want_basis=True``; ``warm_started`` records whether the
-    reported solution actually came from the warm path rather than the
-    two-phase fallback."""
+    reported verdict (an optimum or a certified infeasibility) came from
+    the warm path rather than the two-phase fallback."""
 
     status: SimplexStatus
     x: Optional[np.ndarray]
@@ -130,31 +141,87 @@ class SimplexResult:
         return self.status is SimplexStatus.OPTIMAL
 
 
+#: Encoding kinds of :class:`_Transform` (its ``kind`` codes).
+SHIFT, REFLECT, SPLIT = 0, 1, 2
+
+
 @dataclass
 class _Transform:
     """Bookkeeping for mapping standard-form columns back to original vars.
 
-    Each original variable maps to one of three encodings:
+    Variable ``j`` starts at standard-form column ``first[j]`` and has one
+    of three encodings (``kind[j]``):
 
-    * ``("shift", col, lb)``      — x = lb + y[col]
-    * ``("reflect", col, ub)``    — x = ub - y[col]
-    * ``("split", col+, col-)``   — x = y[col+] - y[col-]
+    * ``SHIFT``   — x = lb + y[first]          (``offset`` = lb)
+    * ``REFLECT`` — x = ub - y[first]          (``offset`` = ub)
+    * ``SPLIT``   — x = y[first] - y[first + 1]
+
+    ``num_std_vars`` counts the structural columns; the slack of row ``i``
+    is column ``num_std_vars + i``.
     """
 
-    encodings: List[Tuple] = field(default_factory=list)
-    num_std_vars: int = 0
+    kind: np.ndarray
+    first: np.ndarray
+    offset: np.ndarray
+    num_std_vars: int
 
     def recover(self, y: np.ndarray) -> np.ndarray:
-        x = np.zeros(len(self.encodings))
-        for i, enc in enumerate(self.encodings):
-            kind = enc[0]
-            if kind == "shift":
-                x[i] = enc[2] + y[enc[1]]
-            elif kind == "reflect":
-                x[i] = enc[2] - y[enc[1]]
-            else:
-                x[i] = y[enc[1]] - y[enc[2]]
+        sign = np.where(self.kind == REFLECT, -1.0, 1.0)
+        x = self.offset + sign * y[self.first]
+        split = self.kind == SPLIT
+        cols = self.first[split]
+        x[split] = y[cols] - y[cols + 1]
         return x
+
+
+class _SlackBasis:
+    """A standard-form basis, factored through its slack columns.
+
+    Column ``first_slack + i`` is row ``i``'s slack, ``±e_i`` (negative
+    when the row was flipped to make its rhs nonnegative).  So each basic
+    slack pins one row, and only the k structural basic columns, restricted
+    to the k rows no basic slack pins, form a dense block.  Solving with
+    ``B = A[:, basis]`` is one k×k solve plus a product for the slack rows.
+    """
+
+    def __init__(self, a: np.ndarray, basis: np.ndarray, first_slack: int) -> None:
+        is_slack = basis >= first_slack
+        self.slack_pos = np.flatnonzero(is_slack)
+        self.struct_pos = np.flatnonzero(~is_slack)
+        self.slack_rows = basis[self.slack_pos] - first_slack
+        self.sign = a[self.slack_rows, basis[self.slack_pos]]
+        free = np.ones(a.shape[0], dtype=bool)
+        free[self.slack_rows] = False
+        self.rows = np.flatnonzero(free)
+        cols = basis[self.struct_pos]
+        self.block = a[np.ix_(self.rows, cols)]
+        self.coupling = a[np.ix_(self.slack_rows, cols)]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """``B⁻¹ rhs`` for a matrix ``rhs``; raises LinAlgError if singular."""
+        z = np.empty_like(rhs)
+        z_struct = np.linalg.solve(self.block, rhs[self.rows])
+        z[self.struct_pos] = z_struct
+        z[self.slack_pos] = self.sign[:, None] * (
+            rhs[self.slack_rows] - self.coupling @ z_struct
+        )
+        return z
+
+    def inverse_row(self, position: int) -> np.ndarray:
+        """Row ``position`` of ``B⁻¹``: the ``u`` with ``Bᵀ u = e_position``."""
+        u = np.zeros(len(self.rows) + len(self.slack_rows))
+        hit = self.slack_pos == position
+        u[self.slack_rows[hit]] = self.sign[hit]
+        target = (self.struct_pos == position).astype(float)
+        target -= self.coupling.T @ u[self.slack_rows]
+        u[self.rows] = np.linalg.solve(self.block.T, target)
+        return u
+
+
+def _farkas_certified(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> bool:
+    """True when ``u`` proves ``{A y = b, y >= 0}`` empty: ``uᵀA >= 0``
+    and ``uᵀb < 0``, each up to :data:`VERIFY_TOL`."""
+    return bool(np.all(u @ a >= -VERIFY_TOL) and u @ b < -VERIFY_TOL)
 
 
 class SimplexSolver:
@@ -186,27 +253,28 @@ class SimplexSolver:
         ``warm_start`` (from a previous solve's ``result.basis``) skips
         phase 1 entirely: the stored basis is refactorized against the new
         constraint data, primal feasibility is restored with a handful of
-        dual-simplex pivots, and phase 2 polishes to optimality.  Any sign
-        of trouble — signature mismatch, singular or ill-conditioned
-        basis, iteration budget, an infeasibility verdict — abandons the
-        warm path and reruns the cold two-phase solve, so the result is
+        dual-simplex pivots, and phase 2 polishes to optimality.  The warm
+        path returns only verdicts it has checked on this LP's data: an
+        optimum whose residual is within tolerance, or an infeasibility
+        with a Farkas certificate.  Any other outcome — signature
+        mismatch, singular basis, iteration budget, a failed check —
+        reruns the cold two-phase solve, so the verdict and optimum are
         the same with or without a warm start.  ``want_basis=True``
         attaches the optimal basis to the result for the next solve.
         """
         std, transform = self._to_standard_form(lp)
         if std is None:
-            # A variable had lb > ub (caught upstream normally) or an
-            # immediately contradictory bound row.
+            # A variable had lb > ub (caught upstream normally).
             return SimplexResult(SimplexStatus.INFEASIBLE, None, None)
         a, b, c = std
-        signature = (
-            a.shape[0], a.shape[1], tuple(e[0] for e in transform.encodings),
-        )
+        signature = (a.shape[0], a.shape[1], transform.kind.tobytes())
         result: Optional[SimplexResult] = None
         basis: Optional[np.ndarray] = None
         warm_used = False
         if warm_start is not None and warm_start.signature == signature:
-            warm = self._warm_solve(a, b, c, warm_start.basis)
+            warm = self._warm_solve(
+                a, b, c, warm_start.basis, transform.num_std_vars
+            )
             if warm is not None:
                 result, basis = warm
                 warm_used = True
@@ -236,17 +304,26 @@ class SimplexSolver:
     # -- warm-start path --------------------------------------------------------
 
     def _warm_solve(
-        self, a: np.ndarray, b: np.ndarray, c: np.ndarray, basis0: np.ndarray
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        c: np.ndarray,
+        basis0: np.ndarray,
+        first_slack: int,
     ) -> Optional[Tuple[SimplexResult, Optional[np.ndarray]]]:
         """Re-optimize from a previously optimal basis; None = go cold.
 
-        The stored basis B is refactorized against the *new* (A, b) by one
-        dense solve ``B⁻¹ [A | b]``.  Constraint-data changes that keep the
-        signature (a cut rhs tightened, a variable bound moved) typically
-        leave the basis dual-feasible but primal-infeasible in a few rows,
-        which dual-simplex pivots repair; a final primal pass certifies
-        optimality, so even a stale or dual-infeasible start still ends at
-        a true optimum — or falls back cold.
+        The stored basis B is refactorized against the *new* (A, b) as
+        ``B⁻¹ [A | b]`` through its slack structure (:class:`_SlackBasis`).
+        Constraint-data changes that keep the signature (a cut rhs
+        tightened, a variable bound moved) typically leave the basis
+        dual-feasible but primal-infeasible in a few rows, which
+        dual-simplex pivots repair; a final primal pass certifies
+        optimality.  A dual-simplex row with no negative entry proves the
+        LP infeasible; the verdict is returned only when that row of
+        ``B⁻¹`` is a Farkas certificate on (A, b) themselves.  An optimum
+        is returned only when its residual ``‖A y − b‖∞`` and its most
+        negative entry are within :data:`VERIFY_TOL`.
         """
         m, n = a.shape
         basis = np.asarray(basis0, dtype=int)
@@ -257,8 +334,8 @@ class SimplexSolver:
         if len(np.unique(basis)) != m:
             return None
         try:
-            sol = np.linalg.solve(
-                a[:, basis], np.concatenate([a, b[:, None]], axis=1)
+            sol = _SlackBasis(a, basis, first_slack).solve(
+                np.column_stack([a, b])
             )
         except np.linalg.LinAlgError:
             return None
@@ -269,28 +346,37 @@ class SimplexSolver:
         # Snap the basic columns to exact unit vectors: _optimize/_pivot
         # maintain this invariant and the refactorization only gives it up
         # to round-off.
-        for i in range(m):
-            tableau[:, basis[i]] = 0.0
-            tableau[i, basis[i]] = 1.0
+        tableau[:, basis] = 0.0
+        tableau[np.arange(m), basis] = 1.0
 
         iterations = 0
         while np.any(rhs < -EPS):
             if iterations >= self.max_iterations:
                 return None
             # Dual simplex: leave the most infeasible row, enter the column
-            # minimizing the dual ratio (first index on ties — deterministic).
+            # minimizing the dual ratio.  Zero-cost columns make most
+            # ratios tie at 0; ties go to the largest pivot magnitude
+            # (then the first index — deterministic).
             leaving = int(np.argmin(rhs))
             row = tableau[leaving]
             candidates = np.nonzero(row < -EPS)[0]
             if len(candidates) == 0:
-                # Dual-simplex proof of primal infeasibility; let the cold
-                # two-phase solve deliver that verdict through its own
-                # (numerically independent) route.
-                return None
+                # Row `leaving` reads sum(row * y) = rhs < 0 with row >= 0:
+                # no y >= 0 satisfies it.  Re-derive the row from (A, b).
+                try:
+                    u = _SlackBasis(a, basis, first_slack).inverse_row(leaving)
+                except np.linalg.LinAlgError:
+                    return None
+                if not _farkas_certified(a, b, u):
+                    return None
+                return SimplexResult(
+                    SimplexStatus.INFEASIBLE, None, None, iterations
+                ), None
             reduced = c - c[basis] @ tableau
             reduced[basis] = 0.0
             ratios = reduced[candidates] / -row[candidates]
-            entering = int(candidates[np.argmin(ratios)])
+            ties = candidates[ratios <= ratios.min() + EPS]
+            entering = int(ties[np.argmax(-row[ties])])
             self._pivot(tableau, rhs, basis, leaving, entering)
             iterations += 1
 
@@ -303,6 +389,11 @@ class SimplexSolver:
             return SimplexResult(status, None, None, iterations), None
         y = np.zeros(n)
         y[basis] = rhs
+        if (
+            np.max(np.abs(a @ y - b)) > VERIFY_TOL
+            or np.min(y) < -VERIFY_TOL
+        ):
+            return None
         return (
             SimplexResult(SimplexStatus.OPTIMAL, y, float(c @ y), iterations),
             basis,
@@ -312,86 +403,56 @@ class SimplexSolver:
 
     def _to_standard_form(
         self, lp: LinearProgram
-    ) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], _Transform]:
-        n = lp.num_vars
-        transform = _Transform()
-        columns_per_var: List[List[Tuple[int, float]]] = []  # (std col, sign)
-        shifts = np.zeros(n)  # contribution of the shift constant to each row
-        extra_ub_rows: List[Tuple[int, float]] = []  # (std col, rhs) for y <= u
+    ) -> Tuple[
+        Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], Optional[_Transform]
+    ]:
+        """Columns: each variable's encoding columns in variable order,
+        then one slack per ``<=`` row and per bound row.  Rows: the
+        ``<=`` rows, one ``y <= ub - lb`` row per variable with both
+        bounds finite (in variable order), the equalities.  Rows whose rhs
+        is negative are negated, slack included."""
+        lb, ub = lp.bounds[:, 0], lp.bounds[:, 1]
+        if np.any(lb > ub):
+            return None, None
+        finite_lb, finite_ub = np.isfinite(lb), np.isfinite(ub)
+        kind = np.where(
+            finite_lb, SHIFT, np.where(finite_ub, REFLECT, SPLIT)
+        ).astype(np.int8)
+        split = kind == SPLIT
+        width = np.where(split, 2, 1)
+        first = np.cumsum(width) - width
+        num_std = int(width.sum())
+        sign = np.where(kind == REFLECT, -1.0, 1.0)
+        # x = shift + sign * y: the shift moves every row's rhs.
+        shifts = np.where(finite_lb, lb, np.where(finite_ub, ub, 0.0))
+        bounded = np.flatnonzero(finite_lb & finite_ub)
 
-        col = 0
-        for j in range(n):
-            lb, ub = lp.bounds[j]
-            if lb > ub:
-                return None, transform
-            if math.isfinite(lb):
-                transform.encodings.append(("shift", col, lb))
-                columns_per_var.append([(col, 1.0)])
-                shifts[j] = lb
-                if math.isfinite(ub):
-                    extra_ub_rows.append((col, ub - lb))
-                col += 1
-            elif math.isfinite(ub):
-                # Free below, bounded above: x = ub - y.
-                transform.encodings.append(("reflect", col, ub))
-                columns_per_var.append([(col, -1.0)])
-                shifts[j] = ub
-                col += 1
-            else:
-                transform.encodings.append(("split", col, col + 1))
-                columns_per_var.append([(col, 1.0), (col + 1, -1.0)])
-                shifts[j] = 0.0
-                col += 2
-        transform.num_std_vars = col
-
-        m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
-        m_bound = len(extra_ub_rows)
+        m_ub, m_eq, m_bound = lp.a_ub.shape[0], lp.a_eq.shape[0], len(bounded)
         m = m_ub + m_bound + m_eq
         num_slacks = m_ub + m_bound
-        total_cols = col + num_slacks
+        a = np.zeros((m, num_std + num_slacks))
+        b = np.empty(m)
+        c = np.zeros(num_std + num_slacks)
 
-        a = np.zeros((m, total_cols))
-        b = np.zeros(m)
-        c = np.zeros(total_cols)
+        def place(target: np.ndarray, coeffs: np.ndarray) -> None:
+            target[..., first] = coeffs * sign
+            target[..., first[split] + 1] = -coeffs[..., split]
 
-        # Objective in transformed space.
-        for j in range(n):
-            for std_col, sign in columns_per_var[j]:
-                c[std_col] += sign * lp.c[j]
-
-        # Inequality rows, then bound rows, then equality rows.
-        row = 0
-        for i in range(m_ub):
-            rhs = lp.b_ub[i] - float(lp.a_ub[i] @ shifts)
-            for j in range(n):
-                coeff = lp.a_ub[i, j]
-                if coeff != 0.0:
-                    for std_col, sign in columns_per_var[j]:
-                        a[row, std_col] += sign * coeff
-            a[row, col + row] = 1.0  # slack
-            b[row] = rhs
-            row += 1
-        for std_col, rhs in extra_ub_rows:
-            a[row, std_col] = 1.0
-            a[row, col + row] = 1.0
-            b[row] = rhs
-            row += 1
-        for i in range(m_eq):
-            rhs = lp.b_eq[i] - float(lp.a_eq[i] @ shifts)
-            for j in range(n):
-                coeff = lp.a_eq[i, j]
-                if coeff != 0.0:
-                    for std_col, sign in columns_per_var[j]:
-                        a[row, std_col] += sign * coeff
-            b[row] = rhs
-            row += 1
+        place(c, lp.c)
+        place(a[:m_ub], lp.a_ub)
+        place(a[m_ub + m_bound:], lp.a_eq)
+        b[:m_ub] = lp.b_ub - _row_dots(lp.a_ub, shifts)
+        b[m_ub + m_bound:] = lp.b_eq - _row_dots(lp.a_eq, shifts)
+        bound_rows = m_ub + np.arange(m_bound)
+        a[bound_rows, first[bounded]] = 1.0
+        b[bound_rows] = ub[bounded] - lb[bounded]
+        a[np.arange(num_slacks), num_std + np.arange(num_slacks)] = 1.0
 
         # Normalize to b >= 0 (flipping rows, including their slack signs).
-        for i in range(m):
-            if b[i] < 0:
-                a[i] *= -1.0
-                b[i] *= -1.0
-        return (a, b, c), transform
+        flip = b < 0
+        a[flip] *= -1.0
+        b[flip] *= -1.0
+        return (a, b, c), _Transform(kind, first, shifts, num_std)
 
     # -- two-phase driver -------------------------------------------------------
 
@@ -559,6 +620,13 @@ class SimplexSolver:
         tableau[:, col] = 0.0
         tableau[row, col] = 1.0
         basis[row] = col
+
+
+def _row_dots(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` as one ``row @ x`` per row, so each entry rounds exactly
+    as a standalone dot product does (a matrix-vector product may sum in
+    another order and differ in the last bit)."""
+    return np.array([row @ x for row in a], dtype=float).reshape(-1)
 
 
 def solve_lp(lp: LinearProgram, **kwargs) -> SimplexResult:

@@ -36,16 +36,21 @@ class SolveResult:
     values:
         Mapping from variable index to value at the optimum.
     nodes_explored:
-        Number of branch-and-bound nodes processed.
+        Number of branch-and-bound nodes processed, one LP relaxation each.
+        It depends on the branching rule and on which optimal vertex each
+        relaxation returns (so on warm starts), unlike the objective.
     lp_iterations:
-        Total simplex pivots across all node relaxations.
+        Total simplex pivots across all node relaxations: dual and primal
+        pivots of warm re-solves plus both phases of cold solves.
     incumbent_updates:
         How many times the search improved its best integral solution —
         1 on the Human Intranet models when best-bound search walks
         straight to the optimum; larger values indicate weak pruning.
     warm_lp_solves:
-        Node relaxations solved from a warm-start basis rather than the
-        cold two-phase path (see :mod:`repro.milp.simplex`).
+        Node relaxations whose verdict came from the warm path — an
+        optimum with a checked residual or an infeasibility with a Farkas
+        certificate — rather than the cold two-phase path (see
+        :mod:`repro.milp.simplex`).
     root_basis:
         The root relaxation's optimal basis, exported so the *next* solve
         of the same formulation (an Algorithm-1 cut iteration) can warm

@@ -187,6 +187,38 @@ class TestStoragePathsCheckedUpFront:
         assert f"--metrics-out {bad}" in capsys.readouterr().err
 
 
+class TestBadNumericInputs:
+    """A numeric input no run could use exits 2 with one line, before any
+    journal or stdout output — never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["solve", "--pdr-min", "150"], "PDR_min"),
+            (["solve", "--pdr-min", "-5"], "PDR_min"),
+            (["robust", "--pdr-min", "85", "--quantile", "2"], "quantile"),
+            (["robust", "--pdr-min", "85", "--ensemble-size", "0"],
+             "ensemble size"),
+            (["dual", "--min-lifetime-days", "-1"], "lifetime bound"),
+        ],
+        ids=["pdr-min-150", "pdr-min-negative", "quantile-2",
+             "ensemble-size-0", "lifetime-negative"],
+    )
+    def test_bad_numeric_input_exits_2(self, argv, expected, tmp_path,
+                                       capsys):
+        out = tmp_path / "run"
+        if argv[0] != "dual":
+            argv = argv + ["--out", str(out)]
+        assert cli.main(argv + ["--preset", "smoke", "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"hi-explore: {argv[0]}: ")
+        assert expected in lines[0]
+        assert not out.exists()
+
+
 class TestObservabilityOutputs:
     def test_trace_out_writes_manifest_then_events(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"

@@ -136,6 +136,33 @@ class TestNogoodEquivalence:
             formulation.enumerate_candidates(method="magic")
 
 
+class TestPowerLevelWalkAgainstHighs:
+    @pytest.mark.parametrize("preset", ["smoke", "ci"])
+    def test_every_level_matches_highs(self, preset):
+        """Algorithm 1's cut loop from no cut until P̃ is infeasible: the
+        in-house branch and bound visits every distinct Eq. 9 level in
+        order, and HiGHS agrees on each built model, the last included."""
+        from repro.experiments.scenario import make_problem
+        from repro.milp import solve_with_scipy
+
+        formulation = MilpFormulation(make_problem(0.9, preset))
+        cuts, seen = [], []
+        while True:
+            status, _configs, p_star = formulation.enumerate_candidates(cuts)
+            model, _ = formulation.build([max(cuts)] if cuts else [])
+            reference = solve_with_scipy(model)
+            if status is not SolveStatus.OPTIMAL:
+                break
+            assert reference.is_optimal
+            assert abs(p_star - reference.objective) <= 1e-9
+            seen.append(p_star)
+            cuts.append(p_star)
+        assert status is SolveStatus.INFEASIBLE
+        assert reference.status is SolveStatus.INFEASIBLE
+        assert seen == formulation.distinct_power_levels_mw()
+        assert len(seen) == 18
+
+
 class TestProblemValidation:
     def test_pdr_min_range_checked(self):
         with pytest.raises(ValueError):

@@ -172,3 +172,34 @@ class TestAgainstScipy:
             result = m.solve()
             if result.is_optimal:
                 assert m.is_feasible_point(result.values)
+
+
+class TestObjectiveFirstBranching:
+    def test_objective_variables_branch_first(self):
+        # x0 carries no cost and is the most fractional; x1 and x2 carry
+        # cost, and x2 is the more fractional of the two.
+        x = np.array([0.5, 0.9, 0.3])
+        objective_ints = np.array([1, 2])
+        all_ints = np.array([0, 1, 2])
+        j, v = BranchAndBoundSolver._branch_variable(x, objective_ints, all_ints)
+        assert (j, v) == (2, 0.3)
+
+    def test_falls_back_to_all_integers(self):
+        x = np.array([0.4, 1.0, 0.0])
+        j, v = BranchAndBoundSolver._branch_variable(
+            x, np.array([1, 2]), np.array([0, 1, 2])
+        )
+        assert (j, v) == (0, 0.4)
+
+    def test_integral_point_has_no_branch_variable(self):
+        x = np.array([0.0, 1.0, 1e-9])
+        assert BranchAndBoundSolver._branch_variable(
+            x, np.array([1]), np.array([0, 1, 2])
+        ) == (None, 0.0)
+
+    def test_ties_go_to_the_first_index(self):
+        x = np.array([0.5, 0.5])
+        j, _v = BranchAndBoundSolver._branch_variable(
+            x, np.array([], dtype=int), np.array([0, 1])
+        )
+        assert j == 0

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from repro.milp import simplex
 from repro.milp.branch_bound import BranchAndBoundSolver
 from repro.milp.simplex import (
     LinearProgram,
@@ -247,3 +248,302 @@ class TestBranchAndBoundWarmStart:
             assert warm.status is cold.status
             assert warm.objective == cold.objective
             basis = warm.root_basis if warm.is_optimal else None
+
+
+def _weighted_pair(rng, up):
+    """(parent, child): binary LPs whose child moves one bound and is
+    infeasible, while the parent is feasible.
+
+    Down branch: ``w·x >= W`` (a negative-rhs row once lowered to
+    ``<=``) with some variables already fixed at 0; the child also fixes
+    the heaviest free variable at 0.  Up branch: ``w·x <= W`` with some
+    variables fixed at 1; the child also fixes the heaviest free one at 1.
+    Random always-satisfied rows add slacks and density.
+    """
+    n = int(rng.integers(4, 9))
+    w = rng.uniform(0.5, 2.0, size=n).round(2)
+    fixed = rng.permutation(n)[: int(rng.integers(0, n - 2))]
+    free = np.setdiff1d(np.arange(n), fixed)
+    j = int(free[np.argmax(w[free])])
+    extra = rng.uniform(-2.0, 2.0, size=(int(rng.integers(0, 4)), n)).round(1)
+    extra_rhs = np.clip(extra, 0.0, None).sum(axis=1) + 0.5
+    bounds = np.tile([0.0, 1.0], (n, 1))
+    if up:
+        bounds[fixed, 0] = 1.0
+        weight_row, rhs = w, w[fixed].sum() + w[j] / 2
+    else:
+        bounds[fixed, 1] = 0.0
+        weight_row, rhs = -w, -(w[free].sum() - w[j] / 2)
+    child = bounds.copy()
+    child[j] = [1.0, 1.0] if up else [0.0, 0.0]
+    a_ub = np.vstack([weight_row, extra])
+    b_ub = np.concatenate([[rhs], extra_rhs])
+    c = rng.normal(size=n).round(2)
+    return (
+        lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds),
+        lp(c, a_ub=a_ub, b_ub=b_ub, bounds=child),
+    )
+
+
+class TestCertifiedInfeasibility:
+    """A child made infeasible by one bound change is proved infeasible
+    on the warm path, by a Farkas certificate checked on its own data."""
+
+    @pytest.mark.parametrize("up", [False, True], ids=["down", "up"])
+    def test_infeasible_child_is_certified_warm(self, up):
+        rng = np.random.default_rng(5 if up else 4)
+        solver = SimplexSolver()
+        for trial in range(30):
+            parent_lp, child_lp = _weighted_pair(rng, up)
+            parent = solver.solve(parent_lp, want_basis=True)
+            assert parent.status is SimplexStatus.OPTIMAL, trial
+            assert parent.basis is not None, trial
+            warm = solver.solve(child_lp, warm_start=parent.basis)
+            cold = solver.solve(child_lp)
+            assert cold.status is SimplexStatus.INFEASIBLE, trial
+            assert warm.status is SimplexStatus.INFEASIBLE, trial
+            assert warm.warm_started, trial
+            ref = linprog(
+                child_lp.c, A_ub=child_lp.a_ub, b_ub=child_lp.b_ub,
+                bounds=child_lp.bounds, method="highs",
+            )
+            assert ref.status == 2, trial  # HiGHS: infeasible
+
+    def test_failed_certificate_falls_back_cold(self, monkeypatch):
+        """A certificate that fails the Farkas check on (A, b) is not a
+        verdict: the solve reruns cold and reports that it did."""
+        parent_lp, child_lp = _weighted_pair(np.random.default_rng(4), False)
+        solver = SimplexSolver()
+        parent = solver.solve(parent_lp, want_basis=True)
+        true_row = simplex._SlackBasis.inverse_row
+        negated = []
+
+        def corrupted(self, position):
+            negated.append(position)
+            return -true_row(self, position)
+
+        monkeypatch.setattr(simplex._SlackBasis, "inverse_row", corrupted)
+        result = solver.solve(child_lp, warm_start=parent.basis)
+        assert negated  # the warm path did reach a certificate
+        assert result.status is SimplexStatus.INFEASIBLE
+        assert not result.warm_started
+
+    def test_certificate_check_reads_the_lp_data(self, monkeypatch):
+        """The true certificate passes the check; scaled below the
+        tolerance or negated it does not."""
+        parent_lp, child_lp = _weighted_pair(np.random.default_rng(4), False)
+        solver = SimplexSolver()
+        parent = solver.solve(parent_lp, want_basis=True)
+        (a, b, _c), _transform = solver._to_standard_form(child_lp)
+        captured = {}
+        true_row = simplex._SlackBasis.inverse_row
+
+        def spy(self, position):
+            captured["u"] = true_row(self, position)
+            return captured["u"]
+
+        monkeypatch.setattr(simplex._SlackBasis, "inverse_row", spy)
+        assert solver.solve(child_lp, warm_start=parent.basis).warm_started
+        u = captured["u"]
+        assert simplex._farkas_certified(a, b, u)
+        assert not simplex._farkas_certified(a, b, -u)
+        assert not simplex._farkas_certified(a, b, u * 1e-12)
+
+    def test_bad_warm_residual_falls_back_cold(self, monkeypatch):
+        """A warm optimum whose residual on (A, b) exceeds the tolerance is
+        not returned: the solve reruns cold, with the cold optimum."""
+        base = dict(
+            c=[-1.0, -2.0], a_ub=[[1.0, 1.0], [1.0, 3.0]],
+            bounds=[[0.0, 10.0], [0.0, 10.0]],
+        )
+        solver = SimplexSolver()
+        first = solver.solve(lp(b_ub=[4.0, 9.0], **base), want_basis=True)
+        tightened = lp(b_ub=[3.0, 9.0], **base)
+        true_solve = simplex._SlackBasis.solve
+
+        def skewed(self, rhs):
+            z = true_solve(self, rhs)
+            z[:, -1] += 1e-5  # corrupt B⁻¹b only
+            return z
+
+        monkeypatch.setattr(simplex._SlackBasis, "solve", skewed)
+        result = solver.solve(tightened, warm_start=first.basis)
+        monkeypatch.undo()
+        cold = solver.solve(tightened)
+        assert not result.warm_started
+        assert result.objective == cold.objective
+
+
+def _reference_standard_form(lp_):
+    """The standard-form reduction as a per-variable, per-row loop: the
+    reference the vectorised reduction must reproduce array for array.
+    Returns ``((a, b, c), encodings, num_std_vars)`` with encodings
+    ``("shift", col, lb)``, ``("reflect", col, ub)`` or
+    ``("split", col+, col-)``."""
+    n = lp_.num_vars
+    encodings = []
+    columns_per_var = []  # (std col, sign)
+    shifts = np.zeros(n)  # contribution of the shift constant to each row
+    extra_ub_rows = []  # (std col, rhs) for y <= u
+
+    col = 0
+    for j in range(n):
+        lb, ub = lp_.bounds[j]
+        if lb > ub:
+            return None, encodings, col
+        if math.isfinite(lb):
+            encodings.append(("shift", col, lb))
+            columns_per_var.append([(col, 1.0)])
+            shifts[j] = lb
+            if math.isfinite(ub):
+                extra_ub_rows.append((col, ub - lb))
+            col += 1
+        elif math.isfinite(ub):
+            encodings.append(("reflect", col, ub))
+            columns_per_var.append([(col, -1.0)])
+            shifts[j] = ub
+            col += 1
+        else:
+            encodings.append(("split", col, col + 1))
+            columns_per_var.append([(col, 1.0), (col + 1, -1.0)])
+            shifts[j] = 0.0
+            col += 2
+
+    m_ub, m_eq = lp_.a_ub.shape[0], lp_.a_eq.shape[0]
+    m_bound = len(extra_ub_rows)
+    m = m_ub + m_bound + m_eq
+    total_cols = col + m_ub + m_bound
+
+    a = np.zeros((m, total_cols))
+    b = np.zeros(m)
+    c = np.zeros(total_cols)
+    for j in range(n):
+        for std_col, sign in columns_per_var[j]:
+            c[std_col] += sign * lp_.c[j]
+
+    row = 0
+    for i in range(m_ub):
+        rhs = lp_.b_ub[i] - float(lp_.a_ub[i] @ shifts)
+        for j in range(n):
+            coeff = lp_.a_ub[i, j]
+            if coeff != 0.0:
+                for std_col, sign in columns_per_var[j]:
+                    a[row, std_col] += sign * coeff
+        a[row, col + row] = 1.0  # slack
+        b[row] = rhs
+        row += 1
+    for std_col, rhs in extra_ub_rows:
+        a[row, std_col] = 1.0
+        a[row, col + row] = 1.0
+        b[row] = rhs
+        row += 1
+    for i in range(m_eq):
+        rhs = lp_.b_eq[i] - float(lp_.a_eq[i] @ shifts)
+        for j in range(n):
+            coeff = lp_.a_eq[i, j]
+            if coeff != 0.0:
+                for std_col, sign in columns_per_var[j]:
+                    a[row, std_col] += sign * coeff
+        b[row] = rhs
+        row += 1
+
+    for i in range(m):
+        if b[i] < 0:
+            a[i] *= -1.0
+            b[i] *= -1.0
+    return (a, b, c), encodings, col
+
+
+def _reference_recover(encodings, y):
+    x = np.zeros(len(encodings))
+    for i, enc in enumerate(encodings):
+        if enc[0] == "shift":
+            x[i] = enc[2] + y[enc[1]]
+        elif enc[0] == "reflect":
+            x[i] = enc[2] - y[enc[1]]
+        else:
+            x[i] = y[enc[1]] - y[enc[2]]
+    return x
+
+
+def _random_general_lp(rng):
+    """A model with every encoding (finite/infinite bounds on either side,
+    nonzero shifts), ``<=``/``>=``/``==`` rows and rhs of either sign."""
+    from repro.milp import Model
+    from repro.milp.expr import LinExpr
+
+    model = Model("std")
+    n = int(rng.integers(1, 8))
+    xs = []
+    for j in range(n):
+        lo = round(float(rng.normal(scale=2.0)), 3)
+        hi = lo + round(float(rng.uniform(0.0, 3.0)), 3)
+        lb, ub = [(lo, hi), (lo, math.inf), (-math.inf, hi),
+                  (-math.inf, math.inf)][int(rng.integers(0, 4))]
+        xs.append(model.add_var(f"x{j}", lb=lb, ub=ub))
+    coeffs = rng.normal(size=n).round(3) * (rng.random(n) < 0.8)
+    model.set_objective(LinExpr.sum_of(float(k) * x for k, x in zip(coeffs, xs)))
+    for _ in range(int(rng.integers(0, 6))):
+        row = rng.normal(size=n).round(3) * (rng.random(n) < 0.7)
+        if not row.any():
+            continue
+        expr = LinExpr.sum_of(float(k) * x for k, x in zip(row, xs) if k)
+        rhs = round(float(rng.normal(scale=3.0)), 3)
+        sense = int(rng.integers(0, 3))
+        model.add_constraint(
+            expr <= rhs if sense == 0 else expr >= rhs if sense == 1
+            else expr == rhs
+        )
+    return LinearProgram(*model.to_standard_arrays())
+
+
+class TestVectorisedStandardForm:
+    """The vectorised reduction returns exactly the reference loop's
+    arrays: same column order, row order and row flips."""
+
+    def _assert_same(self, problem, rng):
+        std, transform = SimplexSolver()._to_standard_form(problem)
+        ref_std, encodings, num_std = _reference_standard_form(problem)
+        if ref_std is None:
+            assert std is None
+            return
+        for got, want in zip(std, ref_std):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert transform.num_std_vars == num_std
+        codes = {"shift": simplex.SHIFT, "reflect": simplex.REFLECT,
+                 "split": simplex.SPLIT}
+        assert [(int(k), int(f)) for k, f in zip(transform.kind, transform.first)
+                ] == [(codes[e[0]], e[1]) for e in encodings]
+        for _ in range(3):
+            y = rng.normal(size=std[0].shape[1])
+            assert np.array_equal(
+                transform.recover(y), _reference_recover(encodings, y)
+            )
+
+    def test_randomized_general_lps(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            self._assert_same(_random_general_lp(rng), rng)
+
+    def test_human_intranet_nodes(self):
+        """P̃ with a cut and branch-and-bound style fixings (lb = 1 moves
+        every row's rhs through the shift)."""
+        from repro.core.milp_builder import MilpFormulation
+        from repro.experiments.scenario import make_problem
+
+        form = MilpFormulation(make_problem(pdr_min=0.9, preset="smoke"))
+        base = form.distinct_power_levels_mw()[2]
+        arrays = list(form.build([base])[0].to_standard_arrays())
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            bounds = arrays[5].copy()
+            picks = rng.permutation(len(bounds))[: int(rng.integers(0, 6))]
+            for j in picks:
+                bounds[j] = [1.0, 1.0] if rng.random() < 0.5 else [0.0, 0.0]
+            problem = LinearProgram(*arrays[:5], bounds, arrays[6])
+            self._assert_same(problem, rng)
+
+    def test_crossed_bounds_have_no_standard_form(self):
+        problem = lp([1.0, 1.0], bounds=[[0.0, 1.0], [2.0, 1.0]])
+        assert SimplexSolver()._to_standard_form(problem)[0] is None

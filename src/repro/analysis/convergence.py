@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List
 
-from scipy import stats as scipy_stats
-
 
 @dataclass
 class AdaptiveEstimate:
@@ -57,6 +55,11 @@ def interval_half_width(samples: List[float], confidence: float = 0.95) -> float
     var = sum((s - mean) ** 2 for s in samples) / (n - 1)
     if var == 0.0:
         return 0.0
+    # scipy is imported here, not at module top: campaign, serve and worker
+    # processes import this module through campaign.aggregate and never
+    # compute a quantile, and scipy.stats is most of their start-up.
+    from scipy import stats as scipy_stats
+
     t = scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
     return float(t * math.sqrt(var / n))
 
@@ -132,5 +135,7 @@ def replicates_needed(
         raise ValueError("tolerance must be positive")
     if observed_std <= 0:
         return 2
+    from scipy import stats as scipy_stats
+
     z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
     return max(2, math.ceil((z * observed_std / epsilon) ** 2))

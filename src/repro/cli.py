@@ -26,6 +26,7 @@ shells over the shared :mod:`repro.campaign` package.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -652,6 +653,33 @@ _STORAGE_FLAGS = (
 )
 
 
+#: Numeric flags whose out-of-range values no run could use, checked
+#: before any port is bound or file written: (command, flag, in range,
+#: requirement).
+_NUMERIC_FLAGS = (
+    ("serve", "--port", lambda port: 0 <= port <= 65535,
+     "must be a TCP port in [0, 65535]"),
+    # a lease lapses once expires_at <= now, so a TTL of 0 or less would
+    # reclaim every lease as soon as it is granted
+    ("serve", "--lease-ttl", lambda ttl: 0 < ttl < math.inf,
+     "must be a positive, finite number of seconds"),
+    ("bench", "--repeats", lambda repeats: repeats >= 1,
+     "must be at least 1"),
+)
+
+
+def _numeric_flag_error(args) -> Optional[str]:
+    """What is wrong with the first numeric flag out of its range, or
+    None."""
+    for command, flag, in_range, requirement in _NUMERIC_FLAGS:
+        if args.command != command:
+            continue
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not in_range(value):
+            return f"{command}: {flag} {requirement}, got {value}"
+    return None
+
+
 def _storage_path_error(args) -> Optional[str]:
     """What is wrong with the first storage path that cannot be created,
     or None — checked before any work, so a bad path costs nothing."""
@@ -682,7 +710,7 @@ def _storage_path_error(args) -> Optional[str]:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    problem = _storage_path_error(args)
+    problem = _numeric_flag_error(args) or _storage_path_error(args)
     if problem is not None:
         print(f"hi-explore: {problem}", file=sys.stderr)
         return 2

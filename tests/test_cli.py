@@ -218,6 +218,47 @@ class TestBadNumericInputs:
         assert expected in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "-1"],
+            ["serve", "--port", "70000"],
+            ["serve", "--lease-ttl", "0"],
+            ["serve", "--lease-ttl", "-5"],
+            ["serve", "--lease-ttl", "inf"],
+            ["bench", "--repeats", "0"],
+        ],
+        ids=["port-negative", "port-70000", "lease-ttl-0",
+             "lease-ttl-negative", "lease-ttl-inf", "repeats-0"],
+    )
+    def test_bad_serve_or_bench_flag_exits_2(self, argv, tmp_path, capsys,
+                                             monkeypatch):
+        """``serve`` takes neither --preset nor --out: the check must come
+        before it creates --root or binds a port, and before ``bench``
+        writes its --out report."""
+        from repro import bench
+        from repro.campaign import service
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} ran with {argv[1:]}")
+
+        monkeypatch.setattr(service, "serve_forever", unreachable)
+        monkeypatch.setattr(bench, "run_hotpath_benchmarks", unreachable)
+        root = tmp_path / "root"
+        report = tmp_path / "bench.json"
+        if argv[0] == "serve":
+            storage = ["--root", str(root)]
+        else:
+            storage = ["--out", str(report)]
+        assert cli.main(argv + storage) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"hi-explore: {argv[0]}: {argv[1]} ")
+        assert not root.exists()
+        assert not report.exists()
+
 
 class TestObservabilityOutputs:
     def test_trace_out_writes_manifest_then_events(self, tmp_path, capsys):

@@ -87,11 +87,12 @@ class OrnsteinUhlenbeckFading:
     def __init__(self, params: FadingParameters, rng: RngStreams) -> None:
         self.params = params
         self.rng = rng
-        # Per-link state: [stream, last_time, last_value].  The stream
-        # handle lives in the state record so the hot path never pays the
-        # f-string + registry lookup of :meth:`RngStreams.stream` again
-        # after a link's first use (profile: that lookup dominated the
-        # per-sample cost).  A list (not a tuple) so updates are in place.
+        # Per-link state: [draws, last_time, last_value], where draws is
+        # the link stream's RawDraws chunk.  The chunk lives in the state
+        # record so the hot path never pays the f-string + registry lookup
+        # again after a link's first use, but it belongs to the stream: a
+        # reset drops the record, never the prefetched draws.  A list
+        # (not a tuple) so updates are in place.
         self._state: Dict[Tuple[int, int], list] = {}
         # Hot-path constants hoisted out of the frozen-dataclass attribute
         # chain (sample() runs once per link per transmission).
@@ -110,10 +111,11 @@ class OrnsteinUhlenbeckFading:
         state = self._state.get(key)
         sigma = self._sigma
         if state is None:
-            stream = self.rng.stream(f"fading/{key[0]}-{key[1]}")
-            value = float(stream.normal(0.0, sigma)) if sigma > 0 else 0.0
+            draws = self.rng.normals(f"fading/{key[0]}-{key[1]}")
+            # numpy's normal(0, σ) is 0.0 + σ·z, computed on the same z.
+            value = 0.0 + sigma * draws.take() if sigma > 0 else 0.0
             value = _clip(value, self._clip_limit)
-            self._state[key] = [stream, t, value]
+            self._state[key] = [draws, t, value]
             return value
         last_t = state[1]
         dt = t - last_t
@@ -131,9 +133,8 @@ class OrnsteinUhlenbeckFading:
             mean = state[2] * rho
             std = sigma * math.sqrt(max(0.0, 1.0 - rho * rho))
             # numpy's scalar normal(mean, std) is exactly
-            # mean + std*standard_normal() (same draw, same IEEE ops);
-            # the raw form skips the broadcasting machinery.
-            value = mean + std * float(state[0].standard_normal())
+            # mean + std*standard_normal() (same draw, same IEEE ops).
+            value = mean + std * state[0].take()
             limit = self._clip_limit
             if value > limit:
                 value = limit
@@ -171,8 +172,8 @@ class NodeShadowing:
     def __init__(self, params: FadingParameters, rng: RngStreams) -> None:
         self.params = params
         self.rng = rng
-        # Per-node state: [stream, last_time, occluded?] — stream handle
-        # cached for the same reason as in OrnsteinUhlenbeckFading.
+        # Per-node state: [draws, last_time, occluded?] — the node
+        # stream's chunk, cached as in OrnsteinUhlenbeckFading.
         self._state: Dict[int, list] = {}
         p = params
         if p.shadow_fraction > 0:
@@ -195,9 +196,9 @@ class NodeShadowing:
         state = self._state.get(node)
         pi = self._pi
         if state is None:
-            stream = self.rng.stream(f"shadow/{node}")
-            occluded = bool(stream.uniform() < pi)
-            self._state[node] = [stream, t, occluded]
+            draws = self.rng.uniforms(f"shadow/{node}")
+            occluded = draws.take() < pi
+            self._state[node] = [draws, t, occluded]
             return occluded
         dt = t - state[1]
         if dt <= 0.0:
@@ -211,9 +212,7 @@ class NodeShadowing:
             p_on = pi + (1.0 - pi) * decay
         else:
             p_on = pi * (1.0 - decay)
-        # uniform() is the raw next-double; random() returns it without
-        # the low/high scaling prologue.
-        occluded = bool(state[0].random() < p_on)
+        occluded = state[0].take() < p_on
         state[1] = t
         state[2] = occluded
         return occluded

@@ -122,7 +122,7 @@ class Channel:
         self,
         sender: int,
         tx_dbm: float,
-        entries: Sequence[Tuple[int, float, bool]],
+        entries: Sequence[Tuple[int, float, bool, Tuple[int, int]]],
         t: float,
         blocked=None,
     ) -> List[float]:
@@ -130,18 +130,19 @@ class Channel:
         to calling :meth:`received_power_dbm` per receiver in order.
 
         ``entries`` is the precomputed fan-out plan: ``(receiver,
-        mean_path_loss, skip)`` tuples where ``mean_path_loss`` is the
-        precomputed ``PL̄(sender, receiver)`` (hoisting the per-packet
-        model lookup out of the hot loop) and ``skip`` marks a pair whose
-        best-case power (``tx − PL̄ + max_fade_gain_db()``) is
-        unobservable in *both* directions — such a pair's OU draw
-        is never consulted by any reception, capture, or carrier-sense
-        decision, so the sample is skipped and −inf returned.  The node
-        shadowing chains of both endpoints are still advanced (they are
-        shared with the node's other links), so every other draw in the
-        run is unchanged.  ``blocked`` is the fault-layer pair predicate;
-        blocked receivers get −inf with *no* sampling at all, exactly like
-        the pre-fast-path reception loop.
+        mean_path_loss, skip, pair_key)`` tuples where ``mean_path_loss``
+        is the precomputed ``PL̄(sender, receiver)`` (hoisting the
+        per-packet model lookup out of the hot loop), ``pair_key`` the
+        unordered pair ``(min, max)`` that keys the pair's OU state, and
+        ``skip`` marks a pair whose best-case power (``tx − PL̄ +
+        max_fade_gain_db()``) is unobservable in *both* directions — such
+        a pair's OU draw is never consulted by any reception, capture, or
+        carrier-sense decision, so the sample is skipped and −inf
+        returned.  The node shadowing chains of both endpoints are still
+        advanced (they are shared with the node's other links), so every
+        other draw in the run is unchanged.  ``blocked`` is the fault-layer
+        pair predicate; blocked receivers get −inf with *no* sampling at
+        all, exactly like the pre-fast-path reception loop.
 
         Skips are disabled at plan-build time when the posture process is
         active (posture draws are time-keyed and shared across pairs);
@@ -149,7 +150,7 @@ class Channel:
         """
         if self.posture is not None:
             out: List[float] = []
-            for loc, _det, _skip in entries:
+            for loc, _mean, _skip, _key in entries:
                 if blocked is not None and blocked(sender, loc):
                     out.append(-math.inf)
                 else:
@@ -180,37 +181,24 @@ class Channel:
         # of OrnsteinUhlenbeckFading.sample / NodeShadowing.is_occluded;
         # cold starts, repeated timestamps, and backwards-time errors
         # delegate to those methods, which remain the single source of
-        # truth for the non-hot branches.  The raw-draw forms
-        # ``random()`` and ``mean + std*standard_normal()`` are what
-        # numpy's ``uniform()``/``normal(mean, std)`` compute internally
-        # (same bit-stream consumption, same IEEE operations), minus the
-        # scalar broadcasting overhead.  The channel-unit tests assert
-        # bit-equality of this loop against the generic path.
-        def tick_shadow(node: int) -> bool:
-            state = shadow_state.get(node)
-            if state is not None and t > state[1]:
-                decay = exp(-relax * (t - state[1]))
-                if state[2]:
-                    p_on = pi + (1.0 - pi) * decay
-                else:
-                    p_on = pi * (1.0 - decay)
-                occluded = bool(state[0].random() < p_on)
-                state[1] = t
-                state[2] = occluded
-                return occluded
-            return is_occ(node, t)
-
+        # truth for the non-hot branches.  Draws come from each stream's
+        # RawDraws chunk (``pop()`` while it holds values, ``take()`` to
+        # refill), the same values as numpy's scalar ``uniform()`` /
+        # ``standard_normal()``; ``mean + std*z`` is what ``normal(mean,
+        # std)`` computes.  The channel-unit tests assert bit-equality of
+        # this loop against the generic path.
+        #
         # The sender's occlusion state is the same for every receiver at
-        # this timestamp; compute it once, but only when the first
-        # non-blocked receiver needs it — the per-receiver loop must
-        # advance each node's chain in exactly the order the generic path
-        # does (sender first, then receivers), and must not touch the
-        # sender's chain at all when every receiver is fault-blocked.
+        # this timestamp; compute it once, when the first non-blocked
+        # receiver needs it.  Each node's chain has its own stream, so the
+        # order in which chains advance changes no draw; what matters is
+        # that the sender's chain is not touched at all when every
+        # receiver is fault-blocked, as in the generic path.
         sender_occ = -1
         # Grouping note: the generic path computes the loss as
         # ``(mean + fading) + extra`` and the power as ``tx − loss``; the
         # same association is kept here so every float is bit-identical.
-        for loc, mean_pl, skip in entries:
+        for loc, mean_pl, skip, key in entries:
             if blocked is not None and blocked(sender, loc):
                 append(-math.inf)
                 continue
@@ -219,22 +207,21 @@ class Channel:
                 # step but leave the pair's private OU stream untouched.
                 if shadow_on:
                     if sender_occ < 0:
-                        sender_occ = 1 if tick_shadow(sender) else 0
-                    tick_shadow(loc)
+                        sender_occ = 1 if is_occ(sender, t) else 0
+                    is_occ(loc, t)
                 append(-math.inf)
                 continue
-            key = (sender, loc) if sender <= loc else (loc, sender)
             state = fading_state.get(key)
             if state is not None and t > state[1]:
                 if sigma == 0:
                     value = 0.0
                 else:
-                    dt = t - state[1]
-                    rho = exp(-dt / tau)
-                    mean = state[2] * rho
+                    rho = exp(-(t - state[1]) / tau)
                     var = 1.0 - rho * rho
-                    std = sigma * sqrt(var if var > 0.0 else 0.0)
-                    value = mean + std * float(state[0].standard_normal())
+                    draws = state[0]
+                    value = state[2] * rho + sigma * sqrt(
+                        var if var > 0.0 else 0.0
+                    ) * (draws.pop() if draws else draws.take())
                     if value > clip_limit:
                         value = clip_limit
                     elif value < -clip_limit:
@@ -243,14 +230,12 @@ class Channel:
                 state[2] = value
             else:
                 value = fading_sample(sender, loc, t)
-            loss = mean_pl + value
             if shadow_on:
                 if sender_occ < 0:
-                    sender_occ = 1 if tick_shadow(sender) else 0
-                extra = depth if sender_occ else 0.0
-                # Receiver shadow tick, inlined once more (same warm
-                # branch as tick_shadow) — it runs for every receiver of
-                # every packet and the closure call was measurable.
+                    sender_occ = 1 if is_occ(sender, t) else 0
+                # Receiver shadow tick, inlined (the same warm branch as
+                # NodeShadowing.is_occluded): it runs for every receiver
+                # of every packet.
                 state = shadow_state.get(loc)
                 if state is not None and t > state[1]:
                     decay = exp(-relax * (t - state[1]))
@@ -258,17 +243,19 @@ class Channel:
                         p_on = pi + (1.0 - pi) * decay
                     else:
                         p_on = pi * (1.0 - decay)
-                    occluded = bool(state[0].random() < p_on)
+                    draws = state[0]
+                    occluded = (draws.pop() if draws else draws.take()) < p_on
                     state[1] = t
                     state[2] = occluded
                 else:
                     occluded = is_occ(loc, t)
-                if occluded:
-                    extra += depth
-                loss = loss + extra
+                if sender_occ:
+                    extra = depth + depth if occluded else depth
+                else:
+                    extra = depth if occluded else 0.0
+                append(tx_dbm - ((mean_pl + value) + extra))
             else:
-                loss = loss + 0.0
-            append(tx_dbm - loss)
+                append(tx_dbm - ((mean_pl + value) + 0.0))
         return out
 
     def budget(self, tx_dbm: float, sensitivity_dbm: float, i: int, j: int) -> LinkBudget:

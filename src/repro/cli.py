@@ -653,18 +653,40 @@ _STORAGE_FLAGS = (
 )
 
 
+#: (in range, requirement) of the ranges several numeric flags share.
+_AT_LEAST_1 = (lambda n: n >= 1, "must be at least 1")
+_POSITIVE_SECONDS = (
+    lambda s: 0 < s < math.inf, "must be a positive, finite number of seconds"
+)
+_SECONDS = (
+    lambda s: 0 <= s < math.inf, "must be a finite number of seconds, 0 or more"
+)
+
 #: Numeric flags whose out-of-range values no run could use, checked
 #: before any port is bound or file written: (command, flag, in range,
-#: requirement).
+#: requirement).  A flag left at a default of None is unset, so it is
+#: never out of range.
 _NUMERIC_FLAGS = (
     ("serve", "--port", lambda port: 0 <= port <= 65535,
      "must be a TCP port in [0, 65535]"),
     # a lease lapses once expires_at <= now, so a TTL of 0 or less would
     # reclaim every lease as soon as it is granted
-    ("serve", "--lease-ttl", lambda ttl: 0 < ttl < math.inf,
-     "must be a positive, finite number of seconds"),
-    ("bench", "--repeats", lambda repeats: repeats >= 1,
-     "must be at least 1"),
+    ("serve", "--lease-ttl", *_POSITIVE_SECONDS),
+    ("serve", "--ping-interval", *_POSITIVE_SECONDS),
+    ("serve", "--ping-misses", *_AT_LEAST_1),
+    # 0 would answer every request with 429
+    ("serve", "--max-inflight", *_AT_LEAST_1),
+    ("serve", "--min-sync-interval", *_SECONDS),
+    ("serve", "--cache-max-bytes", *_AT_LEAST_1),
+    ("serve", "--cache-max-entries", *_AT_LEAST_1),
+    ("worker", "--poll", *_POSITIVE_SECONDS),
+    ("worker", "--exit-idle", *_SECONDS),
+    # a socket timeout of 0 makes every connect non-blocking
+    ("worker", "--rpc-timeout", *_POSITIVE_SECONDS),
+    ("bench", "--repeats", *_AT_LEAST_1),
+    ("bench", "--wearers", *_AT_LEAST_1),
+    ("bench", "--workers", *_AT_LEAST_1),
+    ("bench", "--des-events", *_AT_LEAST_1),
 )
 
 
@@ -675,7 +697,7 @@ def _numeric_flag_error(args) -> Optional[str]:
         if args.command != command:
             continue
         value = getattr(args, flag[2:].replace("-", "_"))
-        if not in_range(value):
+        if value is not None and not in_range(value):
             return f"{command}: {flag} {requirement}, got {value}"
     return None
 

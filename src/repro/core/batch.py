@@ -350,8 +350,9 @@ class _Variant:
         for loc in placement:
             plan = net.medium._plan_for(net.nodes[loc].radio)
             rows = []
-            for (rx, mean_pl, skip), sens in zip(plan.entries, plan.sens_py):
-                key = (loc, rx) if loc <= rx else (rx, loc)
+            for (rx, mean_pl, skip, key), sens in zip(
+                plan.entries, plan.sens_py
+            ):
                 rows.append((rx, index_of[rx], mean_pl, skip, key, sens))
             self.raw_entries.append(rows)
         self.network = net  # kept briefly for channel-constant harvesting

@@ -32,6 +32,8 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.runtime import get_active
 
+_heappush = heapq.heappush
+
 #: Priority lane for environment interventions (fault injection).  An
 #: intervention scheduled at time t must take effect before any protocol
 #: event at the same timestamp — a node dying at exactly a slot boundary
@@ -171,8 +173,9 @@ class Simulator:
         time = self._now + delay
         if not math.isfinite(time):
             raise ValueError("event time must be finite")
-        event = Event(time, priority, next(self._counter), callback, args, self)
-        heapq.heappush(self._heap, (time, priority, event.seq, event))
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, args, self)
+        _heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -190,8 +193,9 @@ class Simulator:
             )
         if not math.isfinite(time):
             raise ValueError("event time must be finite")
-        event = Event(time, priority, next(self._counter), callback, args, self)
-        heapq.heappush(self._heap, (time, priority, event.seq, event))
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, args, self)
+        _heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
 
@@ -227,9 +231,12 @@ class Simulator:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
         executed = 0
-        # Hot loop: everything the per-event path touches is a local.
+        # Hot loop: everything the per-event path touches is a local, and
+        # an absent horizon or budget is one that never stops the loop.
         heap = self._heap
         pop = heapq.heappop
+        horizon = math.inf if until is None else until
+        budget = math.inf if max_events is None else max_events
         try:
             while heap:
                 entry = heap[0]
@@ -238,9 +245,7 @@ class Simulator:
                     pop(heap)
                     self._dead -= 1
                     continue
-                if until is not None and entry[0] > until:
-                    break
-                if max_events is not None and executed >= max_events:
+                if entry[0] > horizon or executed >= budget:
                     break
                 pop(heap)
                 self._now = event.time

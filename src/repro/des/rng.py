@@ -11,14 +11,52 @@ spawned per name, so:
   experiments stay comparable across code revisions;
 * replications use disjoint randomness by bumping the ``replicate`` index
   rather than ad hoc seed arithmetic.
+
+The channel's per-link and per-node streams are read through
+:class:`RawDraws` chunks (:meth:`RngStreams.normals` /
+:meth:`RngStreams.uniforms`): the same values in the same order as one
+scalar call per draw, at a fraction of the cost.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
+
+#: Raw draws fetched per refill of a :class:`RawDraws` chunk.  Fixed, so
+#: a chunked stream holds at most this many draws in memory and runs at
+#: most this far past the last value anyone consumed.
+DRAW_CHUNK = 32
+
+
+class RawDraws(list):
+    """The prefetched raw draws of one stream, next draw last.
+
+    numpy's ``standard_normal(size=n)`` and ``random(size=n)`` consume the
+    bit stream exactly as n scalar calls do (``tests/test_batch_kernel.py``
+    ``TestNumpyBitstreamContract``), so refilling in chunks of
+    :data:`DRAW_CHUNK` yields the scalar sequence, as Python floats.  Hot
+    paths take a draw with ``draws.pop() if draws else draws.take()``;
+    everything else calls :meth:`take`.  A refill replaces the spent chunk
+    rather than growing a history, unlike the batched kernel's
+    :class:`repro.channel.batch_draws.Block`.
+    """
+
+    __slots__ = ("_fill",)
+
+    def __init__(self, fill: Callable[[int], np.ndarray]) -> None:
+        super().__init__()
+        self._fill = fill
+
+    def take(self) -> float:
+        """The stream's next raw draw, refilling an empty chunk first."""
+        if not self:
+            chunk = self._fill(DRAW_CHUNK).tolist()
+            chunk.reverse()
+            self.extend(chunk)
+        return self.pop()
 
 
 class RngStreams:
@@ -37,6 +75,7 @@ class RngStreams:
         self.seed = int(seed)
         self.replicate = int(replicate)
         self._streams: Dict[str, np.random.Generator] = {}
+        self._chunks: Dict[str, RawDraws] = {}
 
     def stream(self, name: str) -> np.random.Generator:
         """Return (creating on first use) the generator for ``name``."""
@@ -45,6 +84,27 @@ class RngStreams:
             gen = np.random.default_rng(self._derive(name))
             self._streams[name] = gen
         return gen
+
+    def normals(self, name: str) -> RawDraws:
+        """The chunked ``standard_normal()`` draws of stream ``name``.
+
+        The chunk belongs to the stream and lives as long as this factory,
+        so a consumer that forgets its own history (a fading reset) picks
+        up exactly where the stream left off.  A chunked stream must only
+        be read through its chunk."""
+        return self._chunk(name, "standard_normal")
+
+    def uniforms(self, name: str) -> RawDraws:
+        """The chunked ``random()`` draws of stream ``name`` (numpy's
+        default ``uniform()`` is the same value); see :meth:`normals`."""
+        return self._chunk(name, "random")
+
+    def _chunk(self, name: str, method: str) -> RawDraws:
+        draws = self._chunks.get(name)
+        if draws is None:
+            draws = RawDraws(getattr(self.stream(name), method))
+            self._chunks[name] = draws
+        return draws
 
     def _derive(self, name: str) -> np.random.SeedSequence:
         # Hash the name to a stable 64-bit key; SeedSequence mixes it with

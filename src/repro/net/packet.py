@@ -13,15 +13,28 @@ by the PDR estimator (Eq. 6).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import FrozenSet, Optional
 
 _copy_counter = itertools.count()
+_new_record = tuple.__new__
+
+_PacketRecord = namedtuple(
+    "_PacketRecord",
+    (
+        "origin", "seq", "destination", "length_bytes", "hops_used",
+        "visited", "relayer", "created_at", "next_hop", "copy_id",
+    ),
+)
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(_PacketRecord):
     """One (possibly relayed) copy of an application packet.
+
+    An immutable record: assigning a field raises ``AttributeError``, and
+    every change of routing state is a new copy.  The simulator builds
+    one copy per transmission, so the record is a tuple — a frozen
+    dataclass cost two to three times as much per copy.
 
     Attributes
     ----------
@@ -43,68 +56,73 @@ class Packet:
         The node currently transmitting this copy (origin for hops_used=0).
     created_at:
         Simulation time the payload was generated (for latency stats).
+    next_hop:
+        Intended receiver of this copy in point-to-point forwarding (None
+        for broadcast schemes: star and controlled flooding).
     copy_id:
-        Unique id of this physical copy, used only for tracing.
+        Unique id of this physical copy, used only for tracing; drawn from
+        a process-wide counter when not given.
     """
 
-    origin: int
-    seq: int
-    destination: int
-    length_bytes: int
-    hops_used: int = 0
-    visited: FrozenSet[int] = field(default_factory=frozenset)
-    relayer: Optional[int] = None
-    created_at: float = 0.0
-    #: Intended receiver of this copy in point-to-point forwarding (None
-    #: for broadcast schemes: star and controlled flooding).
-    next_hop: Optional[int] = None
-    copy_id: int = field(default_factory=lambda: next(_copy_counter))
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.length_bytes <= 0:
+    def __new__(
+        cls,
+        origin: int,
+        seq: int,
+        destination: int,
+        length_bytes: int,
+        hops_used: int = 0,
+        visited: FrozenSet[int] = frozenset(),
+        relayer: Optional[int] = None,
+        created_at: float = 0.0,
+        next_hop: Optional[int] = None,
+        copy_id: Optional[int] = None,
+    ) -> "Packet":
+        if length_bytes <= 0:
             raise ValueError("packet length must be positive")
-        if self.hops_used < 0:
+        if hops_used < 0:
             raise ValueError("hop count cannot be negative")
+        if copy_id is None:
+            copy_id = next(_copy_counter)
+        return _new_record(cls, (
+            origin, seq, destination, length_bytes, hops_used, visited,
+            relayer, created_at, next_hop, copy_id,
+        ))
 
     @property
     def uid(self) -> tuple:
         """Application-level identity shared by all copies of a payload."""
         return (self.origin, self.seq)
 
+    # The copy methods below build the record directly: their fields
+    # come from a validated packet and cannot fail validation.
+
     def relayed_by(self, node: int) -> "Packet":
         """A new copy as rebroadcast by ``node``: hop counter incremented,
         node appended to the visited history."""
-        # Direct construction instead of dataclasses.replace: copies are
-        # minted once per relay on the hot path, and replace() pays a
-        # fields() walk per call.
-        return Packet(
-            origin=self.origin,
-            seq=self.seq,
-            destination=self.destination,
-            length_bytes=self.length_bytes,
-            hops_used=self.hops_used + 1,
-            visited=self.visited | {node},
-            relayer=node,
-            created_at=self.created_at,
-            next_hop=self.next_hop,
-            copy_id=next(_copy_counter),
-        )
+        (origin, seq, destination, length, hops, visited, _relayer,
+         created_at, next_hop, _copy_id) = self
+        return _new_record(Packet, (
+            origin, seq, destination, length, hops + 1, visited | {node},
+            node, created_at, next_hop, next(_copy_counter),
+        ))
 
     def originated(self) -> "Packet":
         """The original transmission copy: origin in the visited set and
         marked as the current relayer."""
-        return Packet(
-            origin=self.origin,
-            seq=self.seq,
-            destination=self.destination,
-            length_bytes=self.length_bytes,
-            hops_used=self.hops_used,
-            visited=self.visited | {self.origin},
-            relayer=self.origin,
-            created_at=self.created_at,
-            next_hop=self.next_hop,
-            copy_id=next(_copy_counter),
-        )
+        (origin, seq, destination, length, hops, visited, _relayer,
+         created_at, next_hop, _copy_id) = self
+        return _new_record(Packet, (
+            origin, seq, destination, length, hops, visited | {origin},
+            origin, created_at, next_hop, next(_copy_counter),
+        ))
+
+    def addressed_to(self, next_hop: Optional[int]) -> "Packet":
+        """This copy re-addressed to ``next_hop`` (point-to-point
+        forwarding).  It is the same physical copy, so it keeps its
+        ``copy_id``."""
+        return self._replace(next_hop=next_hop)
 
     def __repr__(self) -> str:
         return (

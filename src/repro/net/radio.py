@@ -55,6 +55,7 @@ class _Transmission:
         "tx_dbm",
         "rx_power",
         "interference",
+        "plan",
     )
 
     def __init__(
@@ -65,6 +66,7 @@ class _Transmission:
         end: float,
         tx_dbm: float,
         rx_power: Dict[int, float],
+        plan: Optional["_FanoutPlan"] = None,
     ) -> None:
         self.sender = sender
         self.packet = packet
@@ -75,6 +77,10 @@ class _Transmission:
         self.rx_power = rx_power
         #: strongest interferer power seen at each receiver (−inf if none).
         self.interference: Dict[int, float] = {}
+        #: the sender's fan-out plan on the fast path, looked up once at
+        #: transmission start and reused for delivery (None on the
+        #: reference path).
+        self.plan = plan
 
     def note_interference(self, receiver: int, power_dbm: float) -> None:
         current = self.interference.get(receiver, -math.inf)
@@ -96,7 +102,7 @@ class _FanoutPlan:
 
     def __init__(
         self,
-        entries: List[Tuple[int, float, bool]],
+        entries: List[Tuple[int, float, bool, Tuple[int, int]]],
         radios: List["Radio"],
         sens: "np.ndarray",
     ) -> None:
@@ -179,7 +185,7 @@ class Medium:
         # draw is skippable while the posture process is active; without a
         # carrier-sense floor the skip is disabled outright.
         allow_skip = cs_floor is not None and channel.posture is None
-        entries: List[Tuple[int, float, bool]] = []
+        entries: List[Tuple[int, float, bool, Tuple[int, int]]] = []
         radios: List["Radio"] = []
         sens: List[float] = []
         for loc, other in self._radios.items():
@@ -204,7 +210,8 @@ class Medium:
                     < floor_back - CAPTURE_THRESHOLD_DB
                 )
                 skip = dead_out and dead_back
-            entries.append((loc, mean, skip))
+            key = (sender, loc) if sender <= loc else (loc, sender)
+            entries.append((loc, mean, skip, key))
             radios.append(other)
             sens.append(other.spec.sensitivity_dbm)
         return _FanoutPlan(entries, radios, np.asarray(sens, dtype=np.float64))
@@ -244,6 +251,7 @@ class Medium:
             )
             rx_power = dict(zip(plan.locs, powers))
         else:
+            plan = None
             # Reference path: per-receiver link-budget derivation, kept
             # callable for A/B bit-identity tests and benchmarks.
             rx_power = {}
@@ -260,7 +268,7 @@ class Medium:
                 )
         tx = _Transmission(
             sender, packet, now, now + airtime, radio.tx_mode.output_dbm,
-            rx_power,
+            rx_power, plan,
         )
 
         # Mutual interference with every overlapping transmission.
@@ -285,7 +293,7 @@ class Medium:
         self._active.remove(tx)
         sender_radio = self._radios[tx.sender]
         sender_radio._transmission_ended(tx)
-        if self.use_fast_path:
+        if tx.plan is not None:
             self._deliver_fast(tx)
         else:
             self._deliver_reference(tx)
@@ -337,7 +345,7 @@ class Medium:
         numpy scalar.
         """
         duration = tx.end - tx.start
-        plan = self._plan_for(self._radios[tx.sender])
+        plan = tx.plan
         entries = plan.entries
         n = len(entries)
         rx_power = tx.rx_power

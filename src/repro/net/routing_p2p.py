@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from repro.channel.pathloss import MeanPathLossModel
@@ -143,8 +142,8 @@ class P2pRouting:
     # -- downward path -----------------------------------------------------------
 
     def send(self, packet: Packet) -> None:
-        copy = replace(
-            packet.originated(), next_hop=self.next_hop_for(packet.destination)
+        copy = packet.originated().addressed_to(
+            self.next_hop_for(packet.destination)
         )
         self.mac.enqueue(copy)
 
@@ -159,9 +158,8 @@ class P2pRouting:
         if not self._should_forward(packet):
             return
         self.stats.relays += 1
-        copy = replace(
-            packet.relayed_by(self.location),
-            next_hop=self.next_hop_for(packet.destination),
+        copy = packet.relayed_by(self.location).addressed_to(
+            self.next_hop_for(packet.destination)
         )
         self.mac.enqueue(copy)
 

@@ -1,5 +1,7 @@
 """Tests for the body model, path loss, fading, and the composite channel."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from repro.channel.fading import (
 )
 from repro.channel.link import Channel
 from repro.channel.pathloss import MeanPathLossModel, PathLossParameters
-from repro.des.rng import RngStreams
+from repro.channel.posture import PostureParameters
+from repro.des.rng import DRAW_CHUNK, RngStreams
 
 
 class TestBodyModel:
@@ -274,3 +277,193 @@ class TestChannel:
         # -20 dBm TX cannot close the chest-ankle link on average.
         budget = channel.budget(-20.0, -97.0, CHEST, LEFT_ANKLE)
         assert not budget.closes_on_average
+
+
+class _ScalarReference:
+    """The channel's draws as one scalar ``Generator`` call per sample,
+    with the arithmetic of the per-sample implementation: ``normal(0, σ)``
+    for a link's first value and ``mean + std·standard_normal()`` after
+    it; ``uniform() < π`` for a node's first state and ``random() < p_on``
+    after it.  Streams come from a fresh :class:`RngStreams`."""
+
+    def __init__(self, seed: int, params: FadingParameters) -> None:
+        self.rng = RngStreams(seed=seed)
+        self.p = params
+        self.links = {}  # key -> [last_t, value]
+        self.nodes = {}  # node -> [last_t, occluded]
+        self.drawn = {}  # stream name -> draws taken
+
+    def _stream(self, name: str):
+        self.drawn[name] = self.drawn.get(name, 0) + 1
+        return self.rng.stream(name)
+
+    def fade(self, i: int, j: int, t: float) -> float:
+        key = (min(i, j), max(i, j))
+        p = self.p
+        name = f"fading/{key[0]}-{key[1]}"
+        state = self.links.get(key)
+        if state is not None and t == state[0]:
+            return state[1]
+        if p.sigma_db == 0:
+            value = 0.0
+        elif state is None:
+            value = float(self._stream(name).normal(0.0, p.sigma_db))
+        else:
+            rho = math.exp(-(t - state[0]) / p.coherence_time_s)
+            std = p.sigma_db * math.sqrt(max(0.0, 1.0 - rho * rho))
+            z = float(self._stream(name).standard_normal())
+            value = state[1] * rho + std * z
+        value = max(-p.clip_db, min(p.clip_db, value))
+        self.links[key] = [t, value]
+        return value
+
+    def occluded(self, node: int, t: float) -> bool:
+        p = self.p
+        if p.shadow_fraction == 0 or p.shadow_depth_db == 0:
+            return False
+        name = f"shadow/{node}"
+        state = self.nodes.get(node)
+        pi = p.shadow_fraction
+        if state is None:
+            occluded = bool(self._stream(name).uniform() < pi)
+        elif t == state[0]:
+            return state[1]
+        else:
+            exit_rate = 1.0 / p.shadow_dwell_s
+            relax = exit_rate + exit_rate * pi / (1.0 - pi)
+            decay = math.exp(-relax * (t - state[0]))
+            p_on = pi + (1.0 - pi) * decay if state[1] else pi * (1.0 - decay)
+            occluded = bool(self._stream(name).random() < p_on)
+        self.nodes[node] = [t, occluded]
+        return occluded
+
+    def loss(self, mean: float, i: int, j: int, t: float) -> float:
+        """PL(i,j,t) = (mean + fade) + shadowing, in Channel's order."""
+        fade = self.fade(i, j, t)
+        extra = 0.0
+        if self.occluded(i, t):
+            extra += self.p.shadow_depth_db
+        if self.occluded(j, t):
+            extra += self.p.shadow_depth_db
+        return (mean + fade) + extra
+
+    def reset(self) -> None:
+        """Forget histories; the streams carry on where they were."""
+        self.links.clear()
+        self.nodes.clear()
+
+
+class TestChunkedDraws:
+    """The fading and shadowing streams are drawn in chunks of
+    DRAW_CHUNK; every value must be the one a scalar draw per sample
+    gives, whichever entry point consumes it."""
+
+    SEED = 12
+    I, J = 2, 7
+    TX = 0.0
+    # A deep-shadowing channel, so both occlusion states occur often.
+    PARAMS = FadingParameters(shadow_fraction=0.4, shadow_dwell_s=0.05)
+
+    def entries(self, channel):
+        mean = channel.mean_model.mean_path_loss(self.I, self.J)
+        return mean, [(self.J, mean, False, (self.I, self.J))]
+
+    def interleave(self, channel, ref, steps, start=0.0):
+        """Rotate fanout_powers (ticks the link, I and J), fading.sample
+        (the link) and is_occluded (J) over one shared state; every third
+        step repeats the previous timestamp, which must draw nothing."""
+        mean, entries = self.entries(channel)
+        t = start
+        for k in range(steps):
+            if k % 3 != 2:
+                t += 0.013
+            route = k % 4
+            if route == 0:
+                got = channel.fanout_powers(self.I, self.TX, entries, t)
+                assert got == [self.TX - ref.loss(mean, self.I, self.J, t)]
+            elif route == 1:
+                assert channel.fading.sample(self.J, self.I, t) == ref.fade(
+                    self.I, self.J, t
+                )
+            elif route == 2:
+                assert channel.shadowing.is_occluded(self.J, t) == (
+                    ref.occluded(self.J, t)
+                )
+            else:
+                assert channel.path_loss(self.I, self.J, t) == ref.loss(
+                    mean, self.I, self.J, t
+                )
+        return t
+
+    def test_values_equal_scalar_draws_across_refills(self):
+        channel = Channel(RngStreams(seed=self.SEED), fading_params=self.PARAMS)
+        ref = _ScalarReference(self.SEED, self.PARAMS)
+        self.interleave(channel, ref, 1200)
+        # The link and node J each drew across more than three refills.
+        assert ref.drawn[f"fading/{self.I}-{self.J}"] > 3 * DRAW_CHUNK
+        assert ref.drawn[f"shadow/{self.J}"] > 3 * DRAW_CHUNK
+
+    def test_reset_fading_continues_each_stream(self):
+        """A reset forgets the histories, never the prefetched draws: the
+        next cold value is the stream's next draw."""
+        channel = Channel(RngStreams(seed=self.SEED), fading_params=self.PARAMS)
+        ref = _ScalarReference(self.SEED, self.PARAMS)
+        self.interleave(channel, ref, 150)
+        for _ in range(2):
+            channel.reset_fading()
+            ref.reset()
+            self.interleave(channel, ref, 150)
+
+    def test_posture_path(self):
+        """With posture regimes on, fanout_powers samples through
+        path_loss; the fading and shadowing draws are still the scalar
+        ones."""
+        rng = RngStreams(seed=self.SEED)
+        channel = Channel(
+            rng, fading_params=self.PARAMS, posture_params=PostureParameters()
+        )
+        ref = _ScalarReference(self.SEED, self.PARAMS)
+        _mean, entries = self.entries(channel)
+        for k in range(400):
+            t = 0.02 * k
+            channel.fanout_powers(self.I, self.TX, entries, t)
+            assert channel.fading.peek(self.I, self.J) == ref.fade(
+                self.I, self.J, t
+            )
+            for node in (self.I, self.J):
+                assert channel.shadowing.is_occluded(node, t) == (
+                    ref.occluded(node, t)
+                )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FadingParameters(sigma_db=0.0, shadow_fraction=0.0),
+            FadingParameters(sigma_db=0.0, shadow_depth_db=0.0),
+        ],
+        ids=["quiet", "no-shadow-depth"],
+    )
+    def test_silent_processes_draw_nothing(self, params):
+        rng = RngStreams(seed=self.SEED)
+        channel = Channel(rng, fading_params=params)
+        mean, entries = self.entries(channel)
+        for k in range(300):
+            t = 0.01 * k
+            assert channel.fanout_powers(self.I, self.TX, entries, t) == [
+                self.TX - ((mean + 0.0) + 0.0)
+            ]
+            assert channel.fading.sample(self.I, self.J, t) == 0.0
+            assert not channel.shadowing.is_occluded(self.J, t)
+        for name in (f"fading/{self.I}-{self.J}", f"shadow/{self.I}",
+                     f"shadow/{self.J}"):
+            fresh = RngStreams(seed=self.SEED).stream(name)
+            assert rng.stream(name).random() == fresh.random(), name
+
+    def test_one_chunk_retained(self):
+        """10,000 samples of one link keep at most one chunk of draws: the
+        chunk is replaced on refill, never grown into a history."""
+        rng = RngStreams(seed=self.SEED)
+        fading = OrnsteinUhlenbeckFading(self.PARAMS, rng)
+        for k in range(10_000):
+            fading.sample(self.I, self.J, 0.01 * k)
+        assert len(rng.normals(f"fading/{self.I}-{self.J}")) <= DRAW_CHUNK

@@ -218,36 +218,28 @@ class TestBadNumericInputs:
         assert expected in lines[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["serve", "--port", "-1"],
-            ["serve", "--port", "70000"],
-            ["serve", "--lease-ttl", "0"],
-            ["serve", "--lease-ttl", "-5"],
-            ["serve", "--lease-ttl", "inf"],
-            ["bench", "--repeats", "0"],
-        ],
-        ids=["port-negative", "port-70000", "lease-ttl-0",
-             "lease-ttl-negative", "lease-ttl-inf", "repeats-0"],
-    )
-    def test_bad_serve_or_bench_flag_exits_2(self, argv, tmp_path, capsys,
-                                             monkeypatch):
-        """``serve`` takes neither --preset nor --out: the check must come
-        before it creates --root or binds a port, and before ``bench``
-        writes its --out report."""
+    def _assert_refused(self, argv, tmp_path, capsys, monkeypatch):
+        """``argv`` exits 2 with one line, before ``serve`` creates --root
+        or binds a port, before ``worker`` creates --workdir or dials a
+        coordinator, and before ``bench`` writes its --out report."""
         from repro import bench
-        from repro.campaign import service
+        from repro.campaign import service, worker
 
         def unreachable(*args, **kwargs):
             raise AssertionError(f"{argv[0]} ran with {argv[1:]}")
 
         monkeypatch.setattr(service, "serve_forever", unreachable)
+        monkeypatch.setattr(worker, "run_worker", unreachable)
         monkeypatch.setattr(bench, "run_hotpath_benchmarks", unreachable)
+        monkeypatch.setattr(bench, "run_fleet_benchmarks", unreachable)
         root = tmp_path / "root"
+        workdir = tmp_path / "workdir"
         report = tmp_path / "bench.json"
         if argv[0] == "serve":
             storage = ["--root", str(root)]
+        elif argv[0] == "worker":
+            storage = ["--coordinator", "http://127.0.0.1:9",
+                       "--workdir", str(workdir)]
         else:
             storage = ["--out", str(report)]
         assert cli.main(argv + storage) == 2
@@ -257,7 +249,90 @@ class TestBadNumericInputs:
         assert len(lines) == 1
         assert lines[0].startswith(f"hi-explore: {argv[0]}: {argv[1]} ")
         assert not root.exists()
+        assert not workdir.exists()
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "-1"],
+            ["serve", "--port", "70000"],
+            ["serve", "--lease-ttl", "0"],
+            ["serve", "--lease-ttl", "-5"],
+            ["serve", "--lease-ttl", "inf"],
+            ["serve", "--ping-interval", "-1"],
+            ["serve", "--ping-interval", "0"],
+            ["serve", "--ping-misses", "0"],
+            ["serve", "--max-inflight", "0"],
+            ["serve", "--min-sync-interval", "-1"],
+            ["serve", "--min-sync-interval", "nan"],
+            ["serve", "--cache-max-bytes", "-1"],
+            ["serve", "--cache-max-bytes", "0"],
+            ["serve", "--cache-max-entries", "0"],
+            ["bench", "--repeats", "0"],
+            ["bench", "--wearers", "0"],
+            ["bench", "--workers", "0"],
+            ["bench", "--des-events", "0"],
+        ],
+        ids=["port-negative", "port-70000", "lease-ttl-0",
+             "lease-ttl-negative", "lease-ttl-inf", "ping-interval-negative",
+             "ping-interval-0", "ping-misses-0", "max-inflight-0",
+             "min-sync-interval-negative", "min-sync-interval-nan",
+             "cache-max-bytes-negative", "cache-max-bytes-0",
+             "cache-max-entries-0", "repeats-0", "wearers-0", "workers-0",
+             "des-events-0"],
+    )
+    def test_bad_serve_or_bench_flag_exits_2(self, argv, tmp_path, capsys,
+                                             monkeypatch):
+        """``serve`` takes neither --preset nor --out: the check must come
+        before it creates --root or binds a port, and before ``bench``
+        writes its --out report."""
+        self._assert_refused(argv, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "--poll", "0"],
+            ["worker", "--poll", "inf"],
+            ["worker", "--exit-idle", "-1"],
+            ["worker", "--rpc-timeout", "0"],
+            ["worker", "--rpc-timeout", "-3"],
+        ],
+        ids=["poll-0", "poll-inf", "exit-idle-negative", "rpc-timeout-0",
+             "rpc-timeout-negative"],
+    )
+    def test_bad_worker_flag_exits_2(self, argv, tmp_path, capsys,
+                                     monkeypatch):
+        """A worker with a bad flag names it, instead of creating --workdir
+        and retrying a coordinator it cannot reach."""
+        self._assert_refused(argv, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--root", "ROOT", "--min-sync-interval", "0"],
+            ["worker", "--coordinator", "http://127.0.0.1:9",
+             "--workdir", "ROOT", "--exit-idle", "0"],
+        ],
+        ids=["min-sync-interval-0", "exit-idle-0"],
+    )
+    def test_zero_where_zero_means_something_is_accepted(
+        self, argv, tmp_path, monkeypatch
+    ):
+        """0 is in range for ``--min-sync-interval`` (no limit) and
+        ``--exit-idle`` (exit as soon as there is no work)."""
+        from repro.campaign import service, worker
+
+        reached = []
+        monkeypatch.setattr(
+            service, "serve_forever", lambda *a, **k: reached.append(a) or 0
+        )
+        monkeypatch.setattr(
+            worker, "run_worker", lambda *a, **k: reached.append(a) or 0
+        )
+        argv = [str(tmp_path / "root") if a == "ROOT" else a for a in argv]
+        assert cli.main(argv) == 0
+        assert len(reached) == 1
 
 
 class TestObservabilityOutputs:

@@ -45,6 +45,124 @@ class TestPacket:
         with pytest.raises(ValueError):
             make_packet(hops_used=-1)
 
+    @pytest.mark.parametrize("length", [0, -1, -100])
+    def test_nonpositive_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length"):
+            make_packet(length_bytes=length)
+
+    def test_negative_hops_rejected(self):
+        with pytest.raises(ValueError, match="hop"):
+            make_packet(hops_used=-3)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["origin", "seq", "destination", "length_bytes", "hops_used",
+         "visited", "relayer", "created_at", "next_hop", "copy_id"],
+    )
+    def test_fields_cannot_be_assigned(self, field):
+        p = make_packet().originated()
+        with pytest.raises(AttributeError):
+            setattr(p, field, 9)
+        with pytest.raises(AttributeError):
+            p.extra = 1  # no new attributes either
+
+    def test_every_copy_gets_a_new_copy_id(self):
+        p = make_packet()
+        copies = [p, p.originated()]
+        copies.append(copies[-1].relayed_by(5))
+        copies.append(copies[-1].relayed_by(6))
+        assert len({c.copy_id for c in copies}) == len(copies)
+        assert {c.uid for c in copies} == {(0, 1)}
+
+    def test_explicit_copy_id_kept(self):
+        assert make_packet(copy_id=41).copy_id == 41
+
+    def test_copies_keep_payload_fields_and_history(self):
+        p = make_packet(created_at=2.5, next_hop=4)
+        o = p.originated()
+        r = o.relayed_by(7)
+        for c in (o, r):
+            assert (c.origin, c.seq, c.destination, c.length_bytes) == (
+                0, 1, 3, 100
+            )
+            assert c.created_at == 2.5 and c.next_hop == 4
+        assert (o.hops_used, o.visited, o.relayer) == (0, frozenset({0}), 0)
+        assert (r.hops_used, r.visited, r.relayer) == (
+            1, frozenset({0, 7}), 7
+        )
+        # the copies it was made from are unchanged
+        assert p.visited == frozenset() and p.relayer is None
+
+    def test_addressed_to_is_the_same_copy_readdressed(self):
+        o = make_packet().originated()
+        a = o.addressed_to(5)
+        assert a.next_hop == 5 and o.next_hop is None
+        assert a.copy_id == o.copy_id
+        assert a._replace(next_hop=None) == o
+
+    def test_repr_names_route_state(self):
+        r = make_packet().originated().relayed_by(5)
+        assert repr(r) == "Packet(0->3 seq=1 hops=1 via=5)"
+
+
+class _RecordingMac:
+    """Just enough of a MAC for a routing layer: a location and a queue."""
+
+    def __init__(self, location):
+        self.location = location
+        self.queue = []
+
+    def enqueue(self, packet):
+        self.queue.append(packet)
+        return True
+
+
+class TestP2pCopies:
+    """Point-to-point forwarding re-addresses each copy it builds to the
+    next hop of its route."""
+
+    def router(self, location, routes):
+        from repro.des.engine import Simulator
+        from repro.des.rng import RngStreams
+        from repro.library.mac_options import RoutingKind, RoutingOptions
+        from repro.net.routing_p2p import P2pRouting
+        from repro.net.stats import NodeStats
+
+        mac = _RecordingMac(location)
+        router = P2pRouting(
+            Simulator(), mac, RoutingOptions(kind=RoutingKind.P2P),
+            NodeStats(location), RngStreams(seed=0), route_table=routes,
+        )
+        return router, mac
+
+    def test_send_addresses_the_original_copy(self, monkeypatch):
+        router, mac = self.router(3, {8: 0})
+        originals = []
+        real = Packet.originated
+
+        def spy(packet):
+            originals.append(real(packet))
+            return originals[-1]
+
+        monkeypatch.setattr(Packet, "originated", spy)
+        router.send(make_packet(origin=3, destination=8))
+        (copy,) = mac.queue
+        assert copy.next_hop == 0
+        assert copy.copy_id == originals[0].copy_id
+        assert copy._replace(next_hop=None) == originals[0]
+
+    def test_forwarded_copy_is_a_new_copy_to_the_next_hop(self):
+        router, mac = self.router(0, {8: 8})
+        heard = make_packet(origin=3, destination=8).originated().addressed_to(0)
+        router.on_receive(heard, -60.0)
+        (copy,) = mac.queue
+        assert copy.next_hop == 8
+        assert copy.copy_id != heard.copy_id
+        assert copy.uid == heard.uid
+        assert (copy.hops_used, copy.visited, copy.relayer) == (
+            1, frozenset({3, 0}), 0
+        )
+
 
 class TestPdrEstimators:
     def make_stats(self):

@@ -7,8 +7,9 @@ For each mode (nominal ``solve`` and chance-constrained ``robust``):
 1. run the campaign uninterrupted with ``--out`` → ``summary.json`` is
    the golden artifact (a deterministic projection: wall-clock stripped);
 2. re-run it as a victim process and ``SIGKILL`` its whole process group
-   at a randomized instant (the kill seed is logged, so any failure is
-   replayable with ``--kill-seed``);
+   at a randomized instant after it has written its journal's manifest,
+   drawn from the golden run's time since that point (the kill seed is
+   logged, so any failure is replayable with ``--kill-seed``);
 3. resume the murdered run with ``--resume`` — it must exit 0;
 4. require the resumed ``summary.json`` to be byte-identical to the
    golden one.
@@ -18,8 +19,11 @@ CI job uploads both run directories either way.
 
 Usage::
 
-    python scripts/chaos_smoke.py [--preset ci] [--workdir chaos-smoke]
+    python scripts/chaos_smoke.py [--preset ci|smoke] [--workdir chaos-smoke]
                                   [--kill-seed N]
+
+Interpreter start-up alone can outlast a ``smoke`` run's journaled part,
+which is why the kill clock starts at the journal, not at the launch.
 """
 
 import argparse
@@ -66,16 +70,30 @@ def child_env() -> dict:
     return env
 
 
+def wait_for_journal(proc: subprocess.Popen, out_dir: pathlib.Path) -> None:
+    """Block until ``proc`` has written its journal's manifest line, or
+    has exited."""
+    journal = out_dir / "journal.jsonl"
+    while proc.poll() is None:
+        if journal.exists() and b"\n" in journal.read_bytes():
+            return
+        time.sleep(0.005)
+
+
 def run_golden(mode: str, preset: str, out_dir: pathlib.Path) -> float:
-    start = time.monotonic()
-    subprocess.run(
+    """Run uninterrupted; returns the seconds it ran after writing its
+    journal's manifest."""
+    proc = subprocess.Popen(
         cli_argv(mode, preset) + ["--out", str(out_dir)],
         env=child_env(),
-        check=True,
         stdout=subprocess.DEVNULL,
     )
+    wait_for_journal(proc, out_dir)
+    start = time.monotonic()
+    if proc.wait() != 0:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
     wall = time.monotonic() - start
-    log(f"[{mode}] golden run finished in {wall:.2f}s")
+    log(f"[{mode}] golden run finished {wall:.2f}s after its journal began")
     return wall
 
 
@@ -85,14 +103,16 @@ def run_victim(
     out_dir: pathlib.Path,
     kill_after_s: float,
 ) -> bool:
-    """Start the campaign and SIGKILL its process group mid-flight.
-    Returns True if the kill landed before the run finished."""
+    """Start the campaign and SIGKILL its process group ``kill_after_s``
+    after its journal began.  Returns True if the kill landed before the
+    run finished."""
     victim = subprocess.Popen(
         cli_argv(mode, preset) + ["--out", str(out_dir)],
         env=child_env(),
         stdout=subprocess.DEVNULL,
         start_new_session=True,  # so the kill also takes pool workers
     )
+    wait_for_journal(victim, out_dir)
     try:
         victim.wait(timeout=kill_after_s)
         log(f"[{mode}] victim finished before the kill point — "
@@ -102,7 +122,7 @@ def run_victim(
         pass
     os.killpg(victim.pid, signal.SIGKILL)
     victim.wait()
-    log(f"[{mode}] SIGKILLed victim after {kill_after_s:.2f}s "
+    log(f"[{mode}] SIGKILLed victim {kill_after_s:.2f}s into its journal "
         f"(exit {victim.returncode})")
     summary = out_dir / "summary.json"
     if summary.exists():
@@ -161,7 +181,7 @@ def main(argv=None) -> int:
         golden_dir = workdir / f"{mode}-golden"
         victim_dir = workdir / f"{mode}-victim"
         wall = run_golden(mode, args.preset, golden_dir)
-        kill_after = max(0.2, rng.uniform(0.15, 0.85) * wall)
+        kill_after = rng.uniform(0.15, 0.85) * wall
         run_victim(mode, args.preset, victim_dir, kill_after)
         resume(mode, args.preset, victim_dir)
         diff_summaries(mode, golden_dir, victim_dir)

@@ -138,59 +138,35 @@ def _explorer_section(events: List[dict], lines: List[str]) -> None:
         return
     lines.append("explorer trajectory")
     for ev in sequence:
-        kind = ev["kind"]
-        if kind == "explorer.start":
+        kind = ev["kind"][len(EXPLORER_KINDS_PREFIX):]
+        # A robust run emits the nominal milestones under a ``robust_``
+        # prefix; iteration, cut, bound and done render alike.
+        step = kind.removeprefix("robust_")
+        tag = "robust " if step != kind else ""
+        if kind == "start":
             lines.append(
                 f"  run: PDRmin={100.0 * ev.get('pdr_min', 0):.2f}%"
                 f"{'  (exhaustive sweep)' if ev.get('exhaustive') else ''}"
             )
-        elif kind == "explorer.iteration":
+        elif kind == "robust_start":
             lines.append(
-                f"  iteration {ev.get('iteration')}: analytic "
+                f"  robust run: PDRmin={100.0 * ev.get('pdr_min', 0):.2f}% "
+                f"at quantile q={ev.get('quantile', 0):.2f}"
+            )
+        elif step == "iteration":
+            lines.append(
+                f"  {tag}iteration {ev.get('iteration')}: analytic "
                 f"P*={ev.get('p_star_mw', 0):.4f} mW, "
                 f"{ev.get('num_candidates')} candidates"
             )
-        elif kind == "explorer.candidate":
+        elif kind == "candidate":
             verdict = "accept" if ev.get("accepted") else "reject"
             lines.append(
                 f"    {verdict:6s} {ev.get('config')}  "
                 f"PDR={100.0 * ev.get('pdr', 0):.2f}%  "
                 f"P={ev.get('power_mw', 0):.4f} mW  ({ev.get('reason')})"
             )
-        elif kind == "explorer.incumbent":
-            lines.append(
-                f"    incumbent -> {ev.get('config')}  "
-                f"P={ev.get('power_mw', 0):.4f} mW"
-            )
-        elif kind == "explorer.cut":
-            lines.append(
-                f"    cut: P > {ev.get('p_star_mw', 0):.4f} mW added"
-            )
-        elif kind == "explorer.bound":
-            lines.append(
-                f"    alpha bound {ev.get('bound_mw', 0):.4f} mW exceeds "
-                f"incumbent {ev.get('incumbent_power_mw', 0):.4f} mW -> stop"
-            )
-        elif kind == "explorer.done":
-            lines.append(
-                f"  done: {ev.get('status')} ({ev.get('termination')}), "
-                f"best={ev.get('best')}, "
-                f"{ev.get('simulations')} simulations over "
-                f"{ev.get('iterations')} iterations / "
-                f"{ev.get('milp_solves')} MILP solves"
-            )
-        elif kind == "explorer.robust_start":
-            lines.append(
-                f"  robust run: PDRmin={100.0 * ev.get('pdr_min', 0):.2f}% "
-                f"at quantile q={ev.get('quantile', 0):.2f}"
-            )
-        elif kind == "explorer.robust_iteration":
-            lines.append(
-                f"  robust iteration {ev.get('iteration')}: analytic "
-                f"P*={ev.get('p_star_mw', 0):.4f} mW, "
-                f"{ev.get('num_candidates')} candidates"
-            )
-        elif kind == "explorer.robust_candidate":
+        elif kind == "robust_candidate":
             verdict = "accept" if ev.get("accepted") else "reject"
             lines.append(
                 f"    {verdict:6s} {ev.get('config')}  "
@@ -198,40 +174,45 @@ def _explorer_section(events: List[dict], lines: List[str]) -> None:
                 f"healthy={100.0 * ev.get('healthy_pdr', 0):.2f}%  "
                 f"P={ev.get('power_mw', 0):.4f} mW  ({ev.get('reason')})"
             )
-        elif kind == "explorer.robust_incumbent":
+        elif kind == "incumbent":
+            lines.append(
+                f"    incumbent -> {ev.get('config')}  "
+                f"P={ev.get('power_mw', 0):.4f} mW"
+            )
+        elif kind == "robust_incumbent":
             lines.append(
                 f"    incumbent -> {ev.get('config')}  "
                 f"P={ev.get('power_mw', 0):.4f} mW  "
                 f"q-PDR={100.0 * ev.get('q_pdr', 0):.2f}%"
             )
-        elif kind == "explorer.robust_cut":
+        elif step == "cut":
             lines.append(
                 f"    cut: P > {ev.get('p_star_mw', 0):.4f} mW added"
             )
-        elif kind == "explorer.robust_bound":
+        elif step == "bound":
             lines.append(
                 f"    alpha bound {ev.get('bound_mw', 0):.4f} mW exceeds "
                 f"incumbent {ev.get('incumbent_power_mw', 0):.4f} mW -> stop"
             )
-        elif kind == "explorer.robust_done":
+        elif step == "done":
             lines.append(
-                f"  robust done: {ev.get('status')} ({ev.get('termination')}), "
+                f"  {tag}done: {ev.get('status')} ({ev.get('termination')}), "
                 f"best={ev.get('best')}, "
                 f"{ev.get('simulations')} simulations over "
                 f"{ev.get('iterations')} iterations / "
                 f"{ev.get('milp_solves')} MILP solves"
             )
-        elif kind == "explorer.dual_start":
+        elif kind == "dual_start":
             lines.append(
                 f"  dual run: NLT >= {ev.get('min_lifetime_days')} days "
                 f"(P budget {ev.get('max_power_mw', 0):.4f} mW)"
             )
-        elif kind == "explorer.dual_level":
+        elif kind == "dual_level":
             lines.append(
                 f"  dual level P*={ev.get('p_star_mw', 0):.4f} mW, "
                 f"{ev.get('num_candidates')} candidates"
             )
-        elif kind == "explorer.dual_done":
+        elif kind == "dual_done":
             lines.append(
                 f"  dual done: best={ev.get('best')}, "
                 f"{ev.get('within_budget')}/{ev.get('evaluated')} "

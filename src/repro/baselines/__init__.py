@@ -5,9 +5,7 @@
   claim);
 * :mod:`repro.baselines.annealing` — simulated annealing over the same
   discrete space with the same simulation oracle (the paper's
-  general-purpose comparator, reported 3× slower);
-* :mod:`repro.baselines.random_search` — uniform random sampling, a
-  sanity-check lower bar for any structured search.
+  general-purpose comparator, reported 3× slower).
 """
 
 from repro.baselines.exhaustive import ExhaustiveSearch, ExhaustiveResult
@@ -16,7 +14,6 @@ from repro.baselines.annealing import (
     AnnealingSchedule,
     SimulatedAnnealing,
 )
-from repro.baselines.random_search import RandomSearch, RandomSearchResult
 
 __all__ = [
     "ExhaustiveSearch",
@@ -24,6 +21,4 @@ __all__ = [
     "SimulatedAnnealing",
     "AnnealingSchedule",
     "AnnealingResult",
-    "RandomSearch",
-    "RandomSearchResult",
 ]

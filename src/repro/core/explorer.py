@@ -23,6 +23,12 @@ An *exhaustive* mode disables the early-termination test and keeps
 iterating until the MILP has no candidates left; this sweeps the entire
 feasible space in ascending analytical-power order and is how the Fig. 3
 scatter (all feasible configurations) is produced.
+
+Step 4's "meeting the PDR bound" is the only thing the nominal and the
+chance-constrained runs disagree on: ``explore`` tests the candidate's
+PDR, ``explore_robust`` the lower quantile of its PDR over a fault
+ensemble.  Both hand that test, as an :class:`_AcceptRule`, to the one
+loop above (:meth:`HumanIntranetExplorer._walk`).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.core.design_space import Configuration
 from repro.core.evaluator import EvaluationRecord, SimulationOracle
@@ -38,6 +44,11 @@ from repro.core.milp_builder import MilpFormulation
 from repro.core.problem import DesignProblem
 from repro.milp.solution import SolveStatus
 from repro.obs.runtime import Instrumentation
+
+
+def _pdr_min_label(pdr_min: float) -> str:
+    """``PDRmin=<percent>%`` with the bound's own digits: 99.97, not 100."""
+    return f"PDRmin={100 * pdr_min:g}%"
 
 
 @dataclass
@@ -81,12 +92,12 @@ class ExplorationResult:
         """One-line human-readable result."""
         if self.best is None:
             return (
-                f"PDRmin={100 * self.pdr_min:.0f}%: infeasible "
+                f"{_pdr_min_label(self.pdr_min)}: infeasible "
                 f"({self.simulations_run} simulations)"
             )
         b = self.best
         return (
-            f"PDRmin={100 * self.pdr_min:.0f}%: {b.config.label()}  "
+            f"{_pdr_min_label(self.pdr_min)}: {b.config.label()}  "
             f"PDR={b.pdr_percent:.1f}%  NLT={b.nlt_days:.1f} days  "
             f"({self.simulations_run} simulations, "
             f"{len(self.iterations)} iterations)"
@@ -178,12 +189,12 @@ class RobustExplorationResult:
     def summary(self) -> str:
         if self.best is None:
             return (
-                f"PDRmin={100 * self.pdr_min:.0f}% @q={self.quantile:.2f}: "
+                f"{_pdr_min_label(self.pdr_min)} @q={self.quantile:.2f}: "
                 f"infeasible ({self.simulations_run} simulations)"
             )
         b = self.best
         return (
-            f"PDRmin={100 * self.pdr_min:.0f}% @q={self.quantile:.2f}: "
+            f"{_pdr_min_label(self.pdr_min)} @q={self.quantile:.2f}: "
             f"{b.config.label()}  "
             f"healthy PDR={100 * b.healthy.pdr:.1f}%  "
             f"q-PDR={100 * b.pdr_quantile(self.quantile):.1f}%  "
@@ -219,6 +230,74 @@ class RobustExplorationResult:
                 for it in self.iterations
             ],
         }
+
+
+@dataclass(frozen=True)
+class _AcceptRule:
+    """What one kind of Algorithm 1 run means by "accepted".
+
+    :meth:`HumanIntranetExplorer._walk` is the same loop for every kind of
+    run; a rule holds, as data, only what differs between kinds.  A
+    record is accepted when its ``score`` meets PDR_min less the
+    tolerance.  Every record the walk sees offers ``config`` and
+    ``power_mw`` (the objective).
+    """
+
+    #: Prefix of every ``explorer.*`` milestone the run emits.
+    prefix: str
+    #: record -> the PDR tested against PDR_min.
+    score: Callable[[Any], float]
+    #: Name of the score in incumbent events.
+    score_field: str
+    #: (record, score) -> the candidate event's verdict fields.
+    fields: Callable[[Any, float], dict]
+    accept_reason: str
+    reject_reason: str
+    #: ``RunJournal`` methods that stage a resumed prefix into the oracle
+    #: and record one candidate verdict.
+    preload: str
+    journal_call: str
+    #: (candidates, records, **shared fields) -> the iteration record.
+    iteration: Callable[..., Any]
+
+
+#: The paper's test: the candidate's own PDR meets PDR_min.
+_POINT_PDR = _AcceptRule(
+    prefix="explorer.",
+    score=lambda e: e.pdr,
+    score_field="pdr",
+    fields=lambda e, pdr: {"pdr": pdr, "power_mw": e.power_mw},
+    accept_reason="meets_pdr_min",
+    reject_reason="pdr_below_min",
+    preload="preload_into",
+    journal_call="candidate",
+    iteration=lambda candidates, records, **shared: IterationRecord(
+        candidates=list(candidates), evaluations=records, **shared
+    ),
+)
+
+
+def _quantile_rule(quantile: float) -> _AcceptRule:
+    """The chance constraint: the lower ``quantile`` of the candidate's
+    PDR over a fault ensemble meets PDR_min."""
+    return _AcceptRule(
+        prefix="explorer.robust_",
+        score=lambda r: r.pdr_quantile(quantile),
+        score_field="q_pdr",
+        fields=lambda r, q_pdr: {
+            "healthy_pdr": r.healthy.pdr,
+            "q_pdr": q_pdr,
+            "pdr_min_fault": r.pdr_min_fault,
+            "power_mw": r.power_mw,
+        },
+        accept_reason="meets_quantile_pdr",
+        reject_reason="quantile_pdr_below_min",
+        preload="preload_robust_into",
+        journal_call="robust_candidate",
+        iteration=lambda candidates, records, **shared: RobustIterationRecord(
+            records=list(records), **shared
+        ),
+    )
 
 
 class HumanIntranetExplorer:
@@ -294,149 +373,11 @@ class HumanIntranetExplorer:
         replayed prefix re-simulates nothing while reproducing the exact
         same trajectory, counters, and trace (DESIGN.md §9).
         """
-        start = time.perf_counter()
-        if journal is not None:
-            journal.preload_into(self.oracle)
-        power_model = self.problem.scenario.power_model()
-        pdr_min = self.problem.pdr_min
-        obs = self.obs
-        obs.event(
-            "explorer.start",
-            pdr_min=pdr_min,
-            exhaustive=exhaustive,
-            candidate_cap=self.candidate_cap,
-            use_alpha=self.use_alpha,
-        )
-
-        cuts: List[float] = []
-        incumbent: Optional[EvaluationRecord] = None
-        p_min = math.inf
-        iterations: List[IterationRecord] = []
-        milp_solves = 0
-        sims_before = self.oracle.simulations_run
-        termination = "max_iterations"
-
-        for index in range(self.max_iterations):
-            status, candidates, p_star = self.formulation.enumerate_candidates(
-                cuts, max_solutions=self.milp_max_solutions
-            )
-            milp_solves += 1
-            if status is SolveStatus.INFEASIBLE or not candidates:
-                termination = (
-                    "milp_exhausted" if incumbent is not None else "milp_infeasible"
-                )
-                break
-            if status is not SolveStatus.OPTIMAL:
-                raise RuntimeError(f"unexpected MILP status {status}")
-            assert p_star is not None
-            obs.event(
-                "explorer.iteration",
-                iteration=index,
-                p_star_mw=p_star,
-                num_candidates=len(candidates),
-            )
-
-            # Line 5: the α-corrected bound.  P̄*/α equals the least
-            # simulated power any candidate at this or a higher analytical
-            # level could exhibit while still meeting PDR_min.
-            if not exhaustive and incumbent is not None:
-                if self.use_alpha:
-                    bound = power_model.power_lower_bound_mw(
-                        p_star, pdr_min, self.alpha_slack
-                    )
-                else:
-                    bound = p_star
-                if bound > p_min:
-                    termination = "alpha_bound"
-                    obs.event(
-                        "explorer.bound",
-                        iteration=index,
-                        bound_mw=bound,
-                        incumbent_power_mw=p_min,
-                    )
-                    break
-
-            if self.candidate_cap is not None:
-                candidates = candidates[: self.candidate_cap]
-
-            evaluations = self.oracle.evaluate_many(candidates)
-            feasible = [
-                e for e in evaluations if e.pdr >= pdr_min - self.pdr_tolerance
-            ]
-            if journal is not None:
-                for e in evaluations:
-                    journal.candidate(
-                        e, e.pdr >= pdr_min - self.pdr_tolerance
-                    )
-            if obs.tracing:
-                for e in evaluations:
-                    accepted = e.pdr >= pdr_min - self.pdr_tolerance
-                    obs.event(
-                        "explorer.candidate",
-                        iteration=index,
-                        config=e.config.label(),
-                        pdr=e.pdr,
-                        power_mw=e.power_mw,
-                        accepted=accepted,
-                        reason="meets_pdr_min" if accepted else "pdr_below_min",
-                    )
-            feasible.sort(key=lambda e: (e.power_mw, e.config.key()))
-            if feasible and feasible[0].power_mw <= p_min:
-                incumbent = feasible[0]
-                p_min = incumbent.power_mw
-                obs.event(
-                    "explorer.incumbent",
-                    iteration=index,
-                    config=incumbent.config.label(),
-                    power_mw=p_min,
-                    pdr=incumbent.pdr,
-                )
-
-            iterations.append(
-                IterationRecord(
-                    index=index,
-                    analytic_power_mw=p_star,
-                    candidates=list(candidates),
-                    evaluations=evaluations,
-                    feasible=feasible,
-                    incumbent_power_mw=p_min,
-                    incumbent=incumbent.config if incumbent else None,
-                )
-            )
-
-            # In the paper the loop exits via line 5 at the *next* MILP
-            # solve; with the default α model a feasible incumbent at the
-            # current level always certifies optimality there, which is why
-            # the paper observes termination "soon after the first feasible
-            # configuration was found".
-            cuts.append(p_star)
-            if journal is not None:
-                journal.cut(p_star)
-            obs.event("explorer.cut", iteration=index, p_star_mw=p_star)
-
-        wall = time.perf_counter() - start
-        obs.counter("explorer.runs").inc()
-        obs.counter("explorer.iterations").inc(len(iterations))
-        obs.event(
-            "explorer.done",
-            status="optimal" if incumbent is not None else "infeasible",
-            termination=termination,
-            best=incumbent.config.label() if incumbent else None,
-            best_power_mw=p_min if incumbent is not None else None,
-            iterations=len(iterations),
-            milp_solves=milp_solves,
-            simulations=self.oracle.simulations_run - sims_before,
-        )
         return ExplorationResult(
-            pdr_min=pdr_min,
-            status="optimal" if incumbent is not None else "infeasible",
-            termination_reason=termination,
-            best=incumbent,
-            iterations=iterations,
-            simulations_run=self.oracle.simulations_run - sims_before,
-            milp_solves=milp_solves,
-            wall_seconds=wall,
-            oracle_stats=self.oracle.stats(),
+            **self._walk(
+                _POINT_PDR, self.oracle, journal, {"exhaustive": exhaustive},
+                exhaustive=exhaustive,
+            )
         )
 
     # -- convenience ------------------------------------------------------------
@@ -457,7 +398,8 @@ class HumanIntranetExplorer:
 
         ``ensemble_oracle`` is duck-typed (an
         :class:`repro.faults.resilience.EnsembleOracle`): it must offer
-        ``evaluate_many(configs) -> [ResilienceRecord]`` and ``stats()``.
+        ``evaluate_many(configs) -> [ResilienceRecord]``,
+        ``simulations_run`` and ``stats()``.
         A candidate is feasible when the lower ``quantile`` of its PDR
         over the fault ensemble meets PDR_min — i.e. the reliability
         bound holds in at least a (1 − quantile) fraction of fault
@@ -472,26 +414,53 @@ class HumanIntranetExplorer:
         """
         if not 0.0 <= quantile <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {quantile}")
+        return RobustExplorationResult(
+            quantile=quantile,
+            **self._walk(
+                _quantile_rule(quantile), ensemble_oracle, journal,
+                {"quantile": quantile},
+            ),
+        )
+
+    # -- the walk both share -----------------------------------------------------
+
+    def _walk(
+        self,
+        rule: _AcceptRule,
+        oracle,
+        journal,
+        start_fields: dict,
+        exhaustive: bool = False,
+    ) -> dict:
+        """Algorithm 1's loop over P̃'s power levels, accepting by ``rule``.
+
+        ``oracle`` evaluates configurations into the records ``rule``
+        scores (anything with ``evaluate_many``, ``simulations_run`` and
+        ``stats()``).  ``start_fields`` go into the start event after
+        ``pdr_min``.  Returns the fields shared by both result types.
+        """
         start = time.perf_counter()
         if journal is not None:
-            journal.preload_robust_into(ensemble_oracle)
+            getattr(journal, rule.preload)(oracle)
         power_model = self.problem.scenario.power_model()
         pdr_min = self.problem.pdr_min
+        threshold = pdr_min - self.pdr_tolerance
         obs = self.obs
+        event = rule.prefix
         obs.event(
-            "explorer.robust_start",
+            event + "start",
             pdr_min=pdr_min,
-            quantile=quantile,
+            **start_fields,
             candidate_cap=self.candidate_cap,
             use_alpha=self.use_alpha,
         )
 
         cuts: List[float] = []
-        incumbent = None  # ResilienceRecord
+        incumbent = None
         p_min = math.inf
-        iterations: List[RobustIterationRecord] = []
+        iterations: List = []
         milp_solves = 0
-        sims_before = int(ensemble_oracle.stats()["simulations_run"])
+        sims_before = oracle.simulations_run
         termination = "max_iterations"
 
         for index in range(self.max_iterations):
@@ -508,13 +477,16 @@ class HumanIntranetExplorer:
                 raise RuntimeError(f"unexpected MILP status {status}")
             assert p_star is not None
             obs.event(
-                "explorer.robust_iteration",
+                event + "iteration",
                 iteration=index,
                 p_star_mw=p_star,
                 num_candidates=len(candidates),
             )
 
-            if incumbent is not None:
+            # Line 5: the α-corrected bound.  P̄*/α equals the least
+            # simulated power any candidate at this or a higher analytical
+            # level could exhibit while still meeting PDR_min.
+            if not exhaustive and incumbent is not None:
                 if self.use_alpha:
                     bound = power_model.power_lower_bound_mw(
                         p_star, pdr_min, self.alpha_slack
@@ -524,7 +496,7 @@ class HumanIntranetExplorer:
                 if bound > p_min:
                     termination = "alpha_bound"
                     obs.event(
-                        "explorer.robust_bound",
+                        event + "bound",
                         iteration=index,
                         bound_mw=bound,
                         incumbent_power_mw=p_min,
@@ -534,87 +506,83 @@ class HumanIntranetExplorer:
             if self.candidate_cap is not None:
                 candidates = candidates[: self.candidate_cap]
 
-            records = ensemble_oracle.evaluate_many(candidates)
-            feasible = [
-                r
-                for r in records
-                if r.pdr_quantile(quantile) >= pdr_min - self.pdr_tolerance
-            ]
+            records = oracle.evaluate_many(candidates)
+            scores = [rule.score(r) for r in records]
+            verdicts = [score >= threshold for score in scores]
+            feasible = [r for r, ok in zip(records, verdicts) if ok]
             if journal is not None:
-                for r in records:
-                    journal.robust_candidate(
-                        r,
-                        r.pdr_quantile(quantile)
-                        >= pdr_min - self.pdr_tolerance,
-                    )
+                record_verdict = getattr(journal, rule.journal_call)
+                for r, ok in zip(records, verdicts):
+                    record_verdict(r, ok)
             if obs.tracing:
-                for r in records:
-                    q_pdr = r.pdr_quantile(quantile)
-                    accepted = q_pdr >= pdr_min - self.pdr_tolerance
+                for r, score, ok in zip(records, scores, verdicts):
                     obs.event(
-                        "explorer.robust_candidate",
+                        event + "candidate",
                         iteration=index,
                         config=r.config.label(),
-                        healthy_pdr=r.healthy.pdr,
-                        q_pdr=q_pdr,
-                        pdr_min_fault=r.pdr_min_fault,
-                        power_mw=r.healthy.power_mw,
-                        accepted=accepted,
-                        reason=(
-                            "meets_quantile_pdr" if accepted else "quantile_pdr_below_min"
-                        ),
+                        **rule.fields(r, score),
+                        accepted=ok,
+                        reason=rule.accept_reason if ok else rule.reject_reason,
                     )
-            feasible.sort(key=lambda r: (r.healthy.power_mw, r.config.key()))
-            if feasible and feasible[0].healthy.power_mw <= p_min:
+            feasible.sort(key=lambda r: (r.power_mw, r.config.key()))
+            if feasible and feasible[0].power_mw <= p_min:
                 incumbent = feasible[0]
-                p_min = incumbent.healthy.power_mw
+                p_min = incumbent.power_mw
                 obs.event(
-                    "explorer.robust_incumbent",
+                    event + "incumbent",
                     iteration=index,
                     config=incumbent.config.label(),
                     power_mw=p_min,
-                    q_pdr=incumbent.pdr_quantile(quantile),
+                    **{rule.score_field: rule.score(incumbent)},
                 )
 
             iterations.append(
-                RobustIterationRecord(
+                rule.iteration(
+                    candidates,
+                    records,
                     index=index,
                     analytic_power_mw=p_star,
-                    records=list(records),
                     feasible=feasible,
                     incumbent_power_mw=p_min,
                     incumbent=incumbent.config if incumbent else None,
                 )
             )
+
+            # In the paper the loop exits via line 5 at the *next* MILP
+            # solve; with the default α model a feasible incumbent at the
+            # current level always certifies optimality there, which is why
+            # the paper observes termination "soon after the first feasible
+            # configuration was found".
             cuts.append(p_star)
             if journal is not None:
                 journal.cut(p_star)
-            obs.event("explorer.robust_cut", iteration=index, p_star_mw=p_star)
+            obs.event(event + "cut", iteration=index, p_star_mw=p_star)
 
         wall = time.perf_counter() - start
-        stats = ensemble_oracle.stats()
-        obs.counter("explorer.robust_runs").inc()
+        status = "optimal" if incumbent is not None else "infeasible"
+        simulations = oracle.simulations_run - sims_before
+        obs.counter(event + "runs").inc()
+        obs.counter(event + "iterations").inc(len(iterations))
         obs.event(
-            "explorer.robust_done",
-            status="optimal" if incumbent is not None else "infeasible",
+            event + "done",
+            status=status,
             termination=termination,
             best=incumbent.config.label() if incumbent else None,
             best_power_mw=p_min if incumbent is not None else None,
             iterations=len(iterations),
             milp_solves=milp_solves,
-            simulations=int(stats["simulations_run"]) - sims_before,
+            simulations=simulations,
         )
-        return RobustExplorationResult(
+        return dict(
             pdr_min=pdr_min,
-            quantile=quantile,
-            status="optimal" if incumbent is not None else "infeasible",
+            status=status,
             termination_reason=termination,
             best=incumbent,
             iterations=iterations,
-            simulations_run=int(stats["simulations_run"]) - sims_before,
+            simulations_run=simulations,
             milp_solves=milp_solves,
             wall_seconds=wall,
-            oracle_stats=stats,
+            oracle_stats=oracle.stats(),
         )
 
     # -- the dual problem -----------------------------------------------------------

@@ -6,8 +6,6 @@ simulator used in the paper.  It provides:
 * :class:`repro.des.engine.Simulator` — an event-scheduling kernel with a
   binary-heap future event list, stable simultaneous-event ordering, and
   cancellable events;
-* :mod:`repro.des.process` — generator-based processes (SimPy-style) for
-  components whose behaviour reads naturally as sequential code;
 * :mod:`repro.des.rng` — named, independently seeded random streams so
   that every stochastic component is reproducible and runs can be averaged
   over disjoint randomness;
@@ -16,16 +14,12 @@ simulator used in the paper.  It provides:
 """
 
 from repro.des.engine import Event, Simulator
-from repro.des.process import Process, Timeout, Waiter
 from repro.des.rng import RngStreams
 from repro.des.monitor import Counter, TimeWeightedValue, TraceLog
 
 __all__ = [
     "Simulator",
     "Event",
-    "Process",
-    "Timeout",
-    "Waiter",
     "RngStreams",
     "Counter",
     "TimeWeightedValue",

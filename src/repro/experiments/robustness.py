@@ -33,6 +33,7 @@ from repro.core.explorer import (
     ExplorationResult,
     HumanIntranetExplorer,
     RobustExplorationResult,
+    _pdr_min_label,
 )
 from repro.experiments.scenario import get_preset, make_problem
 from repro.faults.model import FaultScenario, hub_stress_ensemble
@@ -166,7 +167,7 @@ def resilience_line(record: ResilienceRecord, quantile: float) -> str:
 def format_robustness(data: RobustnessData) -> str:
     lines = [
         f"E4 (preset={data.preset}): nominal vs. chance-constrained robust "
-        f"design, PDRmin={100 * data.pdr_min:.0f}%, q={data.quantile:.2f}",
+        f"design, {_pdr_min_label(data.pdr_min)}, q={data.quantile:.2f}",
         "fault ensemble: " + "; ".join(fs.describe() for fs in data.ensemble),
         "nominal : " + data.nominal.summary(),
     ]

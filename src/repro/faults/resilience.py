@@ -77,6 +77,11 @@ class ResilienceRecord:
     recovery_tolerance: float = RECOVERY_TOLERANCE
 
     @property
+    def power_mw(self) -> float:
+        """Healthy power: the objective robust exploration minimizes."""
+        return self.healthy.power_mw
+
+    @property
     def fault_pdrs(self) -> Tuple[float, ...]:
         return tuple(record.pdr for _scenario, record in self.faulted)
 
@@ -207,6 +212,12 @@ class EnsembleOracle:
     @property
     def healthy_oracle(self) -> SimulationOracle:
         return self._oracles[0]
+
+    @property
+    def simulations_run(self) -> int:
+        """Simulations across every fault world: the sub-oracles share
+        one metrics registry, so any one of them counts them all."""
+        return self.healthy_oracle.simulations_run
 
     # -- journal replay (checkpoint/resume, DESIGN.md §9) ------------------------
 

@@ -1,4 +1,4 @@
-"""Tests for the simulated-annealing and random-search baselines."""
+"""Tests for the simulated-annealing baseline."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.baselines.annealing import (
     AnnealingSchedule,
     SimulatedAnnealing,
 )
-from repro.baselines.random_search import RandomSearch
 from repro.core.design_space import DesignSpace, PlacementConstraints
 from repro.core.evaluator import SimulationOracle
 from repro.core.problem import DesignProblem, ScenarioParameters
@@ -158,25 +157,3 @@ class TestRun:
         # Revisits are free: distinct sims < steps for a small space.
         assert result.simulations_run < 61
         assert oracle.cache_hits > 0
-
-
-class TestRandomSearch:
-    def test_finds_feasible(self):
-        problem = tiny_problem(pdr_min=0.5)
-        rs = RandomSearch(problem, seed=0)
-        result = rs.run(samples=20)
-        assert result.samples == 20
-        assert result.best is not None
-        assert result.best.pdr >= 0.5
-
-    def test_sample_validation(self):
-        problem = tiny_problem()
-        with pytest.raises(ValueError):
-            RandomSearch(problem).run(samples=0)
-
-    def test_repeats_served_from_cache(self):
-        problem = tiny_problem()
-        rs = RandomSearch(problem, seed=1)
-        result = rs.run(samples=200)
-        assert result.simulations_run <= problem.space.feasible_count()
-        assert result.simulations_run < 200

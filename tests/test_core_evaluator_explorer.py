@@ -9,9 +9,15 @@ import pytest
 
 from repro.baselines.exhaustive import ExhaustiveSearch
 from repro.core.design_space import Configuration, DesignSpace, PlacementConstraints
-from repro.core.evaluator import SimulationOracle
-from repro.core.explorer import HumanIntranetExplorer
+from repro.core.evaluator import EvaluationRecord, SimulationOracle
+from repro.core.explorer import (
+    ExplorationResult,
+    HumanIntranetExplorer,
+    RobustExplorationResult,
+)
 from repro.core.problem import DesignProblem, ScenarioParameters
+from repro.faults.model import FaultScenario
+from repro.faults.resilience import ResilienceRecord
 from repro.library.mac_options import MacKind, RoutingKind
 
 
@@ -178,6 +184,32 @@ class TestExplorer:
         )
         result = HumanIntranetExplorer(problem).explore()
         assert "infeasible" in result.summary()
+
+
+class TestSummaryPrintsTheBoundsDigits:
+    """PDRmin keeps its digits: 99.5% and the paper's 99.97% do not
+    print as 100%, and whole percents print as before."""
+
+    CONFIG = Configuration((0, 1, 3, 6), 0.0, MacKind.TDMA, RoutingKind.STAR)
+
+    @pytest.mark.parametrize(
+        "pdr_min,label",
+        [(0.995, "PDRmin=99.5%"), (0.9997, "PDRmin=99.97%"),
+         (0.9, "PDRmin=90%")],
+    )
+    def test_nominal_and_robust_summaries(self, pdr_min, label):
+        record = EvaluationRecord(self.CONFIG, 1.0, 0.8, 30.0, 0.0, None)
+        robust_best = ResilienceRecord(
+            self.CONFIG, record, ((FaultScenario("none"), record),)
+        )
+        for best in (None, record):
+            nominal = ExplorationResult(pdr_min, "optimal", "alpha_bound", best)
+            assert nominal.summary().startswith(label + ": ")
+        for best in (None, robust_best):
+            robust = RobustExplorationResult(
+                pdr_min, 0.0, "optimal", "alpha_bound", best
+            )
+            assert robust.summary().startswith(label + " @q=0.00: ")
 
 
 class TestExhaustiveBaseline:

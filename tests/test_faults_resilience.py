@@ -11,8 +11,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.design_space import Configuration
+from repro.core.explorer import HumanIntranetExplorer
 from repro.experiments.robustness import run_robustness_comparison
-from repro.experiments.scenario import make_problem
+from repro.experiments.scenario import get_preset, make_problem
 from repro.faults.model import FaultScenario, hub_stress_ensemble
 from repro.faults.resilience import EnsembleOracle, pdr_quantile
 from repro.library.mac_options import MacKind, RoutingKind
@@ -164,3 +165,40 @@ class TestE4Divergence:
         assert set(data.per_routing) == {RoutingKind.STAR, RoutingKind.MESH}
         for result in data.per_routing.values():
             assert result.status in ("optimal", "infeasible")
+
+
+class TestFaultFreeEnsemble:
+    """Over one fault-free world the chance constraint at quantile 0 is
+    the nominal accept test, so the robust run retraces the nominal one."""
+
+    @pytest.mark.parametrize("seed,pdr_min", [(1, 0.90), (3, 0.95)])
+    def test_quantile_rule_matches_point_rule(self, seed, pdr_min):
+        problem = make_problem(pdr_min, "smoke", seed=seed)
+        cap = get_preset("smoke").candidate_cap
+        explorer = HumanIntranetExplorer(problem, candidate_cap=cap)
+        try:
+            nominal = explorer.explore()
+        finally:
+            explorer.oracle.close()
+        with EnsembleOracle(
+            problem.scenario, [FaultScenario("none")], n_jobs=1
+        ) as oracle:
+            robust = HumanIntranetExplorer(
+                problem, candidate_cap=cap
+            ).explore_robust(oracle, quantile=0.0)
+            assert oracle.simulations_run == oracle.stats()["simulations_run"]
+
+        assert [
+            (it.analytic_power_mw, it.num_candidates, len(it.feasible),
+             it.incumbent_power_mw)
+            for it in nominal.iterations
+        ] == [
+            (it.analytic_power_mw, len(it.records), len(it.feasible),
+             it.incumbent_power_mw)
+            for it in robust.iterations
+        ]
+        assert robust.termination_reason == nominal.termination_reason
+        assert nominal.found and robust.found
+        assert robust.best.config == nominal.best.config
+        assert robust.best.power_mw == nominal.best.power_mw
+        assert robust.best.healthy.power_mw == robust.best.power_mw

@@ -11,13 +11,16 @@ Regenerate after an intentional behaviour change with::
 
     pytest tests/test_golden_trace.py --update-golden
 
-and review the snapshot diff like code.
+and review the snapshot diff like code.  Each snapshot has a
+``.report.txt`` twin: the ``trace_report`` text it renders to.
 """
 
 import json
 import pathlib
 
-from repro.analysis.trace_report import explorer_sequence
+import pytest
+
+from repro.analysis.trace_report import explorer_sequence, summarize
 from repro.core.explorer import HumanIntranetExplorer
 from repro.experiments.scenario import get_preset, make_problem
 from repro.faults.model import hub_stress_ensemble
@@ -141,3 +144,16 @@ def test_robust_golden_trace_invariant_across_n_jobs(tmp_path):
     golden = json.loads(ROBUST_GOLDEN_PATH.read_text())
     parallel = run_robust_reference(tmp_path / "parallel.jsonl", n_jobs=4)
     assert parallel == golden, ROBUST_UPDATE_HINT
+
+
+@pytest.mark.parametrize(
+    "golden", [GOLDEN_PATH, ROBUST_GOLDEN_PATH], ids=lambda path: path.stem
+)
+def test_golden_trajectory_report_text(golden, update_golden):
+    """``trace_report`` renders each golden trajectory, nominal and
+    robust, to its pinned explorer section, line for line."""
+    pinned = golden.with_suffix(".report.txt")
+    text = summarize(json.loads(golden.read_text())) + "\n"
+    if update_golden:
+        pinned.write_text(text)
+    assert text == pinned.read_text()

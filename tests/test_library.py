@@ -1,5 +1,7 @@
 """Tests for the component library: radios (Table 1), batteries, options."""
 
+import math
+
 import pytest
 
 from repro.library.batteries import (
@@ -91,6 +93,26 @@ class TestBatteries:
         assert "CR2032" in BATTERY_CATALOG
         with pytest.raises(KeyError):
             battery_by_name("AAA")
+
+
+class TestHarvestingLifetime:
+    def test_income_extends_lifetime(self):
+        plain = CR2032.lifetime_days(1.0)
+        harvested = CR2032.lifetime_days(1.0, harvest_mw=0.5)
+        assert harvested == pytest.approx(2 * plain)
+
+    def test_energy_neutral_is_infinite(self):
+        assert math.isinf(CR2032.lifetime_days(0.8, harvest_mw=0.8))
+        assert math.isinf(CR2032.lifetime_days(0.8, harvest_mw=1.2))
+
+    def test_negative_income_rejected(self):
+        with pytest.raises(ValueError):
+            CR2032.lifetime_days(1.0, harvest_mw=-0.1)
+
+    def test_lifetime_seconds_consistent_with_harvest(self):
+        assert CR2032.lifetime_s(1.0, 0.5) == pytest.approx(
+            CR2032.lifetime_days(1.0, 0.5) * 86400.0
+        )
 
 
 class TestMacOptions:

@@ -22,6 +22,12 @@ and ``atlas.json`` of an uninterrupted 2-wearer, 2-shard smoke campaign
 2``), and in ``killed/`` the same campaign cut back to what a kill during
 its second wearer leaves: no ``queue.jsonl``, that wearer's journal torn
 mid-line and its ``summary.json`` gone, no artifacts.
+
+``solve_run/`` and ``robust_run/`` were written by the code before
+nominal and robust runs shared one explorer loop (git commit 53b92d3),
+with the CI smoke arguments (:data:`SOLVE_ARGV`, :data:`ROBUST_ARGV`)
+and ``--out``: ``summary.json`` of the uninterrupted run, and in
+``killed/`` its journal torn mid-line about halfway, with no summary.
 """
 
 import json
@@ -30,6 +36,7 @@ import shutil
 
 import pytest
 
+from repro import cli
 from repro.campaign.queue import CampaignQueue
 from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec
@@ -37,6 +44,7 @@ from repro.campaign.wearer_cache import INDEX_FILENAME, WearerResultCache
 from repro.core.journal import (
     JOURNAL_FILENAME,
     QUEUE_LOG_FILENAME,
+    SUMMARY_FILENAME,
     EventLog,
     RunJournal,
     load_campaign_manifest,
@@ -46,6 +54,13 @@ from repro.core.result_cache import ResultCache, record_to_dict
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "storage"
 EXPECTED = json.loads((FIXTURES / "expected.json").read_text())
+
+SOLVE_ARGV = ["solve", "--pdr-min", "90", "--preset", "smoke"]
+ROBUST_ARGV = [
+    "robust", "--pdr-min", "85", "--preset", "smoke", "--seed", "3",
+    "--ensemble-size", "2", "--hub-stress", "--quantile", "0",
+    "--outage-fraction", "0.2",
+]
 
 
 @pytest.fixture
@@ -135,3 +150,21 @@ def test_local_campaign_killed_before_the_queue_log(copy):
             ("commit", 0, "local"), ("commit", 1, "local"),
         ]
     assert report.telemetry["resumed_wearers"] == 2  # one loaded, one replayed
+
+
+@pytest.mark.parametrize(
+    "name,argv", [("solve_run", SOLVE_ARGV), ("robust_run", ROBUST_ARGV)]
+)
+def test_run_killed_under_the_previous_code_resumes(copy, name, argv):
+    run = copy(name)
+    killed = run / "killed"
+    torn = (killed / JOURNAL_FILENAME).read_bytes()
+    assert not (killed / SUMMARY_FILENAME).exists()
+    assert cli.main(argv + ["--jobs", "1", "--resume", str(killed)]) == 0
+    assert (killed / SUMMARY_FILENAME).read_bytes() == (
+        run / SUMMARY_FILENAME
+    ).read_bytes()
+    # the intact prefix was replayed in place, not rewritten
+    assert (killed / JOURNAL_FILENAME).read_bytes().startswith(
+        torn[: torn.rindex(b"\n") + 1]
+    )

@@ -533,30 +533,47 @@ class RunJournal(EventLog):
 
     # -- constructors ------------------------------------------------------------
 
+    @staticmethod
+    def _manifest_entry(manifest: dict) -> dict:
+        return {"kind": "manifest", "version": JOURNAL_VERSION, **manifest}
+
     @classmethod
     def create(cls, directory, **manifest) -> "RunJournal":
-        """Start a fresh journal in ``directory`` (must not hold one)."""
+        """Start a fresh journal in ``directory`` (must not hold one).
+
+        The sealed manifest line is written atomically before the log
+        opens for append, so ``journal.jsonl`` either does not exist or
+        starts with its manifest: a kill during creation leaves a
+        directory that a fresh ``--out`` run can still use.
+        """
         path = pathlib.Path(directory) / JOURNAL_FILENAME
         if path.exists():
             raise JournalError(
                 f"{path} already exists; use --resume to continue that "
                 "run (or point --out at a fresh directory)"
             )
-        journal = cls(directory)
-        journal._add({"kind": "manifest", "version": JOURNAL_VERSION,
-                      **manifest})
-        return journal
+        entry = cls._manifest_entry(manifest)
+        write_atomic(path, json.dumps(seal(entry)) + "\n")
+        return cls(directory)
 
     @classmethod
     def resume(cls, directory, **expected_manifest) -> "RunJournal":
         """Reopen a journal, verifying its manifest against the resumed
         run's arguments.  Returns a journal whose replay cursor covers the
-        recorded prefix."""
+        recorded prefix.
+
+        A journal with no intact line (empty, or only a torn manifest
+        line, as a kill inside :meth:`create` of older builds leaves it)
+        recorded nothing: it gets the expected manifest and replays
+        nothing, so the resumed run starts from the beginning.
+        """
         path = pathlib.Path(directory) / JOURNAL_FILENAME
         if not path.exists():
             raise JournalError(f"no journal to resume at {path}")
         journal = cls(directory)
         try:
+            if not journal._entries:
+                journal._add(cls._manifest_entry(expected_manifest))
             journal._check_manifest(expected_manifest)
         except JournalError:
             journal.close()

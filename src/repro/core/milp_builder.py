@@ -22,20 +22,23 @@ the behaviour the paper's Fig. 3 arrows show, where the same placement and
 power appear with both MACs at different PDRs.
 
 Power cuts from Algorithm 1's line 11 (``P̄ > P̄*``) are applied as linear
-constraints on the z combination; the builder is stateless and rebuilds the
-model per iteration, which is cheap at this size and keeps every RunMILP
-call independent and testable.
+constraints on the z combination.  :meth:`MilpFormulation.build` makes a
+fresh model for any cut list.  The default ``"combo"`` RunMILP builds P̃
+once per cut shape (no cut, or the one binding cut) and afterwards moves
+only that cut row's rhs, computed through the same expression ``build``
+uses, so every call solves a model equal to a fresh build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.design_space import Configuration
 from repro.core.problem import DesignProblem
 from repro.library.mac_options import MacKind, RoutingKind
-from repro.milp import Model, SolveStatus, enumerate_optimal_solutions
+from repro.milp import Constraint, Model, SolveStatus, enumerate_optimal_solutions
 from repro.milp.branch_bound import BranchAndBoundSolver
 from repro.milp.expr import LinExpr, Var
 from repro.obs.runtime import Instrumentation, get_active
@@ -83,6 +86,8 @@ class MilpFormulation:
         # signature check falls back cold automatically).
         self._solver = BranchAndBoundSolver()
         self._root_basis = None
+        #: The combo method's P̃ by cut count (0 or 1), with its cut row.
+        self._combo_models: Dict[int, Tuple[Model, Optional[Constraint]]] = {}
 
     # -- cost table ---------------------------------------------------------------
 
@@ -240,10 +245,12 @@ class MilpFormulation:
         binding; the model is built with just that one.
         """
         cuts = [max(power_cuts_mw)] if power_cuts_mw else []
-        model, handles = self.build(cuts)
         obs = self.obs if self.obs is not None else get_active()
 
         if method == "nogood":
+            # The generic reference path builds its own model every call:
+            # it needs the variable handles to tell solutions apart.
+            model, handles = self.build(cuts)
             distinguish = (
                 handles.placement
                 + handles.tx_levels
@@ -271,6 +278,7 @@ class MilpFormulation:
         if method != "combo":
             raise ValueError(f"unknown enumeration method {method!r}")
 
+        model = self._combo_model(cuts)
         with obs.span("milp.solve", method="combo"):
             result = self._solver.solve(model, root_warm_start=self._root_basis)
         self._root_basis = result.root_basis
@@ -300,6 +308,32 @@ class MilpFormulation:
             )
         return SolveStatus.OPTIMAL, configs[:max_solutions], p_star
 
+    def _combo_model(self, cuts: Sequence[float]) -> Model:
+        """P̃ with ``cuts`` (at most one), built on the first call of its
+        shape; later calls only set the cut row's rhs, through the same
+        ``objective >= cut + ε`` expression :meth:`build` adds it with."""
+        entry = self._combo_models.get(len(cuts))
+        if entry is None:
+            model, _handles = self.build(cuts)
+            cut_row = next(
+                (c for c in model.constraints if c.name == "power_cut_0"), None
+            )
+            self._combo_models[len(cuts)] = (model, cut_row)
+            return model
+        model, cut_row = entry
+        if cut_row is not None:
+            spec = model.objective >= cuts[0] + self._cut_epsilon_mw
+            cut_row.rhs = spec.as_row()[2]
+        return model
+
+    @cached_property
+    def _placements_by_size(self) -> Dict[int, List[Tuple[int, ...]]]:
+        """The design space's placements grouped by node count."""
+        by_size: Dict[int, List[Tuple[int, ...]]] = {}
+        for placement in self.space.placements():
+            by_size.setdefault(len(placement), []).append(placement)
+        return by_size
+
     def _expand_tied_combos(self, p_star_mw: float) -> List[Configuration]:
         """All grid configurations whose Eq. 9 power equals P̄*."""
         baseline = self.scenario.app.baseline_mw
@@ -309,14 +343,11 @@ class MilpFormulation:
             for key, cost in self._cost_table.items()
             if abs(cost - radio_target) <= 1e-9
         ]
-        placements_by_size: Dict[int, List[Tuple[int, ...]]] = {}
-        for placement in self.space.placements():
-            placements_by_size.setdefault(len(placement), []).append(placement)
         configs: List[Configuration] = []
         for routing_value, k, n in tied:
             routing = RoutingKind(routing_value)
             tx_dbm = self.space.tx_levels_dbm[k]
-            for placement in placements_by_size.get(n, []):
+            for placement in self._placements_by_size.get(n, []):
                 for mac in self.space.mac_kinds:
                     configs.append(Configuration(placement, tx_dbm, mac, routing))
         configs.sort(key=lambda c: c.key())

@@ -19,10 +19,13 @@ Execution reuses the whole oracle stack: one
 :class:`repro.core.evaluator.SimulationOracle` per (scenario, fault
 scenario) pair, all sharing a single :class:`repro.core.parallel.WorkerPool`
 and one metrics registry.  Misses across the ensemble are fanned out over
-the pool in a single ordered batch, and every sub-oracle keeps its own
-persistent cache file (the fault scenario is part of the scenario
-fingerprint), so a warm cache replays a whole campaign with zero new
-simulations — bit-identically at any ``--jobs`` count.
+the pool in a single ordered batch, with one scalar simulation per
+distinct (configuration, effective fault world): a world whose faults
+all miss the placement reuses the configuration's healthy run.  Every
+sub-oracle keeps its own persistent cache file (the fault scenario is
+part of the scenario fingerprint), so a warm cache replays a whole
+campaign with zero new simulations — bit-identically at any ``--jobs``
+count.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from repro.core.design_space import Configuration
 from repro.core.evaluator import EvaluationRecord, SimulationOracle
 from repro.core.parallel import WorkerPool, evaluate_configuration_task
 from repro.core.problem import ScenarioParameters
-from repro.faults.model import FaultScenario
+from repro.faults.model import FaultScenario, FaultSpec
+from repro.net.network import SimulationOutcome
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Instrumentation, get_active
 
@@ -64,6 +68,17 @@ def pdr_quantile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(0, math.ceil(q * len(ordered)) - 1)
     return ordered[rank]
+
+
+def _copy_outcome(outcome: SimulationOutcome) -> SimulationOutcome:
+    """An equal outcome owning its own dicts, so a shared run's records
+    never alias each other's mutable fields."""
+    return replace(
+        outcome,
+        node_pdrs=dict(outcome.node_pdrs),
+        node_powers_mw=dict(outcome.node_powers_mw),
+        totals=dict(outcome.totals),
+    )
 
 
 @dataclass(frozen=True)
@@ -208,6 +223,9 @@ class EnsembleOracle:
             )
         self._c_elapsed = self.obs.counter("oracle.elapsed_seconds")
         self._c_evals = self.obs.counter("faults.ensemble_evaluations")
+        #: Scalar cells answered by another cell's run (same config, same
+        #: effective fault world) instead of a simulation of their own.
+        self._c_shared = self.obs.counter("oracle.shared_evaluations")
 
     @property
     def healthy_oracle(self) -> SimulationOracle:
@@ -270,9 +288,9 @@ class EnsembleOracle:
         All cache misses — across configurations *and* fault worlds — are
         dispatched to the shared pool as one ordered batch, then handed
         back to the owning sub-oracle for storage.  Because every task's
-        outcome is a pure function of its (scenario, configuration) pair,
-        the result is bit-identical to the serial loop at any worker
-        count.
+        outcome is a pure function of its configuration and effective
+        fault world, the result is bit-identical to the serial loop at any
+        worker count.
         """
         configs = list(configs)
         with self.obs.span(
@@ -292,20 +310,7 @@ class EnsembleOracle:
             if pending and getattr(self.scenario, "batch_mode", "auto") != "off":
                 pending = self._dispatch_batched(configs, pending, grid)
             if pending:
-                start = time.perf_counter()
-                results = self._pool.map_ordered(
-                    evaluate_configuration_task,
-                    [
-                        (self._oracles[oi].scenario, configs[ci])
-                        for ci, oi in pending
-                    ],
-                )
-                self._c_elapsed.inc(time.perf_counter() - start)
-                self.obs.counter("oracle.scalar_evaluations").inc(len(pending))
-                for (ci, oi), (outcome, wall) in zip(pending, results):
-                    grid[(ci, oi)] = self._oracles[oi].record_outcome(
-                        configs[ci], outcome, wall
-                    )
+                self._dispatch_scalar(configs, pending, grid)
 
             records = []
             for ci, config in enumerate(configs):
@@ -331,6 +336,52 @@ class EnsembleOracle:
                         lifetime_degradation=record.lifetime_degradation,
                     )
             return records
+
+    # -- scalar dispatch (one DES run per effective world, DESIGN.md §7) ---------
+
+    def _dispatch_scalar(
+        self,
+        configs: List[Configuration],
+        pending: List[Tuple[int, int]],
+        grid: Dict[Tuple[int, int], EvaluationRecord],
+    ) -> None:
+        """Evaluate ``(config, fault world)`` cells on the scalar path,
+        one simulation per distinct ``(config, effective world)``.
+
+        A cell's effective world is the tuple of its faults that apply to
+        the placement (the healthy cell's is ``()``).  The network attaches
+        and schedules exactly that tuple, so cells resolving to the same
+        one would run the same simulation: the first runs, the rest share
+        a copy of its outcome with a wall time of 0.0.  Every cell is
+        still handed to its sub-oracle via ``record_outcome`` in
+        ``pending`` order, so records, journals, disk caches, counters and
+        trace milestones match one run per cell.
+        """
+        run_of: Dict[Tuple[int, Tuple[FaultSpec, ...]], int] = {}
+        tasks = []
+        cells = []
+        for ci, oi in pending:
+            effective = (
+                () if oi == 0
+                else self.ensemble[oi - 1].applicable(configs[ci].placement)
+            )
+            run = run_of.setdefault((ci, effective), len(tasks))
+            shared = run < len(tasks)
+            if not shared:
+                tasks.append((self._oracles[oi].scenario, configs[ci]))
+            cells.append((ci, oi, run, shared))
+        start = time.perf_counter()
+        results = self._pool.map_ordered(evaluate_configuration_task, tasks)
+        self._c_elapsed.inc(time.perf_counter() - start)
+        self.obs.counter("oracle.scalar_evaluations").inc(len(tasks))
+        self._c_shared.inc(len(pending) - len(tasks))
+        for ci, oi, run, shared in cells:
+            outcome, wall = results[run]
+            if shared:
+                outcome, wall = _copy_outcome(outcome), 0.0
+            grid[(ci, oi)] = self._oracles[oi].record_outcome(
+                configs[ci], outcome, wall
+            )
 
     # -- batched dispatch (repro.core.batch, DESIGN.md §10) ----------------------
 
@@ -413,6 +464,7 @@ class EnsembleOracle:
         out = self.healthy_oracle.stats()
         out["ensemble_size"] = len(self.ensemble)
         out["ensemble_evaluations"] = int(self._c_evals.value)
+        out["shared_evaluations"] = int(self._c_shared.value)
         out["n_jobs"] = self.n_jobs
         return out
 

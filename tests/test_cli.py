@@ -615,6 +615,27 @@ class TestJournalFlags:
         # the journal healed back to the full trajectory
         assert len(journal_path.read_text().splitlines()) == len(lines)
 
+    def test_resume_of_empty_journal_matches_uninterrupted_run(
+        self, tmp_path, capsys
+    ):
+        """A run killed before its manifest line was durable (an empty
+        journal.jsonl) resumes from the start to the same summary bytes."""
+        golden_dir = tmp_path / "golden"
+        assert cli.main(self._solve_argv(["--out", str(golden_dir)])) == 0
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "journal.jsonl").write_bytes(b"")
+        assert cli.main(self._solve_argv(["--resume", str(run_dir)])) == 0
+        capsys.readouterr()
+        assert (run_dir / "summary.json").read_bytes() == (
+            golden_dir / "summary.json"
+        ).read_bytes()
+        # Records carry wall times, so compare the manifest and the length.
+        resumed = (run_dir / "journal.jsonl").read_text().splitlines()
+        golden = (golden_dir / "journal.jsonl").read_text().splitlines()
+        assert resumed[0] == golden[0]
+        assert len(resumed) == len(golden)
+
     def test_resume_with_mismatched_arguments_exits_two(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert cli.main(self._solve_argv(["--out", str(run_dir)])) == 0

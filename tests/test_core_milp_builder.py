@@ -7,6 +7,7 @@ from repro.core.milp_builder import MilpFormulation
 from repro.core.problem import DesignProblem, ScenarioParameters
 from repro.library.mac_options import MacKind, RoutingKind
 from repro.milp import SolveStatus
+from repro.obs import Instrumentation, MetricsRegistry
 
 
 def make_formulation(max_nodes=6, tx_levels=(-20.0, -10.0, 0.0)):
@@ -113,6 +114,76 @@ class TestCuts:
         one = formulation.enumerate_candidates([levels[2]])
         many = formulation.enumerate_candidates(levels[:3])
         assert one[2] == pytest.approx(many[2])
+
+
+class TestComboModelReuse:
+    """The combo RunMILP builds P̃ once per cut shape and then moves only
+    the cut row's rhs; each call must solve exactly what a fresh build
+    would, with the same warm-start history."""
+
+    @staticmethod
+    def _walk(formulation, fresh_build):
+        obs = formulation.obs
+        calls, cuts = [], []
+        for _level in range(40):  # a stale cut would never end the walk
+            if fresh_build:
+                formulation._combo_models.clear()
+            nodes = obs.counter("milp.nodes").value
+            pivots = obs.counter("milp.lp_iterations").value
+            status, configs, p_star = formulation.enumerate_candidates(cuts)
+            calls.append((
+                status, repr(p_star), [c.key() for c in configs],
+                obs.counter("milp.nodes").value - nodes,
+                obs.counter("milp.lp_iterations").value - pivots,
+            ))
+            if status is not SolveStatus.OPTIMAL:
+                break
+            cuts.append(p_star)
+        return calls
+
+    def test_walk_matches_fresh_builds(self):
+        walks = []
+        for fresh_build in (False, True):
+            _f, problem = make_formulation(max_nodes=5)
+            formulation = MilpFormulation(
+                problem, obs=Instrumentation(MetricsRegistry())
+            )
+            walks.append(self._walk(formulation, fresh_build))
+        reused, fresh = walks
+        assert len(reused) > 3
+        assert reused == fresh
+
+    def test_cut_rhs_equals_a_fresh_build(self):
+        formulation, _ = make_formulation()
+        levels = formulation.distinct_power_levels_mw()
+        for cut in levels[:4]:
+            formulation.enumerate_candidates([cut])
+            model, _handles = formulation.build([cut])
+            fresh = [c for c in model.constraints if c.name == "power_cut_0"]
+            reused = formulation._combo_models[1][0]
+            assert [
+                (c.name, c.coeffs, c.sense, c.rhs) for c in reused.constraints
+            ] == [
+                (c.name, c.coeffs, c.sense, c.rhs) for c in model.constraints
+            ]
+            assert fresh[0].rhs == reused.constraints[-1].rhs
+
+    def test_placements_are_enumerated_once(self, monkeypatch):
+        formulation, problem = make_formulation(max_nodes=4)
+        space_type = type(problem.space)
+        original = space_type.placements
+        calls = []
+
+        def counting(space):
+            calls.append(1)
+            return original(space)
+
+        monkeypatch.setattr(space_type, "placements", counting)
+        cuts = []
+        for _ in range(3):
+            _status, _configs, p_star = formulation.enumerate_candidates(cuts)
+            cuts.append(p_star)
+        assert len(calls) == 1
 
 
 class TestNogoodEquivalence:

@@ -10,12 +10,23 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.batch import batch_unsupported_reason
 from repro.core.design_space import Configuration
+from repro.core.evaluator import SimulationOracle
 from repro.core.explorer import HumanIntranetExplorer
+from repro.core.parallel import run_configuration_outcome
 from repro.experiments.robustness import run_robustness_comparison
 from repro.experiments.scenario import get_preset, make_problem
-from repro.faults.model import FaultScenario, hub_stress_ensemble
-from repro.faults.resilience import EnsembleOracle, pdr_quantile
+from repro.faults.model import (
+    FaultScenario,
+    hub_stress_ensemble,
+    sample_fault_ensemble,
+)
+from repro.faults.resilience import (
+    EnsembleOracle,
+    ResilienceRecord,
+    pdr_quantile,
+)
 from repro.library.mac_options import MacKind, RoutingKind
 
 CONFIGS = (
@@ -202,3 +213,158 @@ class TestFaultFreeEnsemble:
         assert robust.best.config == nominal.best.config
         assert robust.best.power_mw == nominal.best.power_mw
         assert robust.best.healthy.power_mw == robust.best.power_mw
+
+
+# -- one simulation per (configuration, effective fault world) -------------------
+
+#: Scenario seeds of perfbench's ``robust`` stratum; each draws the same
+#: 6-world sampled ensemble as that workload (fault seed = seed + 100000).
+SAMPLED_SEEDS = (1, 4)
+
+
+def _sampled_case(seed, batch_mode="off", cache_dir=None):
+    """(scenario, ensemble, configs): 4 placements x both MACs on star,
+    so some worlds miss each placement and some hit it."""
+    problem = make_problem(
+        0.85, "smoke", seed=seed, cache_dir=cache_dir, batch_mode=batch_mode
+    )
+    scenario = problem.scenario
+    ensemble = sample_fault_ensemble(
+        6, seed + 100_000, scenario.tsim_s,
+        coordinator=scenario.coordinator_location,
+    )
+    tx_dbm = problem.space.tx_levels_dbm[0]
+    configs = [
+        Configuration(placement, tx_dbm, mac, RoutingKind.STAR)
+        for placement in list(problem.space.placements())[:4]
+        for mac in (MacKind.CSMA, MacKind.TDMA)
+    ]
+    return scenario, ensemble, configs
+
+
+def _inapplicable_cells(ensemble, configs):
+    return [
+        (ci, wi)
+        for ci, config in enumerate(configs)
+        for wi, world in enumerate(ensemble)
+        if not world.applicable(config.placement)
+    ]
+
+
+@pytest.fixture(scope="module")
+def cell_by_cell():
+    """Seed 1's records with every (config, world) cell simulated on its
+    own: one scalar oracle per world, one configuration at a time."""
+    scenario, ensemble, configs = _sampled_case(SAMPLED_SEEDS[0])
+    worlds = [SimulationOracle(scenario, n_jobs=1)] + [
+        SimulationOracle(replace(scenario, fault_scenario=fs), n_jobs=1)
+        for fs in ensemble
+    ]
+    records = []
+    for config in configs:
+        cells = [oracle.evaluate(config) for oracle in worlds]
+        records.append(ResilienceRecord(
+            config=config,
+            healthy=cells[0],
+            faulted=tuple(zip(ensemble, cells[1:])),
+        ))
+    for oracle in worlds:
+        oracle.close()
+    return records
+
+
+class TestEffectiveWorldSharing:
+    """A world whose faults all miss the placement builds the healthy
+    network, so the ensemble oracle runs it once per configuration."""
+
+    @pytest.mark.parametrize("seed", SAMPLED_SEEDS)
+    def test_shared_cells_equal_direct_runs(self, seed):
+        scenario, ensemble, configs = _sampled_case(seed)
+        with EnsembleOracle(scenario, ensemble, n_jobs=1) as oracle:
+            records = oracle.evaluate_many(configs)
+            stats = oracle.stats()
+        shared = _inapplicable_cells(ensemble, configs)
+        assert shared, "the case must exercise sharing"
+        assert stats["shared_evaluations"] == len(shared)
+        for ci, wi in shared:
+            world, record = records[ci].faulted[wi]
+            direct = run_configuration_outcome(
+                replace(scenario, fault_scenario=world), configs[ci]
+            )
+            assert record.outcome == direct, (configs[ci].label(), world.name)
+            assert record.outcome == records[ci].healthy.outcome
+
+    @pytest.mark.parametrize("batch_mode", ["off", "auto"])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_evaluate_many_matches_cell_by_cell(
+        self, cell_by_cell, n_jobs, batch_mode
+    ):
+        scenario, ensemble, configs = _sampled_case(
+            SAMPLED_SEEDS[0], batch_mode=batch_mode
+        )
+        with EnsembleOracle(scenario, ensemble, n_jobs=n_jobs) as oracle:
+            records = oracle.evaluate_many(configs)
+            stats = oracle.stats()
+        assert [r.to_dict() for r in records] == [
+            r.to_dict() for r in cell_by_cell
+        ]
+        for got, want in zip(records, cell_by_cell):
+            assert got.healthy.outcome == want.healthy.outcome
+            for (_w, a), (_v, b) in zip(got.faulted, want.faulted):
+                assert a.outcome == b.outcome
+        # Accounting: one record per cell, one run per distinct
+        # (config, effective world) among the scalar cells.
+        cells = len(configs) * (1 + len(ensemble))
+        assert stats["simulations_run"] == cells
+        scalar = [
+            ci for ci, config in enumerate(configs)
+            if batch_mode == "off"
+            or batch_unsupported_reason(scenario, config) is not None
+        ]
+        shared = [
+            (ci, wi) for ci, wi in _inapplicable_cells(ensemble, configs)
+            if ci in scalar
+        ]
+        assert stats["shared_evaluations"] == len(shared) > 0
+        assert stats["scalar_evaluations"] == (
+            len(scalar) * (1 + len(ensemble)) - len(shared)
+        )
+        assert stats["batched_evaluations"] == cells - len(scalar) * (
+            1 + len(ensemble)
+        )
+
+    def test_shared_records_do_not_alias(self):
+        scenario, ensemble, configs = _sampled_case(SAMPLED_SEEDS[0])
+        with EnsembleOracle(scenario, ensemble, n_jobs=1) as oracle:
+            records = oracle.evaluate_many(configs)
+        ci, wi = _inapplicable_cells(ensemble, configs)[0]
+        healthy = records[ci].healthy
+        shared = records[ci].faulted[wi][1]
+        assert shared.outcome == healthy.outcome
+        assert shared.wall_seconds == 0.0 < healthy.wall_seconds
+        for field in ("node_pdrs", "node_powers_mw", "totals"):
+            mine = getattr(shared.outcome, field)
+            theirs = getattr(healthy.outcome, field)
+            assert mine is not theirs
+            mine[-1] = "written"
+            assert -1 not in theirs
+
+    def test_every_world_cache_holds_its_cells(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        scenario, ensemble, configs = _sampled_case(
+            SAMPLED_SEEDS[0], cache_dir=cache_dir
+        )
+        with EnsembleOracle(scenario, ensemble, n_jobs=1) as cold:
+            first = [r.to_dict() for r in cold.evaluate_many(configs)]
+            journals = [
+                [r.config.key() for r in sub.all_records]
+                for sub in cold._oracles
+            ]
+        with EnsembleOracle(scenario, ensemble, n_jobs=1) as warm:
+            second = [r.to_dict() for r in warm.evaluate_many(configs)]
+            stats = warm.stats()
+        assert second == first
+        assert stats["simulations_run"] == 0
+        assert stats["disk_hits"] == len(configs) * (1 + len(ensemble))
+        keys = [c.key() for c in configs]
+        assert journals == [keys] * (1 + len(ensemble))

@@ -61,6 +61,42 @@ def test_resume_requires_a_journal(tmp_path):
         RunJournal.resume(tmp_path / "nowhere")
 
 
+def test_create_killed_before_fsync_leaves_no_journal(tmp_path, monkeypatch):
+    """A failure after the journal file is opened but before its manifest
+    is durable must not leave a journal.jsonl behind."""
+    def fail(_fd):
+        raise OSError("injected failure before fsync")
+
+    monkeypatch.setattr("repro.core.journal.os.fsync", fail)
+    with pytest.raises(OSError, match="injected"):
+        RunJournal.create(tmp_path, command="t")
+    assert not (tmp_path / JOURNAL_FILENAME).exists()
+    monkeypatch.undo()
+    with RunJournal.create(tmp_path, command="t") as journal:
+        assert journal.manifest["command"] == "t"
+
+
+@pytest.mark.parametrize("blob", [b"", b'{"crc": "0123abcd", "entry": {"ki'])
+def test_resume_of_journal_with_no_intact_line_starts_over(tmp_path, blob):
+    """An empty journal, or one holding only a torn manifest line, has
+    recorded nothing: resume writes the expected manifest and replays
+    nothing."""
+    path = tmp_path / JOURNAL_FILENAME
+    path.write_bytes(blob)
+    with RunJournal.resume(tmp_path, command="t", seed=7) as journal:
+        assert journal.manifest == {
+            "kind": "manifest", "version": 1, "command": "t", "seed": 7,
+        }
+        assert journal.entries == []
+        assert journal.cut(1.5) is True
+    with RunJournal.resume(tmp_path, command="t", seed=7) as journal:
+        assert journal.replay_cuts() == [1.5]
+    with RunJournal.create(tmp_path / "fresh", command="t", seed=7):
+        pass
+    fresh = (tmp_path / "fresh" / JOURNAL_FILENAME).read_text()
+    assert path.read_text().splitlines()[0] == fresh.strip()
+
+
 def test_roundtrip_and_replay_cursor(tmp_path):
     with RunJournal.create(tmp_path, command="t", seed=7) as journal:
         assert journal.cut(1.25) is True  # appended

@@ -1122,6 +1122,7 @@ def _run_command(args, obs) -> int:
                 run_figure3(
                     args.preset, seed=args.seed,
                     n_jobs=args.jobs, cache_dir=args.cache_dir,
+                    batch_mode=args.batch,
                 )
             )
         )
@@ -1135,6 +1136,7 @@ def _run_command(args, obs) -> int:
                 run_reduction(
                     args.preset, seed=args.seed,
                     n_jobs=args.jobs, cache_dir=args.cache_dir,
+                    batch_mode=args.batch,
                 )
             )
         )
@@ -1174,6 +1176,7 @@ def _run_command(args, obs) -> int:
             run_dual_staircase(
                 args.preset, seed=args.seed,
                 n_jobs=args.jobs, cache_dir=args.cache_dir,
+                batch_mode=args.batch,
             )))
         return 0
 
@@ -1188,6 +1191,7 @@ def _run_command(args, obs) -> int:
                 run_annealing_comparison(
                     args.preset, seed=args.seed, sa_steps=args.sa_steps,
                     n_jobs=args.jobs, cache_dir=args.cache_dir,
+                    batch_mode=args.batch,
                 )
             )
         )

@@ -6,11 +6,15 @@ Wraps the simulation entry points of :mod:`repro.net.network` with:
   concrete component stack of the scenario;
 * replicate averaging per the paper's protocol (3 × 600 s), both
   fixed-count and adaptive ε-bounded;
-* parallel fan-out (:mod:`repro.core.parallel`) at two grain levels —
-  whole configurations in :meth:`SimulationOracle.evaluate_many` and
-  individual replicates inside one :meth:`SimulationOracle.evaluate` —
-  bit-identical to serial execution by construction (disjoint RNG streams
-  per replicate, index-order aggregation);
+* one evaluation path, :func:`evaluate_cells`, behind both the nominal
+  oracle and the fault-ensemble oracle (:mod:`repro.faults.resilience`):
+  it looks each (configuration, world) cell up once, runs the misses —
+  the batched kernel (:mod:`repro.core.batch`) for TX variants of one
+  topology, otherwise the worker pool (:mod:`repro.core.parallel`) at
+  configuration grain, or at replicate grain for a lone run — and
+  commits every request in request order, bit-identical to serial
+  execution by construction (disjoint RNG streams per replicate,
+  index-order aggregation);
 * two-tier memoization — an in-memory journal plus an optional persistent
   :class:`repro.core.result_cache.ResultCache` that survives process
   restarts and is shared across experiments.  Algorithm 1 and the baseline
@@ -26,7 +30,7 @@ Wraps the simulation entry points of :mod:`repro.net.network` with:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.batch import batch_unsupported_reason, evaluate_batch
@@ -91,7 +95,8 @@ class SimulationOracle:
     instance was first asked to evaluate each configuration.  Cache hits
     (memory or disk) never reorder the journal, and a warm disk cache
     never injects configurations that were not requested, so the Fig. 3
-    scatter is stable across cache temperatures and ``n_jobs`` settings.
+    scatter is stable across cache temperatures, ``n_jobs`` settings and
+    batch modes (:func:`evaluate_cells` commits in request order).
     """
 
     def __init__(
@@ -150,31 +155,6 @@ class SimulationOracle:
         #: first request (see :meth:`preload_journal`).
         self._journal_pending: Dict[Tuple, EvaluationRecord] = {}
 
-    # -- cache plumbing ----------------------------------------------------------
-
-    def _lookup(self, key: Tuple) -> Optional[EvaluationRecord]:
-        """Memory-then-disk lookup; counts hits and promotes disk records
-        into the journal (at first-request position)."""
-        record = self._cache.get(key)
-        if record is not None:
-            self._c_hits.inc()
-            return record
-        if self._disk is not None:
-            record = self._disk.get(key)
-            if record is not None:
-                self._c_hits.inc()
-                self._c_disk.inc()
-                self._cache[key] = record
-                return record
-        return None
-
-    def _store(self, record: EvaluationRecord) -> None:
-        self._cache[record.config.key()] = record
-        self._c_sims.inc()
-        self._h_wall.observe(record.wall_seconds)
-        if self._disk is not None:
-            self._disk.put(record)
-
     # -- journal replay (checkpoint/resume, DESIGN.md §9) ------------------------
 
     def preload_journal(self, records: Sequence[EvaluationRecord]) -> None:
@@ -194,16 +174,6 @@ class SimulationOracle:
             key = record.config.key()
             if key not in self._cache:
                 self._journal_pending[key] = record
-
-    def _take_journaled(self, key: Tuple) -> Optional[EvaluationRecord]:
-        """Adopt a staged journal record on its first request (or None)."""
-        record = self._journal_pending.pop(key, None)
-        if record is None:
-            return None
-        self._store(record)
-        self._c_replayed.inc()
-        self._trace_record(record, cached=False)
-        return record
 
     # -- telemetry counters (registry-backed, read-only) -------------------------
 
@@ -241,214 +211,67 @@ class SimulationOracle:
         fanned out across the pool (waves for the adaptive protocol) and
         aggregated in replicate-index order.
         """
-        record = self.lookup(config)
-        if record is not None:
-            return record
-        if (
-            self.batch_mode == "on"
-            and batch_unsupported_reason(self.scenario, config) is None
-        ):
-            self._run_batched([config])
-            return self._cache[config.key()]
-        return self._evaluate_scalar(config)
-
-    def _evaluate_scalar(self, config: Configuration) -> EvaluationRecord:
-        """Run the scalar replicate protocol for one known-uncached
-        configuration and store the record."""
-        start = time.perf_counter()
-        map_fn = self._pool.map_ordered if self._pool.parallel else None
-        outcome = run_configuration_outcome(
-            self.scenario, config, map_fn=map_fn, wave=self.n_jobs
-        )
-        wall = time.perf_counter() - start
-        record = EvaluationRecord(
-            config=config,
-            pdr=outcome.pdr,
-            power_mw=outcome.worst_power_mw,
-            nlt_days=outcome.nlt_days,
-            wall_seconds=wall,
-            outcome=outcome,
-        )
-        self._c_elapsed.inc(wall)
-        self._c_scalar.inc()
-        self._store(record)
-        self._trace_record(record, cached=False)
-        return record
+        return evaluate_cells([self], [config])[0][0]
 
     def evaluate_many(
         self, configs: Sequence[Configuration]
     ) -> List[EvaluationRecord]:
         """RunSim over a candidate set, preserving order.
 
-        With ``n_jobs > 1``, uncached configurations are evaluated
-        concurrently at configuration grain (each worker runs its full
-        replicate protocol in-process).  With batching enabled (the
-        default ``batch_mode="auto"``), misses sharing a topology take
-        the batched kernel instead (:mod:`repro.core.batch`) — one pass
-        over all TX variants — and only the rest goes to the pool.  Hit
-        accounting, journal insertion order, and results are identical
-        to the serial loop in every mode.
+        Uncached configurations run concurrently at configuration grain
+        with ``n_jobs > 1``, and misses sharing a topology take the
+        batched kernel (:mod:`repro.core.batch`) when ``batch_mode``
+        allows; see :func:`evaluate_cells`.  Records, hit accounting,
+        journal order and trace milestones equal the one-at-a-time loop
+        in every mode.
         """
         configs = list(configs)
-        min_lanes = {"off": None, "on": 1, "auto": 2}[self.batch_mode]
-        batching = min_lanes is not None and len(configs) >= min_lanes
-        if not batching and (not self._pool.parallel or len(configs) < 2):
-            with self.obs.span("oracle.evaluate_many", n=len(configs)):
-                return [self.evaluate(c) for c in configs]
-
         with self.obs.span("oracle.evaluate_many", n=len(configs)):
-            pending: List[Configuration] = []
-            pending_keys = set()
-            for config in configs:
-                key = config.key()
-                if key in pending_keys:
-                    # Duplicate of a miss in this batch: the serial loop
-                    # would simulate the first occurrence and hit memory
-                    # here.
-                    self._c_hits.inc()
-                    continue
-                if self._take_journaled(key) is not None:
-                    continue  # resumed run: adopted, not re-simulated
-                if self._lookup(key) is None:
-                    pending_keys.add(key)
-                    pending.append(config)
+            return [row[0] for row in evaluate_cells([self], configs)]
 
-            if batching and pending:
-                pending = self._dispatch_batched(pending, min_lanes)
-            if pending:
-                self._dispatch_scalar(pending)
-            return [self._cache[c.key()] for c in configs]
-
-    # -- batched dispatch (repro.core.batch, DESIGN.md §10) ----------------------
-
-    def _dispatch_batched(
-        self, pending: List[Configuration], min_lanes: int
-    ) -> List[Configuration]:
-        """Route batchable topology groups through the batched kernel;
-        return the configurations left for the scalar path (unsupported
-        surface, or groups below the lane threshold)."""
-        leftovers: List[Configuration] = []
-        groups: Dict[Tuple, List[Configuration]] = {}
-        for config in pending:
-            if batch_unsupported_reason(self.scenario, config) is not None:
-                leftovers.append(config)
-                continue
-            groups.setdefault(
-                (config.placement, config.mac, config.routing), []
-            ).append(config)
-        for group in groups.values():
-            if len(group) < min_lanes:
-                leftovers.extend(group)
-            else:
-                self._run_batched(group)
-        return leftovers
-
-    def _run_batched(self, group: List[Configuration]) -> None:
-        """Evaluate one topology group (TX variants of one placement)
-        through the batched kernel and store a record per configuration.
-
-        The lanes are inseparable inside the single pass, so the batch
-        wall time is split evenly across the records; ``elapsed_seconds``
-        still advances by the true batch wall exactly once.
-        """
-        start = time.perf_counter()
-        outcomes = evaluate_batch(
-            self.scenario, group, [self.scenario.fault_scenario]
-        )
-        wall = time.perf_counter() - start
-        self._c_elapsed.inc(wall)
-        self._c_batch_calls.inc()
-        self._c_batched.inc(len(group))
-        # Lanes = scalar DES runs the batch replaced (one per replicate).
-        self._c_batch_lanes.inc(len(group) * self.scenario.replicates)
-        share = wall / len(group)
-        for ci, config in enumerate(group):
-            outcome = outcomes[(ci, 0)]
-            record = EvaluationRecord(
-                config=config,
-                pdr=outcome.pdr,
-                power_mw=outcome.worst_power_mw,
-                nlt_days=outcome.nlt_days,
-                wall_seconds=share,
-                outcome=outcome,
-            )
-            self._store(record)
-            self._trace_record(record, cached=False)
-        if self.obs.tracing:
-            self.obs.event(
-                "oracle.batch",
-                configs=len(group),
-                worlds=1,
-                lanes=len(group),
-                wall_s=round(wall, 6),
-            )
-
-    def _dispatch_scalar(self, pending: List[Configuration]) -> None:
-        """Evaluate known-uncached configurations on the scalar path —
-        pool fan-out at configuration grain when parallel, the plain
-        serial protocol otherwise."""
-        if not self._pool.parallel or len(pending) < 2:
-            for config in pending:
-                self._evaluate_scalar(config)
-            return
-        start = time.perf_counter()
-        results = self._pool.map_ordered(
-            evaluate_configuration_task,
-            [(self.scenario, c) for c in pending],
-        )
-        self._c_elapsed.inc(time.perf_counter() - start)
-        self._c_scalar.inc(len(pending))
-        for config, (outcome, wall) in zip(pending, results):
-            record = EvaluationRecord(
-                config=config,
-                pdr=outcome.pdr,
-                power_mw=outcome.worst_power_mw,
-                nlt_days=outcome.nlt_days,
-                wall_seconds=wall,
-                outcome=outcome,
-            )
-            self._store(record)
-            self._trace_record(record, cached=False)
-
-    def lookup(self, config: Configuration) -> Optional[EvaluationRecord]:
-        """Public cache probe (memory, then disk) with full hit
-        accounting; returns ``None`` on a miss without simulating.  Lets
-        external dispatchers (the ensemble oracle) split lookup from
-        execution while keeping counters and trace milestones identical
-        to :meth:`evaluate`.
-
-        A record staged by :meth:`preload_journal` is adopted here (and
-        accounted as a fresh simulation, not a hit) so resumed runs see
-        journaled results exactly where the original run simulated them.
-        """
-        record = self._take_journaled(config.key())
+    def _peek(self, key: Tuple) -> Optional[Tuple[EvaluationRecord, bool]]:
+        """``(record, from_disk)`` answering ``key`` without simulating —
+        a staged journal record, then memory, then disk — or ``None``.
+        Changes no state; :meth:`_commit` does the accounting."""
+        record = self._journal_pending.get(key)
+        if record is None:
+            record = self._cache.get(key)
         if record is not None:
-            return record
-        record = self._lookup(config.key())
-        if record is not None:
-            self._trace_record(record, cached=True)
-        return record
+            return record, False
+        if self._disk is not None:
+            record = self._disk.get(key)
+            if record is not None:
+                return record, True
+        return None
 
-    def record_outcome(
-        self, config: Configuration, outcome: SimulationOutcome, wall: float
+    def _commit(
+        self, key: Tuple, record: EvaluationRecord, from_disk: bool
     ) -> EvaluationRecord:
-        """Store an outcome produced *outside* this oracle's own dispatch.
+        """Account one request for ``key`` answered by ``record``; returns
+        the record the oracle holds for it.
 
-        The ensemble oracle fans evaluation tasks for several scenarios
-        out over one shared pool and hands each result back to the oracle
-        that owns the matching scenario; accounting (journal order, disk
-        persistence, counters, trace milestones) is identical to
-        :meth:`evaluate` producing the record itself.
+        The first request of a configuration enters the journal: a disk
+        record counts a (disk) hit, anything else — a fresh run or an
+        adopted journal record — counts a simulation and is persisted.
+        Every later request, including a repeat within one call, counts
+        a memory hit.  Each request leaves one ``oracle.evaluate``
+        milestone.
         """
-        record = EvaluationRecord(
-            config=config,
-            pdr=outcome.pdr,
-            power_mw=outcome.worst_power_mw,
-            nlt_days=outcome.nlt_days,
-            wall_seconds=wall,
-            outcome=outcome,
-        )
-        self._store(record)
+        held = self._cache.get(key)
+        if held is not None or from_disk:
+            if held is None:
+                self._cache[key] = held = record
+                self._c_disk.inc()
+            self._c_hits.inc()
+            self._trace_record(held, cached=True)
+            return held
+        self._cache[key] = record
+        if self._journal_pending.pop(key, None) is not None:
+            self._c_replayed.inc()
+        self._c_sims.inc()
+        self._h_wall.observe(record.wall_seconds)
+        if self._disk is not None:
+            self._disk.put(record)
         self._trace_record(record, cached=False)
         return record
 
@@ -579,3 +402,181 @@ class SimulationOracle:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+# -- the one RunSim dispatcher ----------------------------------------------------
+
+#: Fewest lanes a topology group needs to take the batched kernel, per
+#: ``batch_mode`` (``None``: never).
+_MIN_LANES = {"off": None, "on": 1, "auto": 2}
+
+
+def _copy_outcome(outcome: SimulationOutcome) -> SimulationOutcome:
+    """An equal outcome owning its own dicts, so records sharing one run
+    never alias each other's mutable fields."""
+    return replace(
+        outcome,
+        node_pdrs=dict(outcome.node_pdrs),
+        node_powers_mw=dict(outcome.node_powers_mw),
+        totals=dict(outcome.totals),
+    )
+
+
+def evaluate_cells(
+    oracles: Sequence[SimulationOracle], configs: Sequence[Configuration]
+) -> List[List[EvaluationRecord]]:
+    """RunSim over ``configs`` × ``oracles``: ``records[i][w]`` is
+    ``configs[i]`` under ``oracles[w]``.
+
+    The oracles share one worker pool and one metrics registry and
+    differ only in their scenario's fault world: ``[oracle]`` for a
+    nominal run, the healthy oracle plus one per fault world for an
+    ensemble (:class:`repro.faults.resilience.EnsembleOracle`).
+
+    1. Each distinct ``(configuration, world)`` cell is looked up once,
+       without side effects (:meth:`SimulationOracle._peek`).
+    2. The misses run (:func:`_run_misses`): the batched kernel for TX
+       variants of one topology when ``batch_mode`` allows, otherwise
+       one scalar run per ``(configuration, effective world)``.
+    3. Every request is committed in request order, configuration-major
+       (:meth:`SimulationOracle._commit`).
+
+    Each outcome is a pure function of its cell, so records, journal
+    order, disk appends, counters and ``oracle.evaluate`` milestones are
+    those of the one-at-a-time loop in every batch mode, at any worker
+    count and at any cache temperature.
+    """
+    keys = [config.key() for config in configs]
+    distinct: Dict[Tuple, Configuration] = {}
+    for key, config in zip(keys, configs):
+        distinct.setdefault(key, config)
+    found: Dict[Tuple[Tuple, int], Tuple[EvaluationRecord, bool]] = {}
+    missing: Dict[Tuple, List[int]] = {}
+    for key in distinct:
+        for w, oracle in enumerate(oracles):
+            hit = oracle._peek(key)
+            if hit is None:
+                missing.setdefault(key, []).append(w)
+            else:
+                found[(key, w)] = hit
+    if missing:
+        ran = _run_misses(oracles, distinct, missing)
+        for (key, w), (outcome, wall) in ran.items():
+            record = EvaluationRecord(
+                config=distinct[key],
+                pdr=outcome.pdr,
+                power_mw=outcome.worst_power_mw,
+                nlt_days=outcome.nlt_days,
+                wall_seconds=wall,
+                outcome=outcome,
+            )
+            found[(key, w)] = (record, False)
+    return [
+        [oracle._commit(key, *found[(key, w)])
+         for w, oracle in enumerate(oracles)]
+        for key in keys
+    ]
+
+
+def _run_misses(
+    oracles: Sequence[SimulationOracle],
+    distinct: Dict[Tuple, Configuration],
+    missing: Dict[Tuple, List[int]],
+) -> Dict[Tuple[Tuple, int], Tuple[SimulationOutcome, float]]:
+    """Simulate the missing cells; ``{(key, world): (outcome, wall)}``.
+
+    Configurations sharing placement, MAC and routing *and* missing the
+    same worlds form one topology group; a supported group with at least
+    the ``batch_mode`` lane threshold (``auto``: 2, ``on``: 1, ``off``:
+    never) takes one batched-kernel call (DESIGN.md §10), whose wall is
+    split evenly over its lanes.  Every other cell resolves to its
+    effective world — the faults of its world that touch the placement,
+    ``()`` when healthy — and each distinct ``(configuration, effective
+    world)`` runs once on the scalar path, because a world that misses
+    every node builds the healthy network (DESIGN.md §7); the cells that
+    share a run get a copy of its outcome and a wall of 0.0.  Scalar runs
+    go to the pool at configuration grain; a lone run fans its
+    replicates out over the pool instead.
+    """
+    lead = oracles[0]
+    scenario = lead.scenario
+    ran: Dict[Tuple[Tuple, int], Tuple[SimulationOutcome, float]] = {}
+    min_lanes = _MIN_LANES[lead.batch_mode]
+    groups: Dict[Tuple, List[Tuple]] = {}
+    if min_lanes is not None:
+        for key, worlds in missing.items():
+            config = distinct[key]
+            if batch_unsupported_reason(scenario, config) is None:
+                groups.setdefault(
+                    (config.placement, config.mac, config.routing,
+                     tuple(worlds)),
+                    [],
+                ).append(key)
+    for (*_topology, worlds), keys in groups.items():
+        lanes = len(keys) * len(worlds)
+        if lanes < min_lanes:
+            continue
+        start = time.perf_counter()
+        outcomes = evaluate_batch(
+            scenario,
+            [distinct[key] for key in keys],
+            [oracles[w].scenario.fault_scenario for w in worlds],
+        )
+        wall = time.perf_counter() - start
+        lead._c_elapsed.inc(wall)
+        lead._c_batch_calls.inc()
+        lead._c_batched.inc(lanes)
+        # Lanes = scalar DES runs the batch replaced (one per replicate).
+        lead._c_batch_lanes.inc(lanes * scenario.replicates)
+        for ci, key in enumerate(keys):
+            for wi, w in enumerate(worlds):
+                ran[(key, w)] = (outcomes[(ci, wi)], wall / lanes)
+        if lead.obs.tracing:
+            lead.obs.event(
+                "oracle.batch",
+                configs=len(keys),
+                worlds=len(worlds),
+                lanes=lanes,
+                wall_s=round(wall, 6),
+            )
+
+    run_of: Dict[Tuple, int] = {}
+    tasks: List[Tuple[ScenarioParameters, Configuration]] = []
+    cells = []
+    for key, worlds in missing.items():
+        config = distinct[key]
+        for w in worlds:
+            if (key, w) in ran:
+                continue
+            cell_scenario = oracles[w].scenario
+            fault = cell_scenario.fault_scenario
+            effective = () if fault is None else fault.applicable(
+                config.placement
+            )
+            run = run_of.setdefault((key, effective), len(tasks))
+            cells.append((key, w, run, run < len(tasks)))
+            if run == len(tasks):
+                tasks.append((cell_scenario, config))
+    if not tasks:
+        return ran
+    pool = lead._pool
+    start = time.perf_counter()
+    if len(tasks) == 1:
+        outcome = run_configuration_outcome(
+            *tasks[0], map_fn=pool.map_ordered, wave=pool.n_jobs
+        )
+        results = [(outcome, time.perf_counter() - start)]
+    else:
+        results = pool.map_ordered(evaluate_configuration_task, tasks)
+    lead._c_elapsed.inc(time.perf_counter() - start)
+    lead._c_scalar.inc(len(tasks))
+    if len(cells) > len(tasks):
+        lead.obs.counter("oracle.shared_evaluations").inc(
+            len(cells) - len(tasks)
+        )
+    for key, w, run, shared in cells:
+        outcome, wall = results[run]
+        ran[(key, w)] = (_copy_outcome(outcome), 0.0) if shared else (
+            outcome, wall
+        )
+    return ran

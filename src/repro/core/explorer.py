@@ -355,9 +355,10 @@ class HumanIntranetExplorer:
         #: kept as a switch precisely so the ablation can measure the
         #: damage.
         self.use_alpha = use_alpha
-        #: Multiplier on the α bound's radio term (1.0 = the paper's α;
-        #: ≤0.7 makes termination strictly conservative against our
-        #: simulator's measured Eq. 5 bias — see CoarsePowerModel).
+        #: Multiplier on the α bound's radio term (1.0 = the paper's α).
+        #: A smaller slack terminates later, but no constant one is a
+        #: certified bound against Eq. 5's measured bias (as low as 0.69
+        #: for star and 0.15 for mesh; see CoarsePowerModel).
         self.alpha_slack = alpha_slack
         self.formulation = MilpFormulation(problem, obs=self.obs)
 
@@ -601,11 +602,14 @@ class HumanIntranetExplorer:
         only the lifetime-primal form.  The dual reuses the same machinery
         mirrored: the lifetime bound maps to a power budget
         P_max = E_bat / NLT_min; the MILP enumerates power levels
-        ascending, and every level that could possibly simulate within the
-        budget — i.e. with P_bl + slack·(P̄ − P_bl) ≤ P_max, using the
-        measured model-bias slack — contributes its candidate pool.  The
-        answer is the highest-PDR candidate whose *simulated* power meets
-        the budget (ties broken toward lower power).
+        ascending, and every level with P_bl + slack·(P̄ − P_bl) ≤ P_max
+        contributes its candidate pool.  The slack is a heuristic, not a
+        certified bound: simulated radio power has measured as low as
+        0.69 × Eq. 5 on star routing and 0.15 × on mesh (see
+        CoarsePowerModel), so a deeper level could still hold a candidate
+        within the budget.  The answer is the highest-PDR candidate whose
+        *simulated* power meets the budget (ties broken toward lower
+        power).
         """
         if min_lifetime_days <= 0:
             raise ValueError("lifetime bound must be positive")

@@ -1,12 +1,14 @@
 """Worker-pool execution layer for the simulation oracle.
 
-The oracle fans out at two grain levels:
+The oracle's one evaluation path (``repro.core.evaluator.evaluate_cells``)
+fans its pending scalar runs out at one of two grain levels:
 
-* **whole configurations** — ``SimulationOracle.evaluate_many`` ships one
-  :func:`evaluate_configuration_task` per uncached candidate to the pool
-  (Algorithm 1 evaluates candidate *sets* per iteration, and the
-  exhaustive/random baselines batch naturally);
-* **replicates within one configuration** — both the fixed-count protocol
+* **whole configurations** — with two or more runs pending, it ships one
+  :func:`evaluate_configuration_task` per run to the pool (Algorithm 1
+  evaluates candidate *sets* per iteration, a fault ensemble adds a run
+  per effective world, and the exhaustive baseline batches naturally);
+* **replicates within one configuration** — a lone pending run instead
+  hands the pool to its replicate protocol: both the fixed-count protocol
   (:func:`run_fixed_replicates`) and the adaptive ε-bounded protocol
   (:func:`run_adaptive_replicates`) dispatch
   :class:`repro.net.network.ReplicateJob` units and aggregate in

@@ -88,10 +88,14 @@ class CoarsePowerModel:
         2(N−1) packets per round, while the protocol actually delivers at
         most 2N−3: the coordinator's own traffic is never relayed and
         packets addressed to the coordinator need no relay).  The paper's α
-        ignores this bias (slack = 1, the default); measurements against
-        our simulator put the worst-case bias near 0.78, so slack ≤ 0.7
-        makes the termination bound strictly conservative — at the price of
-        extra simulated levels.  See EXPERIMENTS.md.
+        ignores this bias (slack = 1, the default).  No constant slack is a
+        certified lower bound: the smallest ratio of simulated radio power
+        to PDR × Eq. 5 radio power measured on ``smoke`` seeds 0–2 at
+        −20/−10/0 dBm is 0.69/0.69/0.77 for star routing and 0.15/0.29/0.43
+        for mesh, because receptions below sensitivity cost nothing and a
+        flooding mesh has the most of them.  A smaller slack only makes
+        termination more conservative, at the price of extra simulated
+        levels.
         """
         if not 0.0 <= pdr_min <= 1.0:
             raise ValueError("PDR bound must lie in [0, 1]")

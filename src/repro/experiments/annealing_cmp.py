@@ -67,6 +67,7 @@ def run_annealing_comparison(
     power_tolerance_mw: float = 1e-6,
     n_jobs: int = 1,
     cache_dir: Optional[str] = None,
+    batch_mode: str = "auto",
 ) -> AnnealingComparisonData:
     """Run the head-to-head comparison for each PDR_min.
 
@@ -83,7 +84,7 @@ def run_annealing_comparison(
 
     for pdr_min in sweep:
         problem = make_problem(pdr_min, preset, seed=seed, n_jobs=n_jobs,
-                               cache_dir=cache_dir)
+                               cache_dir=cache_dir, batch_mode=batch_mode)
 
         alg1_oracle = SimulationOracle(problem.scenario)
         explorer = HumanIntranetExplorer(

@@ -173,11 +173,13 @@ def run_dual_staircase(
     lifetime_bounds_days: Tuple[float, ...] = (30.0, 15.0, 5.0),
     n_jobs: int = 1,
     cache_dir: Optional[str] = None,
+    batch_mode: str = "auto",
 ) -> DualStaircaseData:
     """E3: the reliability-maximizing dual across lifetime budgets."""
     p = get_preset(preset)
     problem = make_problem(0.5, preset, seed=seed, n_jobs=n_jobs,
-                           cache_dir=cache_dir)  # pdr_min unused by dual
+                           cache_dir=cache_dir,
+                           batch_mode=batch_mode)  # pdr_min unused by dual
     oracle = SimulationOracle(problem.scenario)
     explorer = HumanIntranetExplorer(
         problem, oracle=oracle, candidate_cap=p.candidate_cap

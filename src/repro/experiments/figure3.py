@@ -83,6 +83,7 @@ def run_figure3(
     pdr_mins: Optional[Tuple[float, ...]] = None,
     n_jobs: int = 1,
     cache_dir: Optional[str] = None,
+    batch_mode: str = "auto",
 ) -> Figure3Data:
     """Run the Figure 3 experiment under a preset.
 
@@ -92,14 +93,14 @@ def run_figure3(
     p = get_preset(preset)
     sweep = pdr_mins if pdr_mins is not None else p.pdr_min_sweep
     scenario = make_scenario(preset, seed=seed, n_jobs=n_jobs,
-                             cache_dir=cache_dir)
+                             cache_dir=cache_dir, batch_mode=batch_mode)
     oracle = SimulationOracle(scenario)
     data = Figure3Data(preset=preset)
     start = time.perf_counter()
 
     for pdr_min in sweep:
         problem = make_problem(pdr_min, preset, seed=seed, n_jobs=n_jobs,
-                               cache_dir=cache_dir)
+                               cache_dir=cache_dir, batch_mode=batch_mode)
         explorer = HumanIntranetExplorer(
             problem, oracle=oracle, candidate_cap=p.candidate_cap
         )

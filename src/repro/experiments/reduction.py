@@ -51,6 +51,7 @@ def run_reduction(
     share_oracle: bool = False,
     n_jobs: int = 1,
     cache_dir: Optional[str] = None,
+    batch_mode: str = "auto",
 ) -> ReductionData:
     """Measure Algorithm 1's simulation count against the exhaustive count.
 
@@ -69,14 +70,14 @@ def run_reduction(
     shared = (
         SimulationOracle(
             make_scenario(preset, seed=seed, n_jobs=n_jobs,
-                          cache_dir=cache_dir)
+                          cache_dir=cache_dir, batch_mode=batch_mode)
         )
         if share_oracle
         else None
     )
     for pdr_min in sweep:
         problem = make_problem(pdr_min, preset, seed=seed, n_jobs=n_jobs,
-                               cache_dir=cache_dir)
+                               cache_dir=cache_dir, batch_mode=batch_mode)
         oracle = shared if shared is not None else SimulationOracle(problem.scenario)
         explorer = HumanIntranetExplorer(
             problem, oracle=oracle, candidate_cap=p.candidate_cap

@@ -18,30 +18,32 @@ reducing the results to a :class:`ResilienceRecord`:
 Execution reuses the whole oracle stack: one
 :class:`repro.core.evaluator.SimulationOracle` per (scenario, fault
 scenario) pair, all sharing a single :class:`repro.core.parallel.WorkerPool`
-and one metrics registry.  Misses across the ensemble are fanned out over
-the pool in a single ordered batch, with one scalar simulation per
-distinct (configuration, effective fault world): a world whose faults
-all miss the placement reuses the configuration's healthy run.  Every
-sub-oracle keeps its own persistent cache file (the fault scenario is
-part of the scenario fingerprint), so a warm cache replays a whole
-campaign with zero new simulations — bit-identically at any ``--jobs``
-count.
+and one metrics registry, driven by the nominal oracle's own evaluation
+path (:func:`repro.core.evaluator.evaluate_cells`) — a nominal run is an
+ensemble of one world.  That path runs one simulation per distinct
+(configuration, effective fault world), so a world whose faults all miss
+the placement reuses the configuration's healthy run, and commits each
+sub-oracle's cells in request order.  Every sub-oracle keeps its own
+persistent cache file (the fault scenario is part of the scenario
+fingerprint), so a warm cache replays a whole campaign with zero new
+simulations — bit-identically at any ``--jobs`` count.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batch import batch_unsupported_reason, evaluate_batch
 from repro.core.design_space import Configuration
-from repro.core.evaluator import EvaluationRecord, SimulationOracle
-from repro.core.parallel import WorkerPool, evaluate_configuration_task
+from repro.core.evaluator import (
+    EvaluationRecord,
+    SimulationOracle,
+    evaluate_cells,
+)
+from repro.core.parallel import WorkerPool
 from repro.core.problem import ScenarioParameters
-from repro.faults.model import FaultScenario, FaultSpec
-from repro.net.network import SimulationOutcome
+from repro.faults.model import FaultScenario
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Instrumentation, get_active
 
@@ -68,17 +70,6 @@ def pdr_quantile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(0, math.ceil(q * len(ordered)) - 1)
     return ordered[rank]
-
-
-def _copy_outcome(outcome: SimulationOutcome) -> SimulationOutcome:
-    """An equal outcome owning its own dicts, so a shared run's records
-    never alias each other's mutable fields."""
-    return replace(
-        outcome,
-        node_pdrs=dict(outcome.node_pdrs),
-        node_powers_mw=dict(outcome.node_powers_mw),
-        totals=dict(outcome.totals),
-    )
 
 
 @dataclass(frozen=True)
@@ -221,7 +212,6 @@ class EnsembleOracle:
                     replace(scenario, fault_scenario=fault_scenario), **kwargs
                 )
             )
-        self._c_elapsed = self.obs.counter("oracle.elapsed_seconds")
         self._c_evals = self.obs.counter("faults.ensemble_evaluations")
         #: Scalar cells answered by another cell's run (same config, same
         #: effective fault world) instead of a simulation of their own.
@@ -285,11 +275,11 @@ class EnsembleOracle:
     ) -> List[ResilienceRecord]:
         """Evaluate each configuration across the whole ensemble.
 
-        All cache misses — across configurations *and* fault worlds — are
-        dispatched to the shared pool as one ordered batch, then handed
-        back to the owning sub-oracle for storage.  Because every task's
-        outcome is a pure function of its configuration and effective
-        fault world, the result is bit-identical to the serial loop at any
+        One :func:`repro.core.evaluator.evaluate_cells` call covers every
+        ``(configuration, fault world)`` cell: misses across
+        configurations *and* worlds share the batched kernel and the
+        pool, and each sub-oracle commits its cells in request order, so
+        the result is bit-identical to the one-at-a-time loop at any
         worker count.
         """
         configs = list(configs)
@@ -298,29 +288,13 @@ class EnsembleOracle:
             n=len(configs),
             scenarios=len(self.ensemble),
         ):
-            grid: Dict[Tuple[int, int], EvaluationRecord] = {}
-            pending: List[Tuple[int, int]] = []
-            for ci, config in enumerate(configs):
-                for oi, oracle in enumerate(self._oracles):
-                    record = oracle.lookup(config)
-                    if record is None:
-                        pending.append((ci, oi))
-                    else:
-                        grid[(ci, oi)] = record
-            if pending and getattr(self.scenario, "batch_mode", "auto") != "off":
-                pending = self._dispatch_batched(configs, pending, grid)
-            if pending:
-                self._dispatch_scalar(configs, pending, grid)
-
             records = []
-            for ci, config in enumerate(configs):
+            cells = evaluate_cells(self._oracles, configs)
+            for config, (healthy, *faulted) in zip(configs, cells):
                 record = ResilienceRecord(
                     config=config,
-                    healthy=grid[(ci, 0)],
-                    faulted=tuple(
-                        (fault_scenario, grid[(ci, oi + 1)])
-                        for oi, fault_scenario in enumerate(self.ensemble)
-                    ),
+                    healthy=healthy,
+                    faulted=tuple(zip(self.ensemble, faulted)),
                     recovery_tolerance=self.recovery_tolerance,
                 )
                 records.append(record)
@@ -336,124 +310,6 @@ class EnsembleOracle:
                         lifetime_degradation=record.lifetime_degradation,
                     )
             return records
-
-    # -- scalar dispatch (one DES run per effective world, DESIGN.md §7) ---------
-
-    def _dispatch_scalar(
-        self,
-        configs: List[Configuration],
-        pending: List[Tuple[int, int]],
-        grid: Dict[Tuple[int, int], EvaluationRecord],
-    ) -> None:
-        """Evaluate ``(config, fault world)`` cells on the scalar path,
-        one simulation per distinct ``(config, effective world)``.
-
-        A cell's effective world is the tuple of its faults that apply to
-        the placement (the healthy cell's is ``()``).  The network attaches
-        and schedules exactly that tuple, so cells resolving to the same
-        one would run the same simulation: the first runs, the rest share
-        a copy of its outcome with a wall time of 0.0.  Every cell is
-        still handed to its sub-oracle via ``record_outcome`` in
-        ``pending`` order, so records, journals, disk caches, counters and
-        trace milestones match one run per cell.
-        """
-        run_of: Dict[Tuple[int, Tuple[FaultSpec, ...]], int] = {}
-        tasks = []
-        cells = []
-        for ci, oi in pending:
-            effective = (
-                () if oi == 0
-                else self.ensemble[oi - 1].applicable(configs[ci].placement)
-            )
-            run = run_of.setdefault((ci, effective), len(tasks))
-            shared = run < len(tasks)
-            if not shared:
-                tasks.append((self._oracles[oi].scenario, configs[ci]))
-            cells.append((ci, oi, run, shared))
-        start = time.perf_counter()
-        results = self._pool.map_ordered(evaluate_configuration_task, tasks)
-        self._c_elapsed.inc(time.perf_counter() - start)
-        self.obs.counter("oracle.scalar_evaluations").inc(len(tasks))
-        self._c_shared.inc(len(pending) - len(tasks))
-        for ci, oi, run, shared in cells:
-            outcome, wall = results[run]
-            if shared:
-                outcome, wall = _copy_outcome(outcome), 0.0
-            grid[(ci, oi)] = self._oracles[oi].record_outcome(
-                configs[ci], outcome, wall
-            )
-
-    # -- batched dispatch (repro.core.batch, DESIGN.md §10) ----------------------
-
-    def _dispatch_batched(
-        self,
-        configs: List[Configuration],
-        pending: List[Tuple[int, int]],
-        grid: Dict[Tuple[int, int], EvaluationRecord],
-    ) -> List[Tuple[int, int]]:
-        """Evaluate batchable ``(config, fault world)`` cells through the
-        batched kernel; returns the cells left for the pool.
-
-        Configurations sharing a topology *and* missing the same world
-        set merge into one kernel call — their lanes differ only in TX
-        power and fault masks, exactly the sharing the kernel exploits.
-        Each produced outcome is handed to the sub-oracle owning its
-        world via ``record_outcome``, so journal order, persistence, and
-        counters match the pool path cell for cell.
-        """
-        mode = getattr(self.scenario, "batch_mode", "auto")
-        min_lanes = 1 if mode == "on" else 2
-        by_ci: Dict[int, List[int]] = {}
-        for ci, oi in pending:
-            by_ci.setdefault(ci, []).append(oi)
-        merged: Dict[Tuple, List[int]] = {}
-        leftovers: List[Tuple[int, int]] = []
-        for ci, ois in by_ci.items():
-            config = configs[ci]
-            if batch_unsupported_reason(self.scenario, config) is not None:
-                leftovers.extend((ci, oi) for oi in ois)
-                continue
-            key = (
-                config.placement,
-                config.mac,
-                config.routing,
-                tuple(sorted(ois)),
-            )
-            merged.setdefault(key, []).append(ci)
-        for (_placement, _mac, _routing, ois), cis in merged.items():
-            lanes = len(cis) * len(ois)
-            if lanes < min_lanes:
-                leftovers.extend((ci, oi) for ci in cis for oi in ois)
-                continue
-            worlds = [
-                None if oi == 0 else self.ensemble[oi - 1] for oi in ois
-            ]
-            start = time.perf_counter()
-            outcomes = evaluate_batch(
-                self.scenario, [configs[ci] for ci in cis], worlds
-            )
-            wall = time.perf_counter() - start
-            self._c_elapsed.inc(wall)
-            self.obs.counter("oracle.batch_calls").inc()
-            self.obs.counter("oracle.batched_evaluations").inc(lanes)
-            self.obs.counter("oracle.batched_lanes").inc(
-                lanes * self.scenario.replicates
-            )
-            share = wall / lanes
-            for bi, ci in enumerate(cis):
-                for wi, oi in enumerate(ois):
-                    grid[(ci, oi)] = self._oracles[oi].record_outcome(
-                        configs[ci], outcomes[(bi, wi)], share
-                    )
-            if self.obs.tracing:
-                self.obs.event(
-                    "oracle.batch",
-                    configs=len(cis),
-                    worlds=len(ois),
-                    lanes=lanes,
-                    wall_s=round(wall, 6),
-                )
-        return leftovers
 
     # -- telemetry / lifecycle ---------------------------------------------------
 

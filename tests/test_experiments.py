@@ -3,10 +3,12 @@ ablations) on the smoke preset so the suite stays fast."""
 
 import pytest
 
+from repro.core import evaluator
 from repro.experiments.annealing_cmp import (
     format_annealing_comparison,
     run_annealing_comparison,
 )
+from repro.experiments.extensions import run_dual_staircase
 from repro.experiments.figure3 import format_figure3, run_figure3
 from repro.experiments.reduction import format_reduction, run_reduction
 from repro.experiments.scenario import (
@@ -129,6 +131,44 @@ class TestAnnealingComparisonSmoke:
         text = format_annealing_comparison(data)
         assert "speedup" in text
         assert "SA matched?" in text
+
+
+#: Each harness that builds its own scenarios, on smoke with one bound.
+HARNESSES = {
+    "figure3": lambda mode: run_figure3(
+        "smoke", pdr_mins=(0.5,), batch_mode=mode
+    ),
+    "reduction": lambda mode: run_reduction(
+        "smoke", pdr_mins=(0.5,), batch_mode=mode
+    ),
+    "annealing": lambda mode: run_annealing_comparison(
+        "smoke", pdr_mins=(0.5,), sa_steps=5, batch_mode=mode
+    ),
+    "dual": lambda mode: run_dual_staircase(
+        "smoke", lifetime_bounds_days=(25.0,), batch_mode=mode
+    ),
+}
+
+
+class TestHarnessBatchMode:
+    """``--batch`` reaches the oracles of every harness: ``on`` sends
+    supported evaluations to the batched kernel, ``off`` never does."""
+
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    @pytest.mark.parametrize("harness", sorted(HARNESSES))
+    def test_requested_mode_reaches_the_oracles(
+        self, monkeypatch, harness, mode
+    ):
+        kernel = evaluator.evaluate_batch
+        calls = []
+
+        def counting_kernel(*args):
+            calls.append(len(args[1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(evaluator, "evaluate_batch", counting_kernel)
+        HARNESSES[harness](mode)
+        assert bool(calls) == (mode == "on"), calls
 
 
 class TestCli:

@@ -131,6 +131,27 @@ class TestResilienceEvaluation:
         assert stats["ensemble_evaluations"] == 1
 
 
+class TestRepeatedConfiguration:
+    """A configuration listed twice in one call runs once per world and
+    counts one cache hit per world, as ``SimulationOracle.evaluate_many``
+    does for a nominal run."""
+
+    @pytest.mark.parametrize("batch_mode", ["off", "auto"])
+    @pytest.mark.parametrize("mac", [MacKind.CSMA, MacKind.TDMA])
+    def test_repeat_runs_once_per_world(
+        self, scenario, ensemble, mac, batch_mode
+    ):
+        config = Configuration((0, 1, 3, 6), 0.0, mac, RoutingKind.STAR)
+        with EnsembleOracle(
+            replace(scenario, batch_mode=batch_mode), ensemble, n_jobs=1
+        ) as oracle:
+            first, second = oracle.evaluate_many([config, config])
+            stats = oracle.stats()
+        assert stats["simulations_run"] == 1 + len(ensemble) == 3
+        assert stats["cache_hits"] == 3
+        assert second.to_dict() == first.to_dict()
+
+
 class TestE4Divergence:
     """The pinned regime where pricing faults in changes the answer."""
 

@@ -32,7 +32,10 @@ from repro.core.result_cache import (
     record_to_dict,
     scenario_fingerprint,
 )
+from repro.faults.model import FaultKind, FaultScenario, FaultSpec
+from repro.faults.resilience import EnsembleOracle
 from repro.library.mac_options import MacKind, RoutingKind
+from repro.obs import Instrumentation, MetricsRegistry, TraceWriter, read_trace
 
 
 def tiny_scenario(**overrides) -> ScenarioParameters:
@@ -285,10 +288,62 @@ class TestDiskCache:
         assert warm.disk_hits == 1
 
 
+#: One mixed call: a batchable pair of TDMA-star TX variants, an
+#: unbatchable CSMA configuration, and a repeat of it.
+STAR_HIGH = REFERENCE_CONFIG
+STAR_LOW = dataclasses.replace(REFERENCE_CONFIG, tx_dbm=-10.0)
+CSMA_STAR = dataclasses.replace(REFERENCE_CONFIG, mac=MacKind.CSMA)
+MIXED_CALL = [CSMA_STAR, STAR_HIGH, STAR_LOW, CSMA_STAR]
+
+#: A hub outage that hits REFERENCE_CONFIG's coordinator and a node death
+#: that misses its placement (so that world shares the healthy run).
+ORDER_ENSEMBLE = (
+    FaultScenario("hub", (FaultSpec(FaultKind.HUB_OUTAGE, 0.5, 0.5, location=0),)),
+    FaultScenario("miss", (FaultSpec(FaultKind.NODE_DEATH, 0.5, location=9),)),
+)
+
+
+def observe_mixed_call(directory, batch_mode, n_jobs, warm, ensemble):
+    """Run MIXED_CALL once and return what the contract fixes: each
+    (sub-)oracle's record order and disk-append order, the
+    ``oracle.evaluate`` milestones, and the hit/simulation counters.
+    ``warm`` pre-caches STAR_LOW on disk first."""
+    directory.mkdir()
+    scenario = tiny_scenario(batch_mode=batch_mode, cache_dir=str(directory))
+
+    def make(obs=None, jobs=1):
+        if ensemble:
+            return EnsembleOracle(scenario, ORDER_ENSEMBLE, n_jobs=jobs, obs=obs)
+        return SimulationOracle(scenario, n_jobs=jobs, obs=obs)
+
+    if warm:
+        with make() as oracle:
+            oracle.evaluate(STAR_LOW)
+    trace = directory / "trace.jsonl"
+    with TraceWriter(trace) as tracer:
+        with make(Instrumentation(MetricsRegistry(), tracer), n_jobs) as oracle:
+            oracle.evaluate_many(MIXED_CALL)
+    subs = oracle._oracles if ensemble else [oracle]
+    return {
+        "records": [[r.config.key() for r in sub.all_records] for sub in subs],
+        "disk": [
+            [r.config.key() for r in ResultCache(directory, sub.disk_cache.fingerprint)]
+            for sub in subs
+        ],
+        "milestones": [
+            (e["config"], e["cached"])
+            for e in read_trace(trace)
+            if e["kind"] == "oracle.evaluate"
+        ],
+        "cache_hits": subs[0].cache_hits,
+        "simulations_run": subs[0].simulations_run,
+    }
+
+
 class TestInsertionOrder:
     """``all_records`` lists distinct evaluations in first-request order,
-    regardless of cache temperature or n_jobs — the Fig. 3 scatter must be
-    stable across reruns."""
+    regardless of cache temperature, n_jobs or batch mode — the Fig. 3
+    scatter must be stable across reruns."""
 
     def test_memory_hits_do_not_reorder(self):
         scenario = tiny_scenario()
@@ -332,6 +387,30 @@ class TestInsertionOrder:
             parallel.evaluate_many(configs)
         assert [r.config.key() for r in serial.all_records] == [
             r.config.key() for r in parallel.all_records
+        ]
+
+    @pytest.mark.parametrize("ensemble", [False, True], ids=["nominal", "ensemble"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("batch_mode", ["off", "auto", "on"])
+    def test_every_mode_commits_like_the_serial_loop(
+        self, tmp_path, batch_mode, n_jobs, warm, ensemble
+    ):
+        """Record order, disk appends, milestones and counters of one
+        mixed call equal the ``off``/``n_jobs=1`` run's in every batch
+        mode, at both worker counts and both cache temperatures."""
+        serial = observe_mixed_call(tmp_path / "serial", "off", 1, warm, ensemble)
+        got = observe_mixed_call(tmp_path / "got", batch_mode, n_jobs, warm, ensemble)
+        assert got == serial
+        worlds = 1 + len(ORDER_ENSEMBLE) if ensemble else 1
+        requested = [c.key() for c in MIXED_CALL[:3]]
+        assert serial["records"] == [requested] * worlds
+        assert serial["cache_hits"] == worlds * (2 if warm else 1)
+        assert serial["simulations_run"] == worlds * (2 if warm else 3)
+        cached = [False, False, warm, True]
+        assert serial["milestones"] == [
+            (c.label(), hit) for c, hit in zip(MIXED_CALL, cached)
+            for _ in range(worlds)
         ]
 
 

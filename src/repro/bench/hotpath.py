@@ -197,7 +197,7 @@ def bench_ensemble_batched(preset: str = "ci", repeats: int = 3) -> Dict:
     import dataclasses
 
     from repro.core.batch import batch_unsupported_reason, evaluate_batch
-    from repro.core.parallel import run_fixed_replicates
+    from repro.core.parallel import run_configuration_outcome
     from repro.experiments.scenario import make_scenario, make_space
     from repro.faults.model import hub_stress_ensemble, sample_fault_ensemble
     from repro.net.network import average_outcomes
@@ -240,7 +240,7 @@ def bench_ensemble_batched(preset: str = "ci", repeats: int = 3) -> Dict:
 
     def scalar_outcome(config, world):
         faulted = dataclasses.replace(scenario, fault_scenario=world)
-        return run_fixed_replicates(faulted, config)
+        return run_configuration_outcome(faulted, config)
 
     def legacy_outcome(config, world):
         """One lane on the frozen reference stack (replicate average)."""

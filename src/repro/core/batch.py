@@ -1451,7 +1451,7 @@ def evaluate_batch(
     explicitly per lane (``None`` = healthy), so one call covers a whole
     ensemble.  Returns ``{(config_index, world_index): outcome}`` where
     each outcome is the replicate average, bit-identical to the scalar
-    path's :func:`repro.core.parallel.run_fixed_replicates` for the
+    path's :func:`repro.core.parallel.run_configuration_outcome` for the
     matching ``replace(scenario, fault_scenario=world)``.
 
     Raises ``ValueError`` when the batch is unsupported — callers gate

@@ -10,11 +10,13 @@ Wraps the simulation entry points of :mod:`repro.net.network` with:
   oracle and the fault-ensemble oracle (:mod:`repro.faults.resilience`):
   it looks each (configuration, world) cell up once, runs the misses —
   the batched kernel (:mod:`repro.core.batch`) for TX variants of one
-  topology, otherwise the worker pool (:mod:`repro.core.parallel`) at
-  configuration grain, or at replicate grain for a lone run — and
-  commits every request in request order, bit-identical to serial
-  execution by construction (disjoint RNG streams per replicate,
-  index-order aggregation);
+  topology, otherwise one scalar group per configuration, whose healthy
+  run each fault world branches off just before its first fault, on
+  the worker pool (:mod:`repro.core.parallel`) at configuration grain,
+  or at replicate grain for a lone group — and commits every request in
+  request order, bit-identical to serial execution by construction
+  (disjoint RNG streams per replicate, index-order aggregation, branches
+  equal to runs from t = 0);
 * two-tier memoization — an in-memory journal plus an optional persistent
   :class:`repro.core.result_cache.ResultCache` that survives process
   restarts and is shared across experiments.  Algorithm 1 and the baseline
@@ -39,10 +41,11 @@ from repro.core.parallel import (
     WorkerPool,
     evaluate_configuration_task,
     resolve_jobs,
-    run_configuration_outcome,
+    run_configuration_group,
 )
 from repro.core.problem import ScenarioParameters
 from repro.core.result_cache import ResultCache, scenario_fingerprint
+from repro.faults.model import FaultScenario
 from repro.net.network import SimulationOutcome
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import Instrumentation, get_active
@@ -494,9 +497,13 @@ def _run_misses(
     ``()`` when healthy — and each distinct ``(configuration, effective
     world)`` runs once on the scalar path, because a world that misses
     every node builds the healthy network (DESIGN.md §7); the cells that
-    share a run get a copy of its outcome and a wall of 0.0.  Scalar runs
-    go to the pool at configuration grain; a lone run fans its
-    replicates out over the pool instead.
+    share a run get a copy of its outcome and a wall of 0.0.  A
+    configuration's scalar runs form one group
+    (:func:`repro.core.parallel.run_configuration_group`): its healthy
+    network is simulated once per replicate and each fault world
+    branches off it just before its first fault.  Groups go to the pool
+    at configuration grain; a lone group fans its replicates out over
+    the pool instead.
     """
     lead = oracles[0]
     scenario = lead.scenario
@@ -540,43 +547,56 @@ def _run_misses(
                 wall_s=round(wall, 6),
             )
 
-    run_of: Dict[Tuple, int] = {}
-    tasks: List[Tuple[ScenarioParameters, Configuration]] = []
+    # One group per configuration: the distinct effective worlds it still
+    # needs (None: healthy), each the first cell's world; a cell whose
+    # effective world is already in its group shares that run.
+    config_groups: Dict[Tuple, List[Optional[FaultScenario]]] = {}
     cells = []
     for key, worlds in missing.items():
         config = distinct[key]
+        effectives: List[Tuple] = []
         for w in worlds:
             if (key, w) in ran:
                 continue
-            cell_scenario = oracles[w].scenario
-            fault = cell_scenario.fault_scenario
+            fault = oracles[w].scenario.fault_scenario
             effective = () if fault is None else fault.applicable(
                 config.placement
             )
-            run = run_of.setdefault((key, effective), len(tasks))
-            cells.append((key, w, run, run < len(tasks)))
-            if run == len(tasks):
-                tasks.append((cell_scenario, config))
-    if not tasks:
+            shared = effective in effectives
+            if not shared:
+                effectives.append(effective)
+                config_groups.setdefault(key, []).append(
+                    fault if effective else None
+                )
+            cells.append((key, w, effectives.index(effective), shared))
+    if not config_groups:
         return ran
+    healthy = replace(scenario, fault_scenario=None)
+    tasks = [
+        (healthy, distinct[key], tuple(worlds))
+        for key, worlds in config_groups.items()
+    ]
     pool = lead._pool
     start = time.perf_counter()
     if len(tasks) == 1:
-        outcome = run_configuration_outcome(
+        results = [run_configuration_group(
             *tasks[0], map_fn=pool.map_ordered, wave=pool.n_jobs
-        )
-        results = [(outcome, time.perf_counter() - start)]
+        )]
     else:
         results = pool.map_ordered(evaluate_configuration_task, tasks)
     lead._c_elapsed.inc(time.perf_counter() - start)
-    lead._c_scalar.inc(len(tasks))
-    if len(cells) > len(tasks):
-        lead.obs.counter("oracle.shared_evaluations").inc(
-            len(cells) - len(tasks)
-        )
+    runs = sum(len(worlds) for worlds in config_groups.values())
+    lead._c_scalar.inc(runs)
+    if len(cells) > runs:
+        lead.obs.counter("oracle.shared_evaluations").inc(len(cells) - runs)
+    branched = sum(result.branched for result in results)
+    if branched:
+        lead.obs.counter("oracle.branched_evaluations").inc(branched)
+    by_key = dict(zip(config_groups, results))
     for key, w, run, shared in cells:
-        outcome, wall = results[run]
+        result = by_key[key]
+        outcome = result.outcomes[run]
         ran[(key, w)] = (_copy_outcome(outcome), 0.0) if shared else (
-            outcome, wall
+            outcome, result.walls[run]
         )
     return ran

@@ -1,18 +1,23 @@
 """Worker-pool execution layer for the simulation oracle.
 
 The oracle's one evaluation path (``repro.core.evaluator.evaluate_cells``)
-fans its pending scalar runs out at one of two grain levels:
+hands its pending scalar runs over as *configuration groups*: one
+configuration under every effective fault world it still needs (the
+healthy network included), run by :func:`run_configuration_group` under
+the scenario's replicate protocol.  Each replicate of a group is one
+:meth:`repro.net.network.ReplicateJob.run_worlds` call, which simulates
+the healthy network once and branches each fault world off it just
+before its first fault (DESIGN.md §7).  Groups fan out at one of two
+grain levels:
 
-* **whole configurations** — with two or more runs pending, it ships one
-  :func:`evaluate_configuration_task` per run to the pool (Algorithm 1
-  evaluates candidate *sets* per iteration, a fault ensemble adds a run
-  per effective world, and the exhaustive baseline batches naturally);
-* **replicates within one configuration** — a lone pending run instead
-  hands the pool to its replicate protocol: both the fixed-count protocol
-  (:func:`run_fixed_replicates`) and the adaptive ε-bounded protocol
-  (:func:`run_adaptive_replicates`) dispatch
-  :class:`repro.net.network.ReplicateJob` units and aggregate in
-  replicate-index order.
+* **whole configurations** — with two or more groups pending, it ships
+  one :func:`evaluate_configuration_task` per group to the pool
+  (Algorithm 1 evaluates candidate *sets* per iteration, and the
+  exhaustive baseline batches naturally);
+* **replicates within one configuration** — a lone pending group instead
+  hands the pool to its replicate protocol, fixed-count or adaptive
+  ε-bounded, which dispatches one replicate index per task and
+  aggregates in replicate-index order.
 
 Determinism argument (see DESIGN.md §5): every replicate draws from
 RNG streams keyed by ``(seed, replicate, stream-name)`` — disjoint by
@@ -22,9 +27,9 @@ always happens in replicate-index order over an index prefix, therefore
 any fan-out schedule produces results bit-for-bit identical to the serial
 path.  For the adaptive protocol the serial stopping rule ("stop at the
 first n ≥ min_replicates whose CI half-width ≤ ε") is re-evaluated on
-sample *prefixes*, so wave dispatch may run a few speculative replicates
-beyond the stopping index but averages exactly the same prefix the serial
-loop would.
+sample *prefixes*, separately for each world of a group, so wave dispatch
+may run a few speculative replicates beyond the stopping index but
+averages exactly the same prefix the serial loop would.
 
 ``n_jobs=1`` never creates a pool: every code path below degrades to the
 plain in-process loop with zero behavioural change.
@@ -50,6 +55,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.design_space import Configuration
@@ -57,8 +63,9 @@ from repro.core.problem import ScenarioParameters
 from repro.net.network import (
     ReplicateJob,
     SimulationOutcome,
+    WorldRuns,
     average_outcomes,
-    run_replicate_job,
+    run_worlds_job,
 )
 from repro.obs import runtime
 from repro.obs.metrics import MetricsRegistry
@@ -491,65 +498,75 @@ def adaptive_stop_count(
     return None
 
 
-def run_fixed_replicates(
+def run_configuration_group(
     scenario: ScenarioParameters,
     config: Configuration,
-    map_fn: Optional[Callable] = None,
-) -> SimulationOutcome:
-    """The paper's fixed-count protocol (Tsim × ``scenario.replicates``),
-    with the replicate loop expressed as an order-preserving map."""
-    if scenario.replicates < 1:
-        raise ValueError("need at least one replicate")
-    map_fn = map_fn or _serial_map
-    jobs = [
-        replicate_job(scenario, config, index)
-        for index in range(scenario.replicates)
-    ]
-    outcomes = map_fn(run_replicate_job, jobs)
-    return average_outcomes(outcomes, scenario.battery)
-
-
-def run_adaptive_replicates(
-    scenario: ScenarioParameters,
-    config: Configuration,
+    worlds: Sequence,
     map_fn: Optional[Callable] = None,
     wave: int = 1,
-) -> SimulationOutcome:
-    """The ε-bounded protocol (Sec. 2.2) with wave dispatch.
+) -> WorldRuns:
+    """One configuration under each of ``worlds`` with the scenario's
+    replicate protocol; ``outcomes[i]`` is the replicate average for
+    ``worlds[i]``.
 
-    Replicates are dispatched in waves of ``wave`` (1 reproduces the
-    serial one-at-a-time schedule exactly), collected in replicate-index
-    order, and the serial stopping rule is applied to sample prefixes via
-    :func:`adaptive_stop_count`.  The averaged outcome is always the
-    prefix ``outcomes[:n]`` for the serial stopping count ``n`` — never
-    "whatever finished" — so the result is independent of the fan-out
-    schedule.  Outcomes are returned explicitly by each job (no shared
-    mutable state), which also fixes the call-order dependence the old
-    closure-based accumulator had.
+    ``scenario`` is healthy; ``worlds`` are as for
+    :meth:`repro.net.network.ReplicateJob.run_worlds` (``None`` is the
+    healthy network).  Replicate ``r`` is one ``run_worlds`` call, run
+    through the order-preserving ``map_fn``, over the worlds still
+    running.  The fixed-count protocol (Tsim × ``scenario.replicates``)
+    runs every replicate in one wave.  The ε-bounded protocol (Sec. 2.2)
+    dispatches waves of ``wave`` replicates (1 reproduces the serial
+    one-at-a-time schedule exactly) and stops each world at its own
+    serial stopping count (:func:`adaptive_stop_count` on its sample
+    prefixes), so each world's average is the prefix the one-world loop
+    would take — never "whatever finished" — independent of the fan-out
+    schedule and of the other worlds.
     """
     map_fn = map_fn or _serial_map
-    min_replicates = max(2, scenario.replicates)
-    max_replicates = max(scenario.max_replicates, scenario.replicates)
+    if scenario.adaptive_replicates:
+        min_replicates = max(2, scenario.replicates)
+        max_replicates = max(scenario.max_replicates, scenario.replicates)
+    elif scenario.replicates < 1:
+        raise ValueError("need at least one replicate")
+    else:
+        min_replicates = max_replicates = scenario.replicates
     wave = max(1, wave)
 
-    outcomes: List[SimulationOutcome] = []
+    samples: List[List[SimulationOutcome]] = [[] for _ in worlds]
+    walls = [0.0] * len(worlds)
+    stops: List[Optional[int]] = [None] * len(worlds)
+    branched = 0
     next_index = 0
     while next_index < max_replicates:
+        running = [i for i, stop in enumerate(stops) if stop is None]
+        if not running:
+            break
         # The first wave always reaches min_replicates (the rule cannot
         # stop earlier); afterwards dispatch `wave` replicates at a time.
         end = min(max_replicates, max(min_replicates, next_index + wave))
-        jobs = [
-            replicate_job(scenario, config, index)
+        subset = tuple(worlds[i] for i in running)
+        tasks = [
+            (replicate_job(scenario, config, index), subset)
             for index in range(next_index, end)
         ]
-        outcomes.extend(map_fn(run_replicate_job, jobs))
+        for runs in map_fn(run_worlds_job, tasks):
+            branched += runs.branched
+            for i, outcome, wall in zip(running, runs.outcomes, runs.walls):
+                samples[i].append(outcome)
+                walls[i] += wall
         next_index = end
-        stop = adaptive_stop_count(
-            [o.pdr for o in outcomes], scenario.pdr_epsilon, min_replicates
-        )
-        if stop is not None:
-            return average_outcomes(outcomes[:stop], scenario.battery)
-    return average_outcomes(outcomes, scenario.battery)
+        if scenario.adaptive_replicates:
+            for i in running:
+                stops[i] = adaptive_stop_count(
+                    [o.pdr for o in samples[i]],
+                    scenario.pdr_epsilon,
+                    min_replicates,
+                )
+    outcomes = [
+        average_outcomes(runs[:stop], scenario.battery)
+        for runs, stop in zip(samples, stops)
+    ]
+    return WorldRuns(outcomes, walls, branched)
 
 
 def run_configuration_outcome(
@@ -558,20 +575,19 @@ def run_configuration_outcome(
     map_fn: Optional[Callable] = None,
     wave: int = 1,
 ) -> SimulationOutcome:
-    """Complete one-configuration evaluation under the scenario protocol
-    (fixed or adaptive), optionally replicate-parallel via ``map_fn``."""
-    if scenario.adaptive_replicates:
-        return run_adaptive_replicates(scenario, config, map_fn, wave)
-    return run_fixed_replicates(scenario, config, map_fn)
+    """Complete one-configuration evaluation of the scenario's own world
+    under its replicate protocol (fixed or adaptive), optionally
+    replicate-parallel via ``map_fn``.  A fault world is attached at
+    t = 0: with one world there is nothing to branch from."""
+    return run_configuration_group(
+        replace(scenario, fault_scenario=None), config,
+        (scenario.fault_scenario,), map_fn, wave,
+    ).outcomes[0]
 
 
 def evaluate_configuration_task(
-    task: Tuple[ScenarioParameters, Configuration],
-) -> Tuple[SimulationOutcome, float]:
-    """Configuration-grain pool task: run the full replicate protocol for
-    one configuration serially *inside* the worker and report the outcome
-    plus the worker-side wall time."""
-    scenario, config = task
-    start = time.perf_counter()
-    outcome = run_configuration_outcome(scenario, config)
-    return outcome, time.perf_counter() - start
+    task: Tuple[ScenarioParameters, Configuration, Tuple],
+) -> WorldRuns:
+    """Configuration-grain pool task: run the full replicate protocol of
+    one configuration group serially *inside* the worker."""
+    return run_configuration_group(*task)

@@ -26,7 +26,6 @@ order is bit-identical with or without compaction.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -112,7 +111,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
-        self._counter = itertools.count()
+        #: Sequence number of the next scheduled event (the FIFO
+        #: tie-break); a plain int, so a paused simulator pickles.
+        self._seq = 0
         self._running = False
         self._events_executed = 0
         # Live/dead bookkeeping: _live counts pending events in the heap
@@ -173,7 +174,8 @@ class Simulator:
         time = self._now + delay
         if not math.isfinite(time):
             raise ValueError("event time must be finite")
-        seq = next(self._counter)
+        seq = self._seq
+        self._seq = seq + 1
         event = Event(time, priority, seq, callback, args, self)
         _heappush(self._heap, (time, priority, seq, event))
         self._live += 1
@@ -193,7 +195,8 @@ class Simulator:
             )
         if not math.isfinite(time):
             raise ValueError("event time must be finite")
-        seq = next(self._counter)
+        seq = self._seq
+        self._seq = seq + 1
         event = Event(time, priority, seq, callback, args, self)
         _heappush(self._heap, (time, priority, seq, event))
         self._live += 1
@@ -222,10 +225,15 @@ class Simulator:
         """Run until the queue drains, ``until`` is reached, or the event
         budget is exhausted.
 
-        When ``until`` is given, the clock is advanced to exactly ``until``
-        on return (even if the last event fired earlier), mirroring the
-        behaviour of mainstream DES kernels so that time-averaged statistics
-        cover the full horizon.
+        Events at exactly ``until`` run.  When the run reaches ``until``
+        (or drains the queue first), the clock is advanced to exactly
+        ``until`` on return, even if the last event fired earlier,
+        mirroring mainstream DES kernels so that time-averaged statistics
+        cover the full horizon.  A run stopped by ``max_events`` leaves
+        the clock at its last executed event, so the events still
+        pending can be scheduled around and run later in order.  To pause
+        strictly before the events at ``t``, run until
+        ``math.nextafter(t, -math.inf)``.
         """
         if self._running:
             raise RuntimeError("simulator is not reentrant")
@@ -237,6 +245,7 @@ class Simulator:
         pop = heapq.heappop
         horizon = math.inf if until is None else until
         budget = math.inf if max_events is None else max_events
+        reached = True
         try:
             while heap:
                 entry = heap[0]
@@ -245,7 +254,12 @@ class Simulator:
                     pop(heap)
                     self._dead -= 1
                     continue
-                if entry[0] > horizon or executed >= budget:
+                if entry[0] > horizon:
+                    break
+                if executed >= budget:
+                    # Stopped short of the horizon: the clock must not
+                    # jump past the events still pending.
+                    reached = False
                     break
                 pop(heap)
                 self._now = event.time
@@ -259,7 +273,7 @@ class Simulator:
                     # compaction (or scheduled into a rebuilt heap); pick
                     # up the replacement list.
                     heap = self._heap
-            if until is not None and until > self._now:
+            if reached and until is not None and until > self._now:
                 self._now = until
         finally:
             self._running = False

@@ -15,17 +15,35 @@ Two pieces:
   faults into the reported node powers.
 * :class:`FaultInjector` — walks the scenario's faults that apply to the
   network's placement and schedules the state flips (node death, radio
-  outage begin/end, blackout begin/end) as simulator events.
+  outage begin/end, blackout begin/end) as simulator events at their
+  absolute times, so it can install onto a network built at t = 0 or
+  onto one paused mid-run.
+
+Until a world's first injected event (:func:`first_event_s`) fires, a
+network carrying it behaves exactly like the healthy one, which is what
+lets a fault world branch off a paused healthy run (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.des.engine import FAULT_PRIORITY
 from repro.faults.model import FaultKind, FaultScenario, FaultSpec
 from repro.obs.runtime import get_active
+
+
+def first_event_s(specs: Sequence[FaultSpec]) -> float:
+    """When the first simulator event :class:`FaultInjector` schedules for
+    ``specs`` fires: the earliest start of a node death, hub outage or
+    link blackout (correlated groups included).  ``math.inf`` when only
+    battery drains remain, which schedule no event."""
+    return min(
+        (spec.start_s for spec in specs
+         if spec.kind is not FaultKind.BATTERY_DRAIN),
+        default=math.inf,
+    )
 
 
 class FaultState:
@@ -109,6 +127,11 @@ class FaultInjector:
 
     def install(self) -> FaultState:
         """Compile the scenario into simulator events; returns the state.
+
+        Every event is scheduled at its absolute time (``schedule_at``),
+        never as a delay from the clock, so installing onto a network
+        paused before :func:`first_event_s` puts each event at the same
+        float as installing at t = 0 does.
 
         Blackouts sharing a correlation group are compiled as *one lane*:
         a single begin event blocks every member link and a single end

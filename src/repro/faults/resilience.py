@@ -22,11 +22,13 @@ and one metrics registry, driven by the nominal oracle's own evaluation
 path (:func:`repro.core.evaluator.evaluate_cells`) — a nominal run is an
 ensemble of one world.  That path runs one simulation per distinct
 (configuration, effective fault world), so a world whose faults all miss
-the placement reuses the configuration's healthy run, and commits each
-sub-oracle's cells in request order.  Every sub-oracle keeps its own
-persistent cache file (the fault scenario is part of the scenario
-fingerprint), so a warm cache replays a whole campaign with zero new
-simulations — bit-identically at any ``--jobs`` count.
+the placement reuses the configuration's healthy run; every other world
+branches off the healthy run just before its first fault, so each
+configuration simulates its pre-fault prefix once per replicate.  It
+commits each sub-oracle's cells in request order.  Every sub-oracle
+keeps its own persistent cache file (the fault scenario is part of the
+scenario fingerprint), so a warm cache replays a whole campaign with zero
+new simulations — bit-identically at any ``--jobs`` count.
 """
 
 from __future__ import annotations
@@ -216,6 +218,9 @@ class EnsembleOracle:
         #: Scalar cells answered by another cell's run (same config, same
         #: effective fault world) instead of a simulation of their own.
         self._c_shared = self.obs.counter("oracle.shared_evaluations")
+        #: Scalar fault-world runs that started from a snapshot of the
+        #: configuration's healthy run, paused before their first fault.
+        self._c_branched = self.obs.counter("oracle.branched_evaluations")
 
     @property
     def healthy_oracle(self) -> SimulationOracle:
@@ -321,6 +326,7 @@ class EnsembleOracle:
         out["ensemble_size"] = len(self.ensemble)
         out["ensemble_evaluations"] = int(self._c_evals.value)
         out["shared_evaluations"] = int(self._c_shared.value)
+        out["branched_evaluations"] = int(self._c_branched.value)
         out["n_jobs"] = self.n_jobs
         return out
 

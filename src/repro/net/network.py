@@ -3,17 +3,34 @@
 :class:`Network` builds a complete Human Intranet simulation — channel,
 medium, and one :class:`repro.net.node.Node` per occupied location — from
 explicit component choices, runs it for T_sim seconds, and reports a
-:class:`SimulationOutcome` with the paper's metrics (Eqs. 4, 6, 7).
+:class:`SimulationOutcome` with the paper's metrics (Eqs. 4, 6, 7).  A
+fault world is attached to a network at its current clock
+(:meth:`Network.attach_faults`): at t = 0 when the network is built with
+one, or mid-run on a *branch* — a copy of a healthy network paused just
+before the world's first fault (:meth:`Network.pause_before`,
+:meth:`Network.snapshot`, :meth:`Network.restore`).
 
 :func:`simulate_configuration` adds the paper's averaging protocol
 (Sec. 4: metrics averaged over several runs to mitigate randomness) by
 running independent replicates with disjoint random streams.
+:meth:`ReplicateJob.run_worlds` runs one replicate under several fault
+worlds, simulating their common pre-fault prefix once (DESIGN.md §7).
 """
 
 from __future__ import annotations
 
+import copyreg
+import functools
+import gc
+import io
+import itertools
+import math
+import pickle
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.channel.body import BodyModel
 from repro.channel.fading import FadingParameters
@@ -23,6 +40,7 @@ from repro.channel.posture import PostureParameters
 from repro.des.engine import Simulator
 from repro.des.monitor import TraceLog
 from repro.des.rng import RngStreams
+from repro.faults.injector import FaultInjector, first_event_s
 from repro.library.batteries import COORDINATOR_PACK, CR2032, BatterySpec
 from repro.library.mac_options import MacOptions, RoutingKind, RoutingOptions
 from repro.library.radios import RadioSpec, TxMode
@@ -88,11 +106,10 @@ class Network:
     trace:
         Enable structured event tracing (tests/debugging only).
     fault_scenario:
-        Optional :class:`repro.faults.model.FaultScenario`.  Its faults
-        that apply to this placement are compiled into simulator events;
-        time-binned PDR accounting is switched on so the outcome carries
-        a ``windowed_pdr`` series.  ``None`` (the default) builds the
-        healthy network with zero fault machinery on any hot path.
+        Optional :class:`repro.faults.model.FaultScenario`, attached at
+        t = 0 through :meth:`attach_faults` once the healthy network is
+        built.  ``None`` (the default) builds the healthy network with
+        zero fault machinery on any hot path.
     """
 
     #: Generation-time bin width for fault-injected runs (seconds).  One
@@ -147,27 +164,18 @@ class Network:
         )
         self.channel = channel
 
-        self.fault_scenario = fault_scenario
+        self.fault_scenario = None
         self._fault_injector = None
         self.fault_state = None
-        if fault_scenario is not None and fault_scenario.applicable(placement):
-            # Imported lazily: repro.faults pulls in the resilience layer,
-            # which imports the oracle, which imports this module.
-            from repro.faults.injector import FaultInjector
-
-            self._fault_injector = FaultInjector(self, fault_scenario)
-            self.fault_state = self._fault_injector.state
 
         self.medium = Medium(
-            self.sim, channel, self.trace, faults=self.fault_state,
+            self.sim, channel, self.trace,
             # The lowest threshold any MAC will carrier-sense with; lets
             # the medium prove which link pairs are never observable and
             # skip their fading draws (see Medium docstring).
             carrier_sense_floor_dbm=mac_options.carrier_sense_dbm,
         )
         self.stats = NetworkStats(list(placement))
-        if self._fault_injector is not None:
-            self.stats.enable_windows(self.FAULT_WINDOW_S)
 
         self.nodes: Dict[int, Node] = {}
         for slot_index, loc in enumerate(placement):
@@ -188,8 +196,72 @@ class Network:
                 num_slots=len(placement),
             )
 
+        if fault_scenario is not None:
+            self.attach_faults(fault_scenario)
+
+    def attach_faults(self, fault_scenario) -> None:
+        """Attach a fault world at the current clock.
+
+        The world's faults that apply to this placement are compiled into
+        simulator events at their absolute times
+        (:meth:`repro.faults.injector.FaultInjector.install`), so the
+        network must be paused before the first of them.  The outcome
+        then carries a ``windowed_pdr`` series, whose bins count payloads
+        by generation time from t = 0: a network that has already run
+        must have had ``stats.enable_windows`` on from the start.  A world
+        whose faults all miss the placement leaves the network healthy.
+        """
         if self._fault_injector is not None:
-            self._fault_injector.install()
+            raise ValueError("a network carries one fault world")
+        self.fault_scenario = fault_scenario
+        if not fault_scenario.applicable(self.placement):
+            return
+        if self.stats.window_s is None:
+            if self.sim.events_executed:
+                raise ValueError(
+                    "windowed PDR bins payloads from t = 0: enable windows "
+                    "before the run starts to attach faults mid-run"
+                )
+            self.stats.enable_windows(self.FAULT_WINDOW_S)
+        self._fault_injector = FaultInjector(self, fault_scenario)
+        self.fault_state = self.medium.faults = self._fault_injector.state
+        self._fault_injector.install()
+
+    # -- pausing and copying (branches, DESIGN.md §7) -------------------------
+
+    def pause_before(
+        self, t: float, tsim_s: float, drain_s: float = 0.5
+    ) -> None:
+        """Simulate every event before ``t`` and stop, ready for a fault
+        world whose first event fires at ``t`` (at most to the end of the
+        run, ``tsim_s + drain_s``).  :meth:`run` continues from here."""
+        self._stop_generation_at(tsim_s)
+        self.sim.run(
+            until=min(math.nextafter(t, -math.inf), tsim_s + drain_s)
+        )
+
+    def snapshot(self) -> bytes:
+        """This paused network as bytes that :meth:`restore` turns into an
+        independent copy, sharing no mutable object — no random stream,
+        event or counter — with this network or with any other copy.
+
+        Pickling reads every instance's ``__dict__``, which on CPython
+        3.11 leaves this network's attribute access slower for the rest
+        of its run (the remaining events ran ~30% slower), so a caller
+        that keeps simulating continues on a restored copy instead.
+        """
+        buffer = io.BytesIO()
+        _SnapshotPickler(buffer).dump(self)
+        return buffer.getvalue()
+
+    @staticmethod
+    def restore(snapshot: bytes) -> "Network":
+        """A fresh copy of the network a :meth:`snapshot` was taken of."""
+        return pickle.loads(snapshot)
+
+    def _stop_generation_at(self, tsim_s: float) -> None:
+        for node in self.nodes.values():
+            node.app.stop_generation_at(tsim_s)
 
     @property
     def coordinator_locations(self) -> Set[int]:
@@ -205,12 +277,13 @@ class Network:
         Traffic generation stops at ``tsim_s`` and the network is given
         ``drain_s`` extra seconds to flush in-flight packets, so the PDR
         estimator is not biased by payloads truncated at the horizon.
-        Power is normalized over the generation horizon.
+        Power is normalized over the generation horizon.  A paused
+        network (:meth:`pause_before`) runs on from its clock; the
+        outcome's ``events_executed`` counts the whole run either way.
         """
         if tsim_s <= 0:
             raise ValueError("simulation horizon must be positive")
-        for node in self.nodes.values():
-            node.app.stop_generation_at(tsim_s)
+        self._stop_generation_at(tsim_s)
         self.sim.run(until=tsim_s + drain_s)
 
         node_pdrs = {loc: self.stats.node_pdr(loc) for loc in self.placement}
@@ -268,6 +341,95 @@ class Network:
             mean_latency_s=latency_total / deliveries if deliveries else 0.0,
             windowed_pdr=windowed,
         )
+
+
+# -- snapshots -----------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _placeholder_seed():
+    """A seed sequence for a restored bit generator, whose saved state
+    replaces the seed's at once: it skips a real seed sequence's entropy
+    hashing.  A restored stream is only ever drawn from, never spawned."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PlaceholderSeed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return PlaceholderSeed()
+
+
+def _restore_generator(bit_generator_type, state):
+    bit_generator = bit_generator_type(_placeholder_seed())
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def _reduce_generator(generator):
+    bit_generator = generator.bit_generator
+    return _restore_generator, (type(bit_generator), bit_generator.state)
+
+
+@functools.lru_cache(maxsize=None)
+def _snapshot_dispatch_table() -> dict:
+    """copyreg's table plus numpy generators.  Built on first use, like
+    :func:`_placeholder_seed`: importing ``numpy.random`` with this module
+    would add ~15 modules to every command's start-up."""
+    table = copyreg.dispatch_table.copy()
+    table[np.random.Generator] = _reduce_generator
+    return table
+
+
+def _set_attributes(obj, state: dict) -> None:
+    setattr = object.__setattr__  # frozen dataclasses included
+    for name, value in state.items():
+        setattr(obj, name, value)
+
+
+@functools.lru_cache(maxsize=None)
+def _restored_by_attribute(cls: type) -> bool:
+    """Whether :class:`_SnapshotPickler` rebuilds instances of ``cls``
+    attribute by attribute: the simulator's own classes that pickle the
+    default way (enums, for one, do not)."""
+    return (
+        cls.__module__.startswith("repro.")
+        and cls.__reduce_ex__ is object.__reduce_ex__
+        and cls.__reduce__ is object.__reduce__
+        and getattr(cls, "__getstate__", None)
+        is getattr(object, "__getstate__", None)
+        and not hasattr(cls, "__setstate__")
+    )
+
+
+class _SnapshotPickler(pickle.Pickler):
+    """The pickler behind :meth:`Network.snapshot`.
+
+    It differs from plain pickling in two ways, both for speed and
+    neither changing a value:
+
+    * a numpy generator is rebuilt from its bit generator's state, about
+      5x cheaper than numpy's own pickling (which re-creates the seed
+      sequence too);
+    * an instance of the simulator's own classes is rebuilt by setting
+      its attributes one at a time, in the order the original set them.
+      Plain unpickling fills a fresh ``__dict__`` instead, and on CPython
+      3.11 that left every later attribute access of the copy slower (its
+      remaining events ran ~30% slower than a freshly built network's).
+    """
+
+    def __init__(self, file) -> None:
+        super().__init__(file, protocol=5)
+        self.dispatch_table = _snapshot_dispatch_table()
+
+    def reducer_override(self, obj):
+        cls = type(obj)
+        if not _restored_by_attribute(cls):
+            return NotImplemented
+        state = getattr(obj, "__dict__", None)
+        if state is None:
+            return NotImplemented
+        return copyreg.__newobj__, (cls,), state, None, None, _set_attributes
 
 
 def simulate_configuration(
@@ -361,11 +523,13 @@ class ReplicateJob:
     """Picklable description of one replicate simulation.
 
     This is the unit of work shipped to :class:`ProcessPoolExecutor`
-    workers by :mod:`repro.core.parallel`: every field is a frozen
-    dataclass (or primitive), so the job crosses a process boundary
-    cheaply, and :meth:`run` is a pure function of the job — the same job
-    produces the same :class:`SimulationOutcome` in any process, because
-    all randomness derives from the ``(seed, replicate)`` pair.
+    workers by :mod:`repro.core.parallel` (with the fault worlds of
+    :meth:`run_worlds`): every field is a frozen dataclass (or
+    primitive), so the job crosses a process boundary cheaply, and
+    :meth:`run` and :meth:`run_worlds` are pure functions of the job —
+    the same job produces the same :class:`SimulationOutcome` in any
+    process, because all randomness derives from the ``(seed,
+    replicate)`` pair.
     """
 
     placement: Sequence[int]
@@ -385,18 +549,18 @@ class ReplicateJob:
     #: Frozen FaultScenario (or None); frozen dataclasses pickle cleanly.
     fault_scenario: Optional[object] = None
 
-    def run(self) -> SimulationOutcome:
-        return simulate_replicate(
+    def network(self) -> Network:
+        """This job's network at t = 0, its fault world attached."""
+        return Network(
             placement=self.placement,
             radio_spec=self.radio_spec,
             tx_mode=self.tx_mode,
             mac_options=self.mac_options,
             routing_options=self.routing_options,
             app_params=self.app_params,
-            tsim_s=self.tsim_s,
-            replicate=self.replicate,
-            seed=self.seed,
             battery=self.battery,
+            seed=self.seed,
+            replicate=self.replicate,
             body=self.body,
             pathloss_params=self.pathloss_params,
             fading_params=self.fading_params,
@@ -404,10 +568,95 @@ class ReplicateJob:
             fault_scenario=self.fault_scenario,
         )
 
+    def run(self) -> SimulationOutcome:
+        return self.network().run(self.tsim_s)
 
-def run_replicate_job(job: ReplicateJob) -> SimulationOutcome:
-    """Module-level executor entry point (bound methods don't pickle)."""
-    return job.run()
+    def run_worlds(self, worlds: Sequence) -> "WorldRuns":
+        """This (healthy) replicate under each of ``worlds``, simulating
+        the healthy network once.
+
+        ``worlds`` are distinct: ``None`` is the healthy network, any
+        other entry a :class:`repro.faults.model.FaultScenario`.  The
+        healthy network pauses strictly before each world's first fault
+        event (:func:`repro.faults.injector.first_event_s`; the end of
+        the run for a world of battery drains only) and is snapshotted;
+        each world whose first event is there runs on from its own
+        restored copy, a *branch*, with the world attached, and the
+        healthy run continues on one more copy (see
+        :meth:`Network.snapshot`).  Without a healthy entry, the world
+        whose first event is last attaches to the healthy network itself,
+        so a lone world is a plain run from t = 0.  Each outcome equals
+        that world's run from t = 0 (DESIGN.md §7).
+
+        A branch's wall is its copy plus its own run; the healthy
+        network's segments and snapshots count for the healthy entry, or
+        for the world run on the healthy network.  Each branch is freed
+        as soon as it has run.
+        """
+        if self.fault_scenario is not None:
+            raise ValueError("worlds branch off the healthy network")
+        worlds = list(worlds)
+        start = time.perf_counter()
+        outcomes: List[Optional[SimulationOutcome]] = [None] * len(worlds)
+        walls = [0.0] * len(worlds)
+        network = self.network()
+        healthy = worlds.index(None) if None in worlds else None
+        starts = sorted(
+            (first_event_s(world.applicable(network.placement)), index)
+            for index, world in enumerate(worlds)
+            if world is not None
+        )
+        if starts:
+            network.stats.enable_windows(Network.FAULT_WINDOW_S)
+        # The world that runs on the healthy network itself, if any.
+        last = starts.pop()[1] if starts and healthy is None else None
+        for at, group in itertools.groupby(starts, key=lambda item: item[0]):
+            network.pause_before(at, self.tsim_s)
+            snapshot = network.snapshot()
+            # Networks are cyclic garbage: each one is dropped while it is
+            # still young and freed by the young-generation collection
+            # after the next branch, so no finished run waits in memory
+            # for a full collection.
+            del network
+            for _at, index in group:
+                begin = time.perf_counter()
+                branch = Network.restore(snapshot)
+                branch.attach_faults(worlds[index])
+                outcomes[index] = branch.run(self.tsim_s)
+                del branch
+                gc.collect(0)
+                walls[index] = time.perf_counter() - begin
+            network = Network.restore(snapshot)
+        if last is not None:
+            network.attach_faults(worlds[last])
+        timeline = healthy if last is None else last
+        if timeline is not None:
+            outcomes[timeline] = network.run(self.tsim_s)
+            walls[timeline] = time.perf_counter() - start - sum(walls)
+        # `last` started from a snapshot too once the healthy run paused.
+        branched = len(starts) + (last is not None and bool(starts))
+        return WorldRuns(outcomes, walls, branched)
+
+
+@dataclass
+class WorldRuns:
+    """One configuration's outcomes under several worlds: one replicate
+    (:meth:`ReplicateJob.run_worlds`) or a whole replicate protocol
+    (:func:`repro.core.parallel.run_configuration_group`)."""
+
+    #: One outcome per world, in the order the worlds were given.
+    outcomes: List[SimulationOutcome]
+    #: Seconds spent on each world's runs.
+    walls: List[float]
+    #: Runs that started from a snapshot of a paused healthy network.
+    branched: int = 0
+
+
+def run_worlds_job(task: Tuple[ReplicateJob, Tuple]) -> WorldRuns:
+    """Executor entry point for :meth:`ReplicateJob.run_worlds` (bound
+    methods don't pickle)."""
+    job, worlds = task
+    return job.run_worlds(worlds)
 
 
 def average_outcomes(

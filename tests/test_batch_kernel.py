@@ -26,7 +26,7 @@ from repro.channel.batch_draws import NORMAL, UNIFORM, Block, DrawBlocks
 from repro.core.batch import batch_unsupported_reason, evaluate_batch
 from repro.core.design_space import Configuration
 from repro.core.evaluator import SimulationOracle
-from repro.core.parallel import run_fixed_replicates
+from repro.core.parallel import run_configuration_outcome
 from repro.core.problem import ScenarioParameters
 from repro.des.rng import RngStreams
 from repro.faults.model import hub_stress_ensemble, sample_fault_ensemble
@@ -145,7 +145,7 @@ class TestKernelBitIdentity:
         outcomes = evaluate_batch(scenario, configs, worlds)
         for ci, config in enumerate(configs):
             for wi, world in enumerate(worlds):
-                scalar = run_fixed_replicates(
+                scalar = run_configuration_outcome(
                     replace(scenario, fault_scenario=world), config
                 )
                 assert_outcomes_identical(outcomes[(ci, wi)], scalar)
@@ -190,7 +190,9 @@ class TestKernelBitIdentity:
         faulted = tiny_scenario(
             fault_scenario=hub_stress_ensemble(2.0, outage_fraction=0.3, size=1)[0]
         )
-        healthy = run_fixed_replicates(replace(faulted, fault_scenario=None), STAR)
+        healthy = run_configuration_outcome(
+            replace(faulted, fault_scenario=None), STAR
+        )
         batched = evaluate_batch(faulted, [STAR], [None])
         assert_outcomes_identical(batched[(0, 0)], healthy)
 

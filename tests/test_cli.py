@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.analysis.trace_report import summarize
+from repro.analysis.trace_report import format_metrics, summarize
 from repro.obs import read_trace
 
 ALL_COMMANDS = (
@@ -375,20 +375,34 @@ class TestObservabilityOutputs:
         assert payload["des.runs"]["value"] >= 1
         assert payload["oracle.wall_seconds"]["count"] >= 1
 
-    def test_metrics_out_counts_pool_work_at_any_jobs(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["solve", "--pdr-min", "90", "--preset", "smoke"],
+                     id="solve"),
+        # Branched fault worlds: the healthy run's pauses and every
+        # branch's run count wherever they execute.
+        pytest.param(["robust", "--pdr-min", "85", "--preset", "smoke",
+                      "--seed", "1", "--ensemble-size", "6",
+                      "--quantile", "0", "--batch", "off"],
+                     id="robust"),
+    ])
+    def test_metrics_out_counts_pool_work_at_any_jobs(
+        self, tmp_path, capsys, argv
+    ):
         """Counters incremented inside pool processes reach the parent's
         registry: DES totals are the same serial and parallel."""
         totals = {}
         for jobs in ("1", "2"):
             metrics = tmp_path / f"m{jobs}.json"
-            assert cli.main([
-                "solve", "--pdr-min", "90", "--preset", "smoke",
-                "--jobs", jobs, "--metrics-out", str(metrics),
-            ]) == 0
+            assert cli.main(
+                argv + ["--jobs", jobs, "--metrics-out", str(metrics)]
+            ) == 0
             payload = json.loads(metrics.read_text())
             totals[jobs] = (
                 payload["des.runs"]["value"], payload["des.events"]["value"]
             )
+            if argv[0] == "robust":
+                assert payload["oracle.branched_evaluations"]["value"] > 0
+                assert "oracle.branched_evaluations" in format_metrics(payload)
         assert totals["1"] == totals["2"]
         assert totals["1"][0] >= 1
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.des.engine import Simulator
+from repro.des.engine import FAULT_PRIORITY, Simulator
 
 
 class TestScheduling:
@@ -131,6 +131,35 @@ class TestRunControl:
             sim.schedule(float(i), count.append, i)
         sim.run(max_events=4)
         assert len(count) == 4
+
+    def test_budget_stop_keeps_clock_at_last_event(self):
+        """A run stopped by its event budget has not reached ``until``:
+        the clock stays at the last executed event, so the pending
+        events can be scheduled around and still run in time order."""
+        sim = Simulator()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule_at(t, fired.append, t)
+        sim.run(until=10.0, max_events=1)
+        assert sim.now == 1.0
+        assert sim.pending_count == 2
+        sim.schedule_at(1.5, fired.append, 1.5)
+        sim.run(until=10.0)
+        assert fired == [1.0, 1.5, 2.0, 3.0]
+        assert sim.now == 10.0
+
+    def test_pause_strictly_before_an_instant(self):
+        """Running until the float just below t leaves the events at t
+        pending, so an intervention scheduled at t still preempts them,
+        as it would have from t = 0."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(2.0, fired.append, "protocol")
+        sim.run(until=math.nextafter(2.0, -math.inf))
+        assert fired == [] and sim.now < 2.0
+        sim.schedule_at(2.0, fired.append, "fault", priority=FAULT_PRIORITY)
+        sim.run(until=5.0)
+        assert fired == ["fault", "protocol"]
 
     def test_step_returns_false_when_drained(self):
         sim = Simulator()

@@ -6,19 +6,26 @@ campaign with zero new simulations, and experiment E4 has at least one
 regime where the robust optimum differs from the nominal one.
 """
 
+import functools
+import math
 from dataclasses import replace
 
 import pytest
 
+from repro.channel.posture import PostureParameters
 from repro.core.batch import batch_unsupported_reason
 from repro.core.design_space import Configuration
-from repro.core.evaluator import SimulationOracle
+from repro.core.evaluator import EvaluationRecord, SimulationOracle
 from repro.core.explorer import HumanIntranetExplorer
-from repro.core.parallel import run_configuration_outcome
+from repro.core.parallel import replicate_job, run_configuration_outcome
+from repro.des.engine import FAULT_PRIORITY
 from repro.experiments.robustness import run_robustness_comparison
 from repro.experiments.scenario import get_preset, make_problem
+from repro.faults.injector import first_event_s
 from repro.faults.model import (
+    FaultKind,
     FaultScenario,
+    FaultSpec,
     hub_stress_ensemble,
     sample_fault_ensemble,
 )
@@ -28,6 +35,7 @@ from repro.faults.resilience import (
     pdr_quantile,
 )
 from repro.library.mac_options import MacKind, RoutingKind
+from repro.net.network import Network
 
 CONFIGS = (
     Configuration((0, 1, 3, 6), 0.0, MacKind.TDMA, RoutingKind.STAR),
@@ -294,6 +302,124 @@ def cell_by_cell():
     return records
 
 
+# -- branches: fault worlds run on from the paused healthy network ------------
+
+#: Every MAC and routing kind of the scalar simulator.
+KINDS = [
+    (mac, routing)
+    for mac in (MacKind.CSMA, MacKind.TDMA)
+    for routing in (RoutingKind.STAR, RoutingKind.MESH, RoutingKind.P2P)
+]
+
+#: Includes a torso-crossing link, so correlated blackout groups apply.
+BRANCH_PLACEMENT = (0, 1, 3, 6)
+
+#: Replicate protocols the branches must reproduce.
+PROTOCOLS = {
+    "fixed-1": dict(replicates=1),
+    "fixed-2": dict(replicates=2),
+    "adaptive": dict(
+        replicates=2, adaptive_replicates=True, pdr_epsilon=0.02,
+        max_replicates=4,
+    ),
+}
+
+
+def _branch_config(mac, routing):
+    return Configuration(BRANCH_PLACEMENT, 0.0, mac, routing)
+
+
+def _branch_scenario(**overrides):
+    """The smoke scenario on a 2 s horizon (cheap runs, same physics)."""
+    scenario = make_problem(0.85, "smoke", seed=1).scenario
+    return replace(scenario, tsim_s=2.0, **overrides)
+
+
+def _first_generation_s(job, location):
+    """When ``location``'s application first generates in ``job``'s run."""
+    network = job.network()
+    generate = network.nodes[location].app._generate
+    return min(
+        time for time, _priority, _seq, event in network.sim._heap
+        if event.callback == generate
+    )
+
+
+def _branch_worlds(scenario):
+    """Sampled, correlated-link and hub-stress worlds, plus worlds at the
+    edges of the branch rule, all touching :data:`BRANCH_PLACEMENT`."""
+    tsim = scenario.tsim_s
+    hub, a, b = 0, 1, 6
+    at = 0.4 * tsim
+    generation = _first_generation_s(
+        replicate_job(
+            scenario, _branch_config(MacKind.TDMA, RoutingKind.STAR), 0
+        ),
+        b,
+    )
+    edges = (
+        FaultScenario("drain-only", (FaultSpec(
+            FaultKind.BATTERY_DRAIN, at, location=a, factor=2.0),)),
+        FaultScenario("after-horizon", (FaultSpec(
+            FaultKind.NODE_DEATH, tsim + 1.0, location=a),)),
+        # Two worlds whose first faults share one branch point.
+        FaultScenario("twin-outage", (FaultSpec(
+            FaultKind.HUB_OUTAGE, at, duration_s=0.2 * tsim, location=hub),)),
+        FaultScenario("twin-death", (FaultSpec(
+            FaultKind.NODE_DEATH, at, location=b),)),
+        # Fires at the instant node b first generates: the death must
+        # preempt that generation, as it does in a run from t = 0.
+        FaultScenario("at-generation", (FaultSpec(
+            FaultKind.NODE_DEATH, generation, location=b),)),
+    )
+    worlds = (
+        sample_fault_ensemble(4, 7, tsim, locations=BRANCH_PLACEMENT)
+        + sample_fault_ensemble(
+            2, 8, tsim, locations=BRANCH_PLACEMENT, name="correlated",
+            correlated_links=True,
+        )
+        + hub_stress_ensemble(tsim, coordinator=hub, size=2)
+        + edges
+    )
+    assert all(w.applicable(BRANCH_PLACEMENT) for w in worlds)
+    return worlds
+
+
+def _direct_record(scenario, config, world):
+    """``config`` under ``world`` simulated on its own from t = 0."""
+    outcome = run_configuration_outcome(
+        replace(scenario, fault_scenario=world), config
+    )
+    return EvaluationRecord(
+        config=config,
+        pdr=outcome.pdr,
+        power_mw=outcome.worst_power_mw,
+        nlt_days=outcome.nlt_days,
+        wall_seconds=0.0,
+        outcome=outcome,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_records(protocol):
+    """Cell-by-cell direct runs of every kind under every branch world."""
+    scenario = _branch_scenario(**PROTOCOLS[protocol])
+    worlds = _branch_worlds(scenario)
+    records = []
+    for mac, routing in KINDS:
+        config = _branch_config(mac, routing)
+        records.append(ResilienceRecord(
+            config=config,
+            healthy=_direct_record(scenario, config, None),
+            faulted=tuple(
+                (world, _direct_record(scenario, config, world))
+                for world in worlds
+            ),
+        ))
+    return records
+
+
+
 class TestEffectiveWorldSharing:
     """A world whose faults all miss the placement builds the healthy
     network, so the ensemble oracle runs it once per configuration."""
@@ -389,3 +515,102 @@ class TestEffectiveWorldSharing:
         assert stats["disk_hits"] == len(configs) * (1 + len(ensemble))
         keys = [c.key() for c in configs]
         assert journals == [keys] * (1 + len(ensemble))
+
+    @pytest.mark.parametrize(
+        "posture", [False, True], ids=["still", "posture"]
+    )
+    @pytest.mark.parametrize(
+        "kind", KINDS, ids=[f"{m.value}-{r.value}" for m, r in KINDS]
+    )
+    def test_branched_runs_equal_direct_runs(self, kind, posture):
+        """Every world's branch of one replicate equals its run from
+        t = 0, and branching leaves the healthy run untouched."""
+        scenario = _branch_scenario()
+        worlds = _branch_worlds(scenario)
+        job = replace(
+            replicate_job(scenario, _branch_config(*kind), 0),
+            posture_params=PostureParameters() if posture else None,
+        )
+        direct = [job.run()] + [
+            replace(job, fault_scenario=world).run() for world in worlds
+        ]
+        with_healthy = job.run_worlds((None,) + worlds)
+        assert with_healthy.outcomes == direct
+        assert with_healthy.branched == len(worlds)
+        # Without the healthy outcome, the world whose first fault comes
+        # last runs on the healthy network itself.
+        faulted_only = job.run_worlds(worlds)
+        assert faulted_only.outcomes == direct[1:]
+        assert faulted_only.branched == len(worlds)
+        lone = job.run_worlds(worlds[:1])
+        assert lone.outcomes == direct[1:2] and lone.branched == 0
+
+    def test_attached_faults_fire_at_their_absolute_times(self):
+        """Attaching to a network paused mid-run schedules each fault at
+        its own float, not at a delay from the paused clock (which would
+        round differently for the node death at 1.3 s)."""
+        scenario = _branch_scenario()
+        job = replicate_job(
+            scenario, _branch_config(MacKind.CSMA, RoutingKind.MESH), 0
+        )
+        world = FaultScenario("late-death", (
+            FaultSpec(
+                FaultKind.LINK_BLACKOUT, 0.3, duration_s=0.2, link=(1, 3)
+            ),
+            FaultSpec(FaultKind.NODE_DEATH, 1.3, location=6),
+        ))
+        paused_at = math.nextafter(0.3, -math.inf)
+        assert first_event_s(world.faults) == 0.3
+        assert paused_at + (1.3 - paused_at) != 1.3
+
+        def fault_times(network):
+            return sorted(
+                time for time, priority, _seq, event in network.sim._heap
+                if priority == FAULT_PRIORITY and not event.cancelled
+            )
+
+        direct = replace(job, fault_scenario=world).network()
+        paused = job.network()
+        paused.stats.enable_windows(Network.FAULT_WINDOW_S)
+        paused.pause_before(0.3, job.tsim_s)
+        assert paused.sim.now == paused_at
+        branch = Network.restore(paused.snapshot())
+        branch.attach_faults(world)
+        assert fault_times(branch) == fault_times(direct) == [0.3, 0.5, 1.3]
+        assert branch.run(job.tsim_s) == direct.run(job.tsim_s)
+
+    def test_attaching_mid_run_needs_windows_from_the_start(self):
+        scenario = _branch_scenario()
+        job = replicate_job(
+            scenario, _branch_config(MacKind.TDMA, RoutingKind.STAR), 0
+        )
+        network = job.network()
+        network.pause_before(1.0, job.tsim_s)
+        with pytest.raises(ValueError, match="windows"):
+            network.attach_faults(_branch_worlds(scenario)[0])
+
+    @pytest.mark.parametrize("batch_mode", ["off", "auto"])
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_ensemble_branches_equal_direct_runs(
+        self, protocol, n_jobs, batch_mode
+    ):
+        """Through the ensemble oracle, in every mode and replicate
+        protocol, each record equals its cell-by-cell direct run."""
+        scenario = _branch_scenario(
+            batch_mode=batch_mode, **PROTOCOLS[protocol]
+        )
+        worlds = _branch_worlds(scenario)
+        want = _direct_records(protocol)
+        configs = [record.config for record in want]
+        with EnsembleOracle(scenario, worlds, n_jobs=n_jobs) as oracle:
+            got = oracle.evaluate_many(configs)
+            stats = oracle.stats()
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want]
+        for mine, theirs in zip(got, want):
+            assert mine.healthy.outcome == theirs.healthy.outcome
+            assert [r.outcome for _w, r in mine.faulted] == [
+                r.outcome for _w, r in theirs.faulted
+            ]
+        assert stats["simulations_run"] == len(configs) * (1 + len(worlds))
+        assert stats["branched_evaluations"] > 0

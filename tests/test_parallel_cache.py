@@ -23,7 +23,7 @@ from repro.core.parallel import (
     WorkerPool,
     adaptive_stop_count,
     resolve_jobs,
-    run_adaptive_replicates,
+    run_configuration_outcome,
 )
 from repro.core.problem import ScenarioParameters
 from repro.core.result_cache import (
@@ -162,7 +162,7 @@ class TestAdaptiveAggregation:
             max_replicates=6,
         )
         outcomes = [
-            run_adaptive_replicates(scenario, REFERENCE_CONFIG, wave=w)
+            run_configuration_outcome(scenario, REFERENCE_CONFIG, wave=w)
             for w in (1, 2, 5)
         ]
         for other in outcomes[1:]:
@@ -198,7 +198,7 @@ class TestAdaptiveAggregation:
             max_replicates=scenario.max_replicates,
         )
         legacy = average_outcomes(collected, scenario.battery)
-        current = run_adaptive_replicates(scenario, REFERENCE_CONFIG)
+        current = run_configuration_outcome(scenario, REFERENCE_CONFIG)
         assert current.pdr == legacy.pdr
         assert current.worst_power_mw == legacy.worst_power_mw
         assert current.replicates == legacy.replicates

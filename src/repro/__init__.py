@@ -26,34 +26,23 @@ Quickstart::
     problem = make_problem(pdr_min=0.9, preset="ci")
     result = HumanIntranetExplorer(problem, candidate_cap=16).explore()
     print(result.summary())
+
+Every package exports its names lazily (:mod:`repro._lazy`): a process
+imports the simulator only when it simulates.
 """
 
-from repro.core import (
-    Configuration,
-    DesignProblem,
-    DesignSpace,
-    ExplorationResult,
-    HumanIntranetExplorer,
-    ScenarioParameters,
-    SimulationOracle,
-)
-from repro.experiments.scenario import make_problem, make_scenario
-from repro.net import Network, SimulationOutcome, simulate_configuration
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Configuration",
-    "DesignProblem",
-    "DesignSpace",
-    "ScenarioParameters",
-    "HumanIntranetExplorer",
-    "ExplorationResult",
-    "SimulationOracle",
-    "Network",
-    "SimulationOutcome",
-    "simulate_configuration",
-    "make_problem",
-    "make_scenario",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.design_space": ("Configuration", "DesignSpace"),
+    "repro.core.problem": ("DesignProblem", "ScenarioParameters"),
+    "repro.core.explorer": ("HumanIntranetExplorer", "ExplorationResult"),
+    "repro.core.evaluator": ("SimulationOracle",),
+    "repro.net.network": (
+        "Network", "SimulationOutcome", "simulate_configuration",
+    ),
+    "repro.experiments.scenario": ("make_problem", "make_scenario"),
+})
+__all__.append("__version__")

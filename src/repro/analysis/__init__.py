@@ -15,31 +15,13 @@
   the deterministic projection used by the golden-trace test.
 """
 
-from repro.analysis.pareto import ParetoPoint, pareto_front, dominates
-from repro.analysis.convergence import (
-    AdaptiveEstimate,
-    estimate_pdr_with_tolerance,
-)
-from repro.analysis.ascii_plot import render_scatter
+from repro._lazy import lazy_exports
 
-
-def __getattr__(name):
-    # Lazy: keeps `python -m repro.analysis.trace_report` runnable without
-    # runpy's double-import warning.
-    if name in ("explorer_sequence", "summarize"):
-        from repro.analysis import trace_report
-
-        return getattr(trace_report, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "ParetoPoint",
-    "pareto_front",
-    "dominates",
-    "AdaptiveEstimate",
-    "estimate_pdr_with_tolerance",
-    "render_scatter",
-    "explorer_sequence",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.pareto": ("ParetoPoint", "pareto_front", "dominates"),
+    "repro.analysis.convergence": (
+        "AdaptiveEstimate", "estimate_pdr_with_tolerance",
+    ),
+    "repro.analysis.ascii_plot": ("render_scatter",),
+    "repro.analysis.trace_report": ("explorer_sequence", "summarize"),
+})

@@ -11,9 +11,10 @@ that Algorithm 1's per-bound optima actually lie on the front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
-from repro.core.evaluator import EvaluationRecord
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.evaluator import EvaluationRecord
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,11 @@
   general-purpose comparator, reported 3× slower).
 """
 
-from repro.baselines.exhaustive import ExhaustiveSearch, ExhaustiveResult
-from repro.baselines.annealing import (
-    AnnealingResult,
-    AnnealingSchedule,
-    SimulatedAnnealing,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExhaustiveSearch",
-    "ExhaustiveResult",
-    "SimulatedAnnealing",
-    "AnnealingSchedule",
-    "AnnealingResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.baselines.exhaustive": ("ExhaustiveSearch", "ExhaustiveResult"),
+    "repro.baselines.annealing": (
+        "SimulatedAnnealing", "AnnealingSchedule", "AnnealingResult",
+    ),
+})

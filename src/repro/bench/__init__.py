@@ -10,22 +10,16 @@ golden.  The ``repro bench`` CLI subcommand writes the
 ``BENCH_hotpath.json`` / ``BENCH_fleet.json`` reports consumed by CI.
 """
 
-from repro.bench.fleet import run_fleet_benchmarks
-from repro.bench.hotpath import (
-    bench_des_throughput,
-    bench_explore_smoke,
-    bench_milp_warm_vs_cold,
-    bench_single_replicate,
-    run_hotpath_benchmarks,
-    write_report,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "bench_des_throughput",
-    "bench_explore_smoke",
-    "bench_milp_warm_vs_cold",
-    "bench_single_replicate",
-    "run_fleet_benchmarks",
-    "run_hotpath_benchmarks",
-    "write_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.hotpath": (
+        "bench_des_throughput",
+        "bench_explore_smoke",
+        "bench_milp_warm_vs_cold",
+        "bench_single_replicate",
+        "run_hotpath_benchmarks",
+        "write_report",
+    ),
+    "repro.bench.fleet": ("run_fleet_benchmarks",),
+})

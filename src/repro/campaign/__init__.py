@@ -23,25 +23,15 @@ construction, and a killed service resumes every campaign from its
 journals.
 """
 
-from repro.campaign.spec import CampaignSpec, WearerSpec, make_population
-from repro.campaign.shard import shard_assignment, shard_of
-from repro.campaign.runner import CampaignReport, run_campaign
-from repro.campaign.aggregate import build_aggregate
-from repro.campaign.queue import CampaignQueue, QueueError, shard_payload_crc
-from repro.campaign.worker import WorkerAgent, run_worker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignSpec",
-    "WearerSpec",
-    "make_population",
-    "shard_assignment",
-    "shard_of",
-    "CampaignReport",
-    "run_campaign",
-    "build_aggregate",
-    "CampaignQueue",
-    "QueueError",
-    "shard_payload_crc",
-    "WorkerAgent",
-    "run_worker",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.campaign.spec": ("CampaignSpec", "WearerSpec", "make_population"),
+    "repro.campaign.shard": ("shard_assignment", "shard_of"),
+    "repro.campaign.runner": ("CampaignReport", "run_campaign"),
+    "repro.campaign.aggregate": ("build_aggregate",),
+    "repro.campaign.queue": (
+        "CampaignQueue", "QueueError", "shard_payload_crc",
+    ),
+    "repro.campaign.worker": ("WorkerAgent", "run_worker"),
+})

@@ -32,6 +32,12 @@ run fresh, and recommitting an already committed shard is a no-op — so
 the aggregate is byte-identical to an uninterrupted run however often
 the campaign was killed (a directory from before ``queue.jsonl``
 existed simply gains one).
+
+Importing this module imports the simulator (explorer, scenario
+builders, result cache, fault layer), so a process that imports it
+before running wearers pays for that before its first wearer; fleet
+code that never runs a wearer (a coordinator serving fleet campaigns, a
+worker waiting for its first lease) imports it only on demand.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from typing import List, Optional
 from repro.campaign.aggregate import AGGREGATE_FILENAME, ATLAS_FILENAME
 from repro.campaign.queue import CampaignQueue, shard_payload_crc
 from repro.campaign.spec import CampaignSpec, WearerSpec
+from repro.campaign.wearer_cache import WearerResultCache, wearer_fingerprint
+from repro.core.explorer import HumanIntranetExplorer
 from repro.core.journal import (
     JOURNAL_FILENAME,
     SUMMARY_FILENAME,
@@ -52,6 +60,11 @@ from repro.core.journal import (
     write_summary,
 )
 from repro.core.parallel import WorkerPool
+from repro.core.result_cache import scenario_fingerprint
+from repro.experiments.scenario import get_preset, make_problem
+from repro.faults.model import hub_stress_ensemble, sample_fault_ensemble
+from repro.faults.resilience import EnsembleOracle
+from repro.obs import runtime
 
 
 @dataclass
@@ -96,8 +109,6 @@ def _wearer_manifest(
 
 
 def _wearer_ensemble(wearer: WearerSpec, scenario):
-    from repro.faults.model import hub_stress_ensemble, sample_fault_ensemble
-
     if wearer.hub_stress:
         return hub_stress_ensemble(
             scenario.tsim_s,
@@ -135,11 +146,6 @@ def run_wearer_task(task: dict) -> dict:
     ``summary.json`` is byte-identical to simulating, and returns state
     ``"cached"``; fresh results are stored back into the local cache.
     """
-    from repro.core.explorer import HumanIntranetExplorer
-    from repro.core.result_cache import scenario_fingerprint
-    from repro.experiments.scenario import get_preset, make_problem
-    from repro.obs import runtime
-
     obs = runtime.get_active()
     wearer = WearerSpec.from_dict(task["wearer"])
     run_dir = pathlib.Path(task["run_dir"])
@@ -152,11 +158,6 @@ def run_wearer_task(task: dict) -> dict:
 
     cache = fingerprint = None
     if task.get("wearer_cache_dir"):
-        from repro.campaign.wearer_cache import (
-            WearerResultCache,
-            wearer_fingerprint,
-        )
-
         cache = WearerResultCache(task["wearer_cache_dir"])
         fingerprint = wearer_fingerprint(task["preset"], wearer)
     cached = task.get("cached_summary")
@@ -214,8 +215,6 @@ def run_wearer_task(task: dict) -> dict:
     oracle = explorer.oracle
     try:
         if wearer.mode == "robust":
-            from repro.faults.resilience import EnsembleOracle
-
             ensemble = _wearer_ensemble(wearer, problem.scenario)
             oracle = EnsembleOracle(
                 problem.scenario,
@@ -312,8 +311,6 @@ def run_campaign(
     queue's :meth:`~repro.campaign.queue.CampaignQueue.finalize` writes
     the artifacts, exactly as for a fleet campaign.
     """
-    from repro.obs import runtime
-
     obs = runtime.get_active()
     jobs = max(1, int(jobs))
     queue = CampaignQueue(

@@ -577,6 +577,8 @@ class CampaignService:
         )
 
     async def _run(self, campaign_id: str, spec: CampaignSpec) -> None:
+        # The runner imports the simulator, which a coordinator that only
+        # serves fleet campaigns never needs.
         from repro.campaign.runner import run_campaign
 
         self._set_state(campaign_id, "running")

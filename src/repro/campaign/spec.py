@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.journal import dump_json, payload_digest, write_atomic
+from repro.experiments.presets import PRESETS
 
 #: Bumped when the spec schema changes incompatibly.
 SPEC_VERSION = 1
@@ -39,6 +40,11 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _seed(value) -> bool:
+    # numpy's SeedSequence refuses a negative entropy
+    return _integer(value) and value >= 0
+
+
 def _fraction(value) -> bool:
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     return number and 0.0 <= value <= 1.0
@@ -48,14 +54,15 @@ def _fraction(value) -> bool:
 _WEARER_RULES = {
     "wearer_id": ("1-64 letters, digits, '-' or '_'",
                   lambda v: isinstance(v, str) and _WEARER_ID.fullmatch(v)),
-    "seed": ("an integer", _integer),
+    "seed": ("a non-negative integer", _seed),
     "pdr_min": ("a fraction in (0, 1]", lambda v: _fraction(v) and v > 0),
     "cohort": ("a string", lambda v: isinstance(v, str)),
     "mode": (f"one of {MODES}", lambda v: v in MODES),
     "quantile": ("within [0, 1]", _fraction),
     "ensemble_size": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
     "outage_fraction": ("within [0, 1]", _fraction),
-    "fault_seed": ("an integer or null", lambda v: v is None or _integer(v)),
+    "fault_seed": ("a non-negative integer or null",
+                   lambda v: v is None or _seed(v)),
 }
 
 
@@ -125,8 +132,6 @@ class CampaignSpec:
     wearers: Tuple[WearerSpec, ...]
 
     def __post_init__(self) -> None:
-        from repro.experiments.scenario import PRESETS
-
         object.__setattr__(self, "wearers", tuple(self.wearers))
         if self.preset not in PRESETS:
             raise ValueError(

@@ -461,6 +461,8 @@ class WorkerAgent:
     def _run_shard(self, campaign_id: str, lease: dict) -> bool:
         """Execute one leased shard (or stolen wearer) and commit it.
         Returns True when the commit landed (duplicates included)."""
+        # The runner imports the simulator: a worker loads it with its
+        # first lease, never while it waits for one.
         from repro.campaign.runner import run_wearer_task, wearer_tasks
 
         token = lease["token"]

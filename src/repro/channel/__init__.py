@@ -17,29 +17,14 @@ documented synthetic substitute (see DESIGN.md):
   (Tx dBm ≥ Rx sensitivity + PL(t)) used by the radio model.
 """
 
-from repro.channel.body import BodyLocation, BodyModel, STANDARD_BODY
-from repro.channel.pathloss import MeanPathLossModel, PathLossParameters
-from repro.channel.fading import OrnsteinUhlenbeckFading, FadingParameters
-from repro.channel.link import Channel, LinkBudget
-from repro.channel.posture import (
-    DAILY_ACTIVITY,
-    Posture,
-    PostureParameters,
-    PostureProcess,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BodyLocation",
-    "BodyModel",
-    "STANDARD_BODY",
-    "MeanPathLossModel",
-    "PathLossParameters",
-    "OrnsteinUhlenbeckFading",
-    "FadingParameters",
-    "Channel",
-    "LinkBudget",
-    "Posture",
-    "PostureParameters",
-    "PostureProcess",
-    "DAILY_ACTIVITY",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.channel.body": ("BodyLocation", "BodyModel", "STANDARD_BODY"),
+    "repro.channel.pathloss": ("MeanPathLossModel", "PathLossParameters"),
+    "repro.channel.fading": ("OrnsteinUhlenbeckFading", "FadingParameters"),
+    "repro.channel.link": ("Channel", "LinkBudget"),
+    "repro.channel.posture": (
+        "Posture", "PostureParameters", "PostureProcess", "DAILY_ACTIVITY",
+    ),
+})

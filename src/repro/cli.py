@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -587,13 +588,26 @@ def _open_instrumentation(args):
     return Instrumentation(MetricsRegistry(), tracer)
 
 
+def auto_jobs(limit: Optional[int] = None) -> int:
+    """Worker count when the caller expressed no preference: every core,
+    clamped to ``limit`` (typically the number of configurations to
+    evaluate — more workers than work items would only pay fork cost).
+    """
+    cores = os.cpu_count() or 1
+    if limit is not None:
+        cores = min(cores, max(1, int(limit)))
+    return max(1, cores)
+
+
 def _resolve_jobs(args) -> None:
     """Resolve an omitted ``--jobs`` to the auto-detected worker count.
 
-    Detection is ``os.cpu_count()`` clamped to the preset's feasible
-    configuration count (no point forking more workers than there are
-    configurations to simulate).  An explicit ``--jobs 1`` remains the
-    serial escape hatch and is passed through untouched, as is any other
+    Detection is ``os.cpu_count()``, clamped for a command that takes a
+    preset to the preset's feasible configuration count (no point forking
+    more workers than there are configurations to simulate).  ``serve``,
+    ``worker`` and ``table1`` take no preset, so they count cores without
+    loading the simulator.  An explicit ``--jobs 1`` remains the serial
+    escape hatch and is passed through untouched, as is any other
     explicit count.  Both the request and the resolution are recorded on
     ``args`` so the run manifest can report them.
     """
@@ -602,15 +616,11 @@ def _resolve_jobs(args) -> None:
     args.jobs_requested = args.jobs
     if args.jobs is not None:
         return
-    from repro.core.parallel import auto_jobs
-
     limit = None
-    try:
+    if hasattr(args, "preset"):
         from repro.experiments.scenario import make_space
 
         limit = make_space(args.preset).feasible_count()
-    except Exception:
-        limit = None  # unknown space: fall back to plain core count
     args.jobs = auto_jobs(limit)
 
 
@@ -661,12 +671,17 @@ _POSITIVE_SECONDS = (
 _SECONDS = (
     lambda s: 0 <= s < math.inf, "must be a finite number of seconds, 0 or more"
 )
+# numpy's SeedSequence refuses a negative entropy
+_SEED = (lambda n: n >= 0, "must be a non-negative integer")
 
 #: Numeric flags whose out-of-range values no run could use, checked
 #: before any port is bound or file written: (command, flag, in range,
-#: requirement).  A flag left at a default of None is unset, so it is
+#: requirement); a command of None checks the flag on every subcommand
+#: that has it.  A flag left at a default of None is unset, so it is
 #: never out of range.
 _NUMERIC_FLAGS = (
+    (None, "--seed", *_SEED),
+    ("robust", "--fault-seed", *_SEED),
     ("serve", "--port", lambda port: 0 <= port <= 65535,
      "must be a TCP port in [0, 65535]"),
     # a lease lapses once expires_at <= now, so a TTL of 0 or less would
@@ -694,11 +709,11 @@ def _numeric_flag_error(args) -> Optional[str]:
     """What is wrong with the first numeric flag out of its range, or
     None."""
     for command, flag, in_range, requirement in _NUMERIC_FLAGS:
-        if args.command != command:
+        if command not in (None, args.command):
             continue
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and not in_range(value):
-            return f"{command}: {flag} {requirement}, got {value}"
+            return f"{args.command}: {flag} {requirement}, got {value}"
     return None
 
 

@@ -15,30 +15,16 @@ Modules:
 * :mod:`repro.core.explorer` — Algorithm 1 itself.
 """
 
-from repro.core.design_space import Configuration, DesignSpace
-from repro.core.power_model import CoarsePowerModel
-from repro.core.problem import DesignProblem, ScenarioParameters
-from repro.core.milp_builder import MilpFormulation
-from repro.core.evaluator import EvaluationRecord, SimulationOracle
-from repro.core.explorer import (
-    ExplorationResult,
-    HumanIntranetExplorer,
-    IterationRecord,
-)
-from repro.core.journal import JournalError, RunJournal
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "JournalError",
-    "RunJournal",
-    "Configuration",
-    "DesignSpace",
-    "CoarsePowerModel",
-    "DesignProblem",
-    "ScenarioParameters",
-    "MilpFormulation",
-    "SimulationOracle",
-    "EvaluationRecord",
-    "HumanIntranetExplorer",
-    "ExplorationResult",
-    "IterationRecord",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.journal": ("JournalError", "RunJournal"),
+    "repro.core.design_space": ("Configuration", "DesignSpace"),
+    "repro.core.power_model": ("CoarsePowerModel",),
+    "repro.core.problem": ("DesignProblem", "ScenarioParameters"),
+    "repro.core.milp_builder": ("MilpFormulation",),
+    "repro.core.evaluator": ("SimulationOracle", "EvaluationRecord"),
+    "repro.core.explorer": (
+        "HumanIntranetExplorer", "ExplorationResult", "IterationRecord",
+    ),
+})

@@ -503,7 +503,8 @@ def _run_misses(
     network is simulated once per replicate and each fault world
     branches off it just before its first fault.  Groups go to the pool
     at configuration grain; a lone group fans its replicates out over
-    the pool instead.
+    the pool instead, and its worlds too when it has fewer replicates
+    than workers.
     """
     lead = oracles[0]
     scenario = lead.scenario

@@ -17,7 +17,9 @@ grain levels:
 * **replicates within one configuration** — a lone pending group instead
   hands the pool to its replicate protocol, fixed-count or adaptive
   ε-bounded, which dispatches one replicate index per task and
-  aggregates in replicate-index order.
+  aggregates in replicate-index order; a wave of fewer replicates than
+  workers also splits the group's worlds into chunks, one task per
+  replicate and chunk.
 
 Determinism argument (see DESIGN.md §5): every replicate draws from
 RNG streams keyed by ``(seed, replicate, stream-name)`` — disjoint by
@@ -58,6 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.analysis.convergence import interval_half_width
 from repro.core.design_space import Configuration
 from repro.core.problem import ScenarioParameters
 from repro.net.network import (
@@ -90,17 +93,6 @@ def resolve_jobs(n_jobs: Optional[int]) -> int:
     if n_jobs < 0:
         return max(1, cores + 1 + n_jobs)
     return n_jobs
-
-
-def auto_jobs(limit: Optional[int] = None) -> int:
-    """Worker count when the caller expressed no preference: every core,
-    clamped to ``limit`` (typically the number of configurations to
-    evaluate — more workers than work items would only pay fork cost).
-    """
-    cores = os.cpu_count() or 1
-    if limit is not None:
-        cores = min(cores, max(1, int(limit)))
-    return max(1, cores)
 
 
 #: Environment variable enabling the chaos hook inside pool workers, in
@@ -487,10 +479,6 @@ def adaptive_stop_count(
     be available) is what keeps parallel wave dispatch bit-identical to
     serial replication.
     """
-    # Imported lazily: repro.analysis.__init__ pulls in modules that
-    # depend on repro.core.evaluator, which imports this module.
-    from repro.analysis.convergence import interval_half_width
-
     samples = [float(p) for p in pdrs]
     for n in range(min_replicates, len(samples) + 1):
         if interval_half_width(samples[:n], confidence) <= epsilon:
@@ -521,6 +509,13 @@ def run_configuration_group(
     prefixes), so each world's average is the prefix the one-world loop
     would take — never "whatever finished" — independent of the fan-out
     schedule and of the other worlds.
+
+    A wave of fewer replicates than ``wave`` would leave workers idle, so
+    it splits the running worlds into chunks, one ``run_worlds`` call
+    per replicate and chunk: each chunk simulates its own healthy prefix,
+    and the healthy entry is in exactly one chunk.  Every outcome is a
+    pure function of its (replicate, world), so chunking moves walls and
+    the ``branched`` count, never an outcome.
     """
     map_fn = map_fn or _serial_map
     if scenario.adaptive_replicates:
@@ -544,14 +539,20 @@ def run_configuration_group(
         # The first wave always reaches min_replicates (the rule cannot
         # stop earlier); afterwards dispatch `wave` replicates at a time.
         end = min(max_replicates, max(min_replicates, next_index + wave))
-        subset = tuple(worlds[i] for i in running)
+        parts = max(1, min(len(running), wave // (end - next_index)))
+        chunks = [running[part::parts] for part in range(parts)]
         tasks = [
-            (replicate_job(scenario, config, index), subset)
+            (replicate_job(scenario, config, index),
+             tuple(worlds[i] for i in chunk))
             for index in range(next_index, end)
+            for chunk in chunks
         ]
-        for runs in map_fn(run_worlds_job, tasks):
+        # Replicate-major task order: each world's samples stay in
+        # replicate order.
+        for task, runs in enumerate(map_fn(run_worlds_job, tasks)):
             branched += runs.branched
-            for i, outcome, wall in zip(running, runs.outcomes, runs.walls):
+            chunk = chunks[task % parts]
+            for i, outcome, wall in zip(chunk, runs.outcomes, runs.walls):
                 samples[i].append(outcome)
                 walls[i] += wall
         next_index = end

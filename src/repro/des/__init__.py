@@ -13,15 +13,10 @@ simulator used in the paper.  It provides:
   recording used by the network stack's bookkeeping.
 """
 
-from repro.des.engine import Event, Simulator
-from repro.des.rng import RngStreams
-from repro.des.monitor import Counter, TimeWeightedValue, TraceLog
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Event",
-    "RngStreams",
-    "Counter",
-    "TimeWeightedValue",
-    "TraceLog",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.des.engine": ("Simulator", "Event"),
+    "repro.des.rng": ("RngStreams",),
+    "repro.des.monitor": ("Counter", "TimeWeightedValue", "TraceLog"),
+})

@@ -18,59 +18,36 @@ Index (mirrors DESIGN.md):
 * A1–A3 — :mod:`repro.experiments.ablations`.
 """
 
-from repro.experiments.scenario import (
-    PRESETS,
-    Preset,
-    make_problem,
-    make_scenario,
-    make_space,
-)
-from repro.experiments.table1 import table1_rows, format_table1
-from repro.experiments.figure3 import Figure3Data, run_figure3, format_figure3
-from repro.experiments.reduction import ReductionData, run_reduction, format_reduction
-from repro.experiments.annealing_cmp import (
-    AnnealingComparisonData,
-    run_annealing_comparison,
-    format_annealing_comparison,
-)
-from repro.experiments.ablations import (
-    run_alpha_ablation,
-    run_candidate_cap_ablation,
-    run_milp_only_ablation,
-)
-from repro.experiments.extensions import (
-    format_dual_staircase,
-    format_posture_sensitivity,
-    format_routing_comparison,
-    run_dual_staircase,
-    run_posture_sensitivity,
-    run_routing_comparison,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Preset",
-    "PRESETS",
-    "make_scenario",
-    "make_problem",
-    "make_space",
-    "table1_rows",
-    "format_table1",
-    "Figure3Data",
-    "run_figure3",
-    "format_figure3",
-    "ReductionData",
-    "run_reduction",
-    "format_reduction",
-    "AnnealingComparisonData",
-    "run_annealing_comparison",
-    "format_annealing_comparison",
-    "run_milp_only_ablation",
-    "run_alpha_ablation",
-    "run_candidate_cap_ablation",
-    "run_routing_comparison",
-    "format_routing_comparison",
-    "run_posture_sensitivity",
-    "format_posture_sensitivity",
-    "run_dual_staircase",
-    "format_dual_staircase",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.presets": ("Preset", "PRESETS"),
+    "repro.experiments.scenario": (
+        "make_scenario", "make_problem", "make_space",
+    ),
+    "repro.experiments.table1": ("table1_rows", "format_table1"),
+    "repro.experiments.figure3": (
+        "Figure3Data", "run_figure3", "format_figure3",
+    ),
+    "repro.experiments.reduction": (
+        "ReductionData", "run_reduction", "format_reduction",
+    ),
+    "repro.experiments.annealing_cmp": (
+        "AnnealingComparisonData",
+        "run_annealing_comparison",
+        "format_annealing_comparison",
+    ),
+    "repro.experiments.ablations": (
+        "run_milp_only_ablation",
+        "run_alpha_ablation",
+        "run_candidate_cap_ablation",
+    ),
+    "repro.experiments.extensions": (
+        "run_routing_comparison",
+        "format_routing_comparison",
+        "run_posture_sensitivity",
+        "format_posture_sensitivity",
+        "run_dual_staircase",
+        "format_dual_staircase",
+    ),
+})

@@ -1,4 +1,5 @@
-"""Experiment presets: the paper's protocol and scaled-down CI variants.
+"""Experiment scenarios under the paper's protocol and scaled-down CI
+variants (the preset table itself is :mod:`repro.experiments.presets`).
 
 The paper's evaluation protocol (Sec. 4) simulates each candidate for
 T_sim = 600 s and averages over 3 runs, which yields sub-0.5% estimator
@@ -14,60 +15,12 @@ size differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.core.design_space import DesignSpace, PlacementConstraints
 from repro.core.problem import DesignProblem, ScenarioParameters
-
-
-@dataclass(frozen=True)
-class Preset:
-    """Measurement-protocol knobs for one preset."""
-
-    name: str
-    tsim_s: float
-    replicates: int
-    #: Cap on MILP optima simulated per iteration.  The paper's CPLEX
-    #: solution pool is similarly bounded; ``None`` = exact full
-    #: enumeration.
-    candidate_cap: Optional[int]
-    #: PDR_min values swept by Figure 3-style experiments.
-    pdr_min_sweep: Tuple[float, ...]
-
-
-PRESETS: Dict[str, Preset] = {
-    "paper": Preset(
-        name="paper",
-        tsim_s=600.0,
-        replicates=3,
-        candidate_cap=16,
-        pdr_min_sweep=(0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 0.99, 0.9997),
-    ),
-    "ci": Preset(
-        name="ci",
-        tsim_s=30.0,
-        replicates=1,
-        candidate_cap=16,
-        pdr_min_sweep=(0.50, 0.80, 0.95, 0.99, 1.00),
-    ),
-    "smoke": Preset(
-        name="smoke",
-        tsim_s=8.0,
-        replicates=1,
-        candidate_cap=8,
-        pdr_min_sweep=(0.50, 0.95),
-    ),
-}
-
-
-def get_preset(preset: str) -> Preset:
-    try:
-        return PRESETS[preset]
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {preset!r}; available: {sorted(PRESETS)}"
-        ) from None
+# Re-exported: the scenario builders and their presets are read together.
+from repro.experiments.presets import PRESETS, Preset, get_preset  # noqa: F401
 
 
 def make_scenario(

@@ -23,41 +23,19 @@ substreams, so a campaign is a pure function of ``(seed, ensemble spec)``
 and bit-reproducible at any ``--jobs`` count.
 """
 
-from repro.faults.model import (
-    FaultKind,
-    FaultScenario,
-    FaultSpec,
-    hub_stress_ensemble,
-    sample_fault_ensemble,
-    torso_crossing_links,
-)
-from repro.faults.injector import FaultInjector, FaultState
+from repro._lazy import lazy_exports
 
-# The resilience layer sits *above* repro.core (it drives the simulation
-# oracle), while the model/injector sit *below* it (repro.core.problem
-# references FaultScenario).  Loading resilience lazily keeps this package
-# importable from both sides of that boundary without a cycle.
-_RESILIENCE_EXPORTS = ("EnsembleOracle", "ResilienceRecord", "pdr_quantile")
-
-
-def __getattr__(name):
-    if name in _RESILIENCE_EXPORTS:
-        from repro.faults import resilience
-
-        return getattr(resilience, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "FaultKind",
-    "FaultScenario",
-    "FaultSpec",
-    "FaultInjector",
-    "FaultState",
-    "EnsembleOracle",
-    "ResilienceRecord",
-    "pdr_quantile",
-    "sample_fault_ensemble",
-    "hub_stress_ensemble",
-    "torso_crossing_links",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.model": (
+        "FaultKind",
+        "FaultScenario",
+        "FaultSpec",
+        "sample_fault_ensemble",
+        "hub_stress_ensemble",
+        "torso_crossing_links",
+    ),
+    "repro.faults.injector": ("FaultInjector", "FaultState"),
+    "repro.faults.resilience": (
+        "EnsembleOracle", "ResilienceRecord", "pdr_quantile",
+    ),
+})

@@ -8,28 +8,16 @@ additional radios and batteries are included so that the exploration
 framework can be exercised beyond the paper's single-radio scenario.
 """
 
-from repro.library.radios import (
-    CC2650,
-    RadioSpec,
-    TxMode,
-    RADIO_CATALOG,
-    radio_by_name,
-)
-from repro.library.batteries import BatterySpec, CR2032, BATTERY_CATALOG, battery_by_name
-from repro.library.mac_options import MacKind, RoutingKind, MacOptions, RoutingOptions
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RadioSpec",
-    "TxMode",
-    "CC2650",
-    "RADIO_CATALOG",
-    "radio_by_name",
-    "BatterySpec",
-    "CR2032",
-    "BATTERY_CATALOG",
-    "battery_by_name",
-    "MacKind",
-    "RoutingKind",
-    "MacOptions",
-    "RoutingOptions",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.library.radios": (
+        "RadioSpec", "TxMode", "CC2650", "RADIO_CATALOG", "radio_by_name",
+    ),
+    "repro.library.batteries": (
+        "BatterySpec", "CR2032", "BATTERY_CATALOG", "battery_by_name",
+    ),
+    "repro.library.mac_options": (
+        "MacKind", "RoutingKind", "MacOptions", "RoutingOptions",
+    ),
+})

@@ -28,25 +28,14 @@ Quick example::
     assert result.is_optimal
 """
 
-from repro.milp.expr import LinExpr, Var
-from repro.milp.model import Constraint, Model
-from repro.milp.solution import SolveResult, SolveStatus
-from repro.milp.branch_bound import BranchAndBoundSolver
-from repro.milp.simplex import LinearProgram, SimplexSolver, SimplexStatus
-from repro.milp.enumerate_optima import enumerate_optimal_solutions
-from repro.milp.scipy_backend import solve_with_scipy
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Var",
-    "LinExpr",
-    "Constraint",
-    "Model",
-    "SolveResult",
-    "SolveStatus",
-    "BranchAndBoundSolver",
-    "LinearProgram",
-    "SimplexSolver",
-    "SimplexStatus",
-    "enumerate_optimal_solutions",
-    "solve_with_scipy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.milp.expr": ("Var", "LinExpr"),
+    "repro.milp.model": ("Constraint", "Model"),
+    "repro.milp.solution": ("SolveResult", "SolveStatus"),
+    "repro.milp.branch_bound": ("BranchAndBoundSolver",),
+    "repro.milp.simplex": ("LinearProgram", "SimplexSolver", "SimplexStatus"),
+    "repro.milp.enumerate_optima": ("enumerate_optimal_solutions",),
+    "repro.milp.scipy_backend": ("solve_with_scipy",),
+})

@@ -20,21 +20,14 @@ runs the four standard layers (Sec. 2.1.2):
 :class:`repro.core.design_space.Configuration`.
 """
 
-from repro.net.packet import Packet
-from repro.net.stats import NodeStats, NetworkStats
-from repro.net.radio import Radio, Medium, RadioState
-from repro.net.node import Node
-from repro.net.network import Network, SimulationOutcome, simulate_configuration
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Packet",
-    "NodeStats",
-    "NetworkStats",
-    "Radio",
-    "Medium",
-    "RadioState",
-    "Node",
-    "Network",
-    "SimulationOutcome",
-    "simulate_configuration",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.net.packet": ("Packet",),
+    "repro.net.stats": ("NodeStats", "NetworkStats"),
+    "repro.net.radio": ("Radio", "Medium", "RadioState"),
+    "repro.net.node": ("Node",),
+    "repro.net.network": (
+        "Network", "SimulationOutcome", "simulate_configuration",
+    ),
+})

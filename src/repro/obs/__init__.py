@@ -13,35 +13,19 @@ See DESIGN.md §6 for the span taxonomy and trace schema, and
 :mod:`repro.analysis.trace_report` for the human-readable summarizer.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.runtime import (
-    Instrumentation,
-    activate,
-    get_active,
-    set_active,
-)
-from repro.obs.tracing import (
-    NULL_TRACER,
-    NullTracer,
-    TraceWriter,
-    check_span_balance,
-    iter_trace,
-    read_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Instrumentation",
-    "activate",
-    "get_active",
-    "set_active",
-    "NULL_TRACER",
-    "NullTracer",
-    "TraceWriter",
-    "check_span_balance",
-    "iter_trace",
-    "read_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "repro.obs.runtime": (
+        "Instrumentation", "activate", "get_active", "set_active",
+    ),
+    "repro.obs.tracing": (
+        "NULL_TRACER",
+        "NullTracer",
+        "TraceWriter",
+        "check_span_balance",
+        "iter_trace",
+        "read_trace",
+    ),
+})

@@ -325,7 +325,9 @@ _BAD_SPECS = {
     "outage_fraction above 1": {"outage_fraction": 5},
     "zero ensemble_size": {"ensemble_size": 0},
     "string seed": {"seed": "x"},
+    "negative seed": {"seed": -1},
     "float fault_seed": {"fault_seed": 1.5},
+    "negative fault_seed": {"fault_seed": -1},
     "string pdr_min": {"pdr_min": "0.9"},
     "missing pdr_min": {"pdr_min": None},
     "unknown preset": {"preset": "nope"},

@@ -200,14 +200,25 @@ class TestBadNumericInputs:
             (["robust", "--pdr-min", "85", "--ensemble-size", "0"],
              "ensemble size"),
             (["dual", "--min-lifetime-days", "-1"], "lifetime bound"),
+            # numpy refuses a negative seed, once a pool worker simulates
+            (["solve", "--pdr-min", "90", "--seed", "-5"], "--seed"),
+            (["robust", "--pdr-min", "85", "--seed", "-1"], "--seed"),
+            (["robust", "--pdr-min", "85", "--fault-seed", "-1"],
+             "--fault-seed"),
+            (["campaign", "--wearers", "2", "--seed", "-1"], "--seed"),
+            (["figure3", "--seed", "-1"], "--seed"),
+            (["reduction", "--seed", "-1"], "--seed"),
         ],
         ids=["pdr-min-150", "pdr-min-negative", "quantile-2",
-             "ensemble-size-0", "lifetime-negative"],
+             "ensemble-size-0", "lifetime-negative", "solve-seed-negative",
+             "robust-seed-negative", "fault-seed-negative",
+             "campaign-seed-negative", "figure3-seed-negative",
+             "reduction-seed-negative"],
     )
     def test_bad_numeric_input_exits_2(self, argv, expected, tmp_path,
                                        capsys):
         out = tmp_path / "run"
-        if argv[0] != "dual":
+        if argv[0] in ("solve", "robust", "campaign"):
             argv = argv + ["--out", str(out)]
         assert cli.main(argv + ["--preset", "smoke", "--jobs", "1"]) == 2
         captured = capsys.readouterr()
@@ -484,12 +495,10 @@ class TestJobsAutoDetect:
         assert args.jobs_requested == 1
 
     def test_auto_jobs_clamps_to_work_items(self):
-        from repro.core.parallel import auto_jobs
-
-        assert auto_jobs(limit=1) == 1
-        assert auto_jobs(limit=None) >= 1
+        assert cli.auto_jobs(limit=1) == 1
+        assert cli.auto_jobs(limit=None) >= 1
         # A limit below one still yields a worker.
-        assert auto_jobs(limit=0) == 1
+        assert cli.auto_jobs(limit=0) == 1
 
 
 class TestBenchCommand:

@@ -17,7 +17,11 @@ from repro.core.batch import batch_unsupported_reason
 from repro.core.design_space import Configuration
 from repro.core.evaluator import EvaluationRecord, SimulationOracle
 from repro.core.explorer import HumanIntranetExplorer
-from repro.core.parallel import replicate_job, run_configuration_outcome
+from repro.core.parallel import (
+    WorkerPool,
+    replicate_job,
+    run_configuration_outcome,
+)
 from repro.des.engine import FAULT_PRIORITY
 from repro.experiments.robustness import run_robustness_comparison
 from repro.experiments.scenario import get_preset, make_problem
@@ -614,3 +618,34 @@ class TestEffectiveWorldSharing:
             ]
         assert stats["simulations_run"] == len(configs) * (1 + len(worlds))
         assert stats["branched_evaluations"] > 0
+
+    def test_lone_configuration_spreads_its_worlds_over_the_pool(
+        self, monkeypatch
+    ):
+        """One configuration at one replicate is one wave of one
+        replicate: at two workers its worlds split into two tasks, each
+        branching off its own healthy prefix, with the serial records."""
+        scenario = _branch_scenario(batch_mode="off", replicates=1)
+        worlds = _branch_worlds(scenario)
+        config = _branch_config(MacKind.CSMA, RoutingKind.MESH)
+        with EnsembleOracle(scenario, worlds, n_jobs=1) as oracle:
+            want = oracle.evaluate(config)
+        tasks = []
+        map_ordered = WorkerPool.map_ordered
+
+        def counted(pool, fn, items, *args, **kwargs):
+            items = list(items)
+            tasks.append(len(items))
+            return map_ordered(pool, fn, items, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "map_ordered", counted)
+        with EnsembleOracle(scenario, worlds, n_jobs=2) as oracle:
+            got = oracle.evaluate(config)
+            stats = oracle.stats()
+        assert tasks == [2]
+        assert got.to_dict() == want.to_dict()
+        assert got.healthy.outcome == want.healthy.outcome
+        assert [r.outcome for _w, r in got.faulted] == [
+            r.outcome for _w, r in want.faulted
+        ]
+        assert stats["simulations_run"] == 1 + len(worlds)

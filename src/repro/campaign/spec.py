@@ -98,6 +98,17 @@ class WearerSpec:
                     f"wearer {self.wearer_id!r}: {name} must be {rule}, "
                     f"got {value!r}"
                 )
+        # the range hub_stress_ensemble accepts; other wearers never use
+        # the fraction, so stored specs with 0 or 1 there still load
+        if (
+            self.mode == "robust" and self.hub_stress
+            and not 0.0 < self.outage_fraction < 1.0
+        ):
+            raise ValueError(
+                f"wearer {self.wearer_id!r}: outage_fraction must be within "
+                f"(0, 1) for a robust hub-stress wearer, "
+                f"got {self.outage_fraction!r}"
+            )
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -673,6 +673,7 @@ _SECONDS = (
 )
 # numpy's SeedSequence refuses a negative entropy
 _SEED = (lambda n: n >= 0, "must be a non-negative integer")
+_OUTAGE_FRACTION = (lambda f: 0 < f < 1, "must be within (0, 1)")
 
 #: Numeric flags whose out-of-range values no run could use, checked
 #: before any port is bound or file written: (command, flag, in range,
@@ -682,6 +683,10 @@ _SEED = (lambda n: n >= 0, "must be a non-negative integer")
 _NUMERIC_FLAGS = (
     (None, "--seed", *_SEED),
     ("robust", "--fault-seed", *_SEED),
+    # hub_stress_ensemble's range; checked even when --hub-stress is off,
+    # where the flag has no use
+    ("robust", "--outage-fraction", *_OUTAGE_FRACTION),
+    ("robustness", "--outage-fraction", *_OUTAGE_FRACTION),
     ("serve", "--port", lambda port: 0 <= port <= 65535,
      "must be a TCP port in [0, 65535]"),
     # a lease lapses once expires_at <= now, so a TTL of 0 or less would
@@ -885,14 +890,14 @@ def _build_problem(args):
 
     Raises ValueError on a numeric input no run could use: a PDR bound
     outside [0, 1], a quantile outside [0, 1], an empty ensemble or a
-    non-positive lifetime bound.
+    lifetime bound that is not positive and finite.
     """
     from repro.experiments.scenario import make_problem
 
     if args.command == "dual":
-        if not args.min_lifetime_days > 0:
+        if not 0 < args.min_lifetime_days < math.inf:
             raise ValueError(
-                "lifetime bound must be positive, got "
+                "lifetime bound must be positive and finite, got "
                 f"{args.min_lifetime_days}"
             )
         pdr_min = 0.5

@@ -611,8 +611,8 @@ class HumanIntranetExplorer:
         *simulated* power meets the budget (ties broken toward lower
         power).
         """
-        if min_lifetime_days <= 0:
-            raise ValueError("lifetime bound must be positive")
+        if not 0 < min_lifetime_days < math.inf:
+            raise ValueError("lifetime bound must be positive and finite")
         start = time.perf_counter()
         battery = self.problem.scenario.battery
         baseline = self.problem.scenario.app.baseline_mw

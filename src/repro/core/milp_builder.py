@@ -24,9 +24,11 @@ power appear with both MACs at different PDRs.
 Power cuts from Algorithm 1's line 11 (``P̄ > P̄*``) are applied as linear
 constraints on the z combination.  :meth:`MilpFormulation.build` makes a
 fresh model for any cut list.  The default ``"combo"`` RunMILP builds P̃
-once per cut shape (no cut, or the one binding cut) and afterwards moves
-only that cut row's rhs, computed through the same expression ``build``
-uses, so every call solves a model equal to a fresh build.
+once, with its one cut row always present (``P̄ ≥ 0`` before the first
+cut, which no configuration violates), and afterwards moves only that
+row's rhs, computed through the same expression ``build`` uses.  So every
+call solves a model equal to a fresh build, and every call after the first
+differs from the one before only in that rhs.
 """
 
 from __future__ import annotations
@@ -80,14 +82,12 @@ class MilpFormulation:
         self._cost_table = self._build_cost_table()
         self._cut_epsilon_mw = self._derive_cut_epsilon()
         # Persistent B&B solver: Algorithm 1 re-solves the same model with
-        # only the cut rhs tightened, so the previous root basis warm
-        # starts the next root relaxation (iteration 0 has no cut row and
-        # its basis is shape-incompatible with iteration 1 — the simplex
-        # signature check falls back cold automatically).
+        # only the cut rhs moved, so each call's root relaxation re-solves
+        # the previous root's final tableau.
         self._solver = BranchAndBoundSolver()
         self._root_basis = None
-        #: The combo method's P̃ by cut count (0 or 1), with its cut row.
-        self._combo_models: Dict[int, Tuple[Model, Optional[Constraint]]] = {}
+        #: The combo method's P̃ and its cut row, built on first use.
+        self._combo: Optional[Tuple[Model, Constraint]] = None
 
     # -- cost table ---------------------------------------------------------------
 
@@ -309,21 +309,18 @@ class MilpFormulation:
         return SolveStatus.OPTIMAL, configs[:max_solutions], p_star
 
     def _combo_model(self, cuts: Sequence[float]) -> Model:
-        """P̃ with ``cuts`` (at most one), built on the first call of its
-        shape; later calls only set the cut row's rhs, through the same
-        ``objective >= cut + ε`` expression :meth:`build` adds it with."""
-        entry = self._combo_models.get(len(cuts))
-        if entry is None:
-            model, _handles = self.build(cuts)
-            cut_row = next(
-                (c for c in model.constraints if c.name == "power_cut_0"), None
+        """P̃ with its cut row set to ``cuts`` (at most one; none reads
+        ``P̄ ≥ 0``), through the ``objective >= cut + ε`` expression
+        :meth:`build` adds a cut with."""
+        if self._combo is None:
+            model, _handles = self.build()
+            cut_row = model.add_constraint(
+                model.objective >= 0.0, name="power_cut_0"
             )
-            self._combo_models[len(cuts)] = (model, cut_row)
-            return model
-        model, cut_row = entry
-        if cut_row is not None:
-            spec = model.objective >= cuts[0] + self._cut_epsilon_mw
-            cut_row.rhs = spec.as_row()[2]
+            self._combo = (model, cut_row)
+        model, cut_row = self._combo
+        bound = cuts[0] + self._cut_epsilon_mw if cuts else 0.0
+        cut_row.rhs = (model.objective >= bound).as_row()[2]
         return model
 
     @cached_property

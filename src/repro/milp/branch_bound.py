@@ -20,9 +20,12 @@ coarse power objective takes few distinct values.  Determinism: ties in the
 heap break on node creation order, so repeated solves of the same model
 produce identical trajectories.
 
-Each child relaxation is re-solved from its parent's optimal basis (see
-:mod:`repro.milp.simplex`); a pending node holds only that basis, never a
-tableau.
+Every node shares the objective and the constraint matrix and differs from
+any other only in its bounds, so each relaxation after the first is a
+re-solve, in place, of the tree's one working tableau (see
+:mod:`repro.milp.simplex`).  A child starts from a copy of its parent's
+final tableau while the tree keeps it (:data:`SAVED_TABLEAUX`), and
+otherwise from whatever relaxation was solved last.
 """
 
 from __future__ import annotations
@@ -30,22 +33,36 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.milp.model import Model
-from repro.milp.simplex import (
-    LinearProgram,
-    SimplexSolver,
-    SimplexStatus,
-    WarmStartBasis,
-)
+from repro.milp.simplex import LinearProgram, SimplexSolver, SimplexStatus, Tableau
 from repro.milp.solution import SolveResult, SolveStatus
 
 #: A solution component within this distance of an integer counts as integral.
 INT_TOL = 1e-6
+
+#: How many branched nodes' final tableaux the tree keeps for their
+#: pending children: the last two to branch.  Under tied bounds, best-first
+#: search pops a node's sibling soon after the node's own children appear,
+#: so the last two branched nodes are the one just solved (for its
+#: children) and its parent (for its sibling).  The tree then holds at most
+#: four tableaux whatever its size: these two, the working one and the
+#: root's.
+SAVED_TABLEAUX = 2
+
+
+class _Saved:
+    """A branched node's final tableau, shared by its children until the
+    tree stops keeping it (``tableau`` is then None)."""
+
+    __slots__ = ("tableau",)
+
+    def __init__(self, tableau: Tableau) -> None:
+        self.tableau: Optional[Tableau] = tableau
 
 
 @dataclass(order=True)
@@ -58,20 +75,9 @@ class _Node:
 
     bound: float
     sequence: int
-    lower: np.ndarray = None  # type: ignore[assignment]
-    upper: np.ndarray = None  # type: ignore[assignment]
-    #: Parent relaxation's optimal basis: the child LP differs by one
-    #: bound, so re-optimizing from here is a few dual pivots instead of
-    #: a full two-phase solve.  Never part of the heap ordering (bound,
-    #: sequence) key.
-    basis: Optional[WarmStartBasis] = None
-
-    def __post_init__(self) -> None:
-        # dataclass(order=True) would compare arrays; exclude them by
-        # keeping them out of the comparison via field order — bound and
-        # sequence always differ before arrays are reached because sequence
-        # is unique.
-        pass
+    lower: np.ndarray = field(default=None, compare=False)  # type: ignore[assignment]
+    upper: np.ndarray = field(default=None, compare=False)  # type: ignore[assignment]
+    parent: Optional[_Saved] = field(default=None, compare=False)
 
 
 class BranchAndBoundSolver:
@@ -88,7 +94,7 @@ class BranchAndBoundSolver:
     lp_solver:
         Simplex engine; injectable for testing.
     use_warm_starts:
-        Re-optimize each child relaxation from its parent's optimal basis
+        Re-solve each relaxation from the tableau the previous one left
         (and the root from ``root_warm_start``, when given) instead of a
         cold two-phase solve; ``False`` is the cold reference.  The simplex
         layer returns only checked warm verdicts and falls back cold
@@ -111,10 +117,19 @@ class BranchAndBoundSolver:
         self.use_warm_starts = use_warm_starts
 
     def solve(
-        self, model: Model, root_warm_start: Optional[WarmStartBasis] = None
+        self, model: Model, root_warm_start: Optional[Tableau] = None
     ) -> SolveResult:
-        """Solve ``model`` to optimality (in the model's objective sense)."""
+        """Solve ``model`` to optimality (in the model's objective sense).
+
+        ``root_warm_start`` is a previous solve's ``root_basis``: the root
+        relaxation's final tableau, which this solve re-solves in place
+        when the model has the same objective and constraint matrix.
+        """
         c, a_ub, b_ub, a_eq, b_eq, bounds, c0 = model.to_standard_arrays()
+        # Every node's LP shares these arrays; read-only, they are the
+        # matrix the simplex layer's tableau was computed on by identity.
+        for array in (c, a_ub, a_eq):
+            array.setflags(write=False)
         int_indices = np.array(model.integer_indices, dtype=int)
         objective_ints = int_indices[c[int_indices] != 0.0]
 
@@ -131,8 +146,6 @@ class BranchAndBoundSolver:
         root = _Node(-math.inf, next(counter))
         root.lower = bounds[:, 0].copy()
         root.upper = bounds[:, 1].copy()
-        if self.use_warm_starts:
-            root.basis = root_warm_start
         heap: List[_Node] = [root]
 
         incumbent_value: Optional[np.ndarray] = None
@@ -141,9 +154,11 @@ class BranchAndBoundSolver:
         lp_iters = 0
         incumbent_updates = 0
         warm_lp_solves = 0
-        root_basis: Optional[WarmStartBasis] = None
+        root_basis: Optional[Tableau] = None
         saw_unbounded_relaxation = False
         warm = self.use_warm_starts
+        tableau = root_warm_start if warm else None
+        saved: List[_Saved] = []
 
         while heap and nodes < self.max_nodes:
             node = heapq.heappop(heap)
@@ -151,18 +166,24 @@ class BranchAndBoundSolver:
                 continue  # cannot improve
             nodes += 1
 
+            if node.parent is not None and node.parent.tableau is not None:
+                tableau = node.parent.tableau.copy(into=tableau)
             lp = LinearProgram(
                 c, a_ub, b_ub, a_eq, b_eq,
                 np.column_stack([node.lower, node.upper]), 0.0,
             )
             result = self.lp_solver.solve(
-                lp, warm_start=node.basis if warm else None, want_basis=warm
+                lp, warm_start=tableau, want_basis=warm
             )
             lp_iters += result.iterations
             if result.warm_started:
                 warm_lp_solves += 1
-            if node is root:
-                root_basis = result.basis
+            if result.tableau is not None:
+                tableau = result.tableau
+            if node is root and result.is_optimal and result.tableau is not None:
+                # The tree re-solves ``tableau`` in place from here on;
+                # the next solve of this model starts from the root's.
+                root_basis = result.tableau.copy()
             if result.status is SimplexStatus.INFEASIBLE:
                 continue
             if result.status is SimplexStatus.UNBOUNDED:
@@ -216,20 +237,26 @@ class BranchAndBoundSolver:
                 floor_v = int(round(frac_val)) - 1
             else:
                 floor_v = math.floor(frac_val)
+            parent = None
+            if result.tableau is not None:
+                spare = None
+                if len(saved) == SAVED_TABLEAUX:
+                    spare, saved[0].tableau = saved[0].tableau, None
+                    del saved[0]
+                parent = _Saved(result.tableau.copy(into=spare))
+                saved.append(parent)
             # Down child: x_j <= floor(v)
-            down = _Node(relax_obj, next(counter))
+            down = _Node(relax_obj, next(counter), parent=parent)
             down.lower = node.lower.copy()
             down.upper = node.upper.copy()
             down.upper[frac_j] = float(floor_v)
-            down.basis = result.basis
             if down.lower[frac_j] <= down.upper[frac_j]:
                 heapq.heappush(heap, down)
             # Up child: x_j >= floor(v) + 1
-            up = _Node(relax_obj, next(counter))
+            up = _Node(relax_obj, next(counter), parent=parent)
             up.lower = node.lower.copy()
             up.upper = node.upper.copy()
             up.lower[frac_j] = float(floor_v + 1)
-            up.basis = result.basis
             if up.lower[frac_j] <= up.upper[frac_j]:
                 heapq.heappush(heap, up)
 

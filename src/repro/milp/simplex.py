@@ -24,21 +24,29 @@ Pivoting uses Dantzig's rule with an automatic switch to Bland's rule after
 a cycling-suspicion threshold, which guarantees termination.  The dense
 tableau implementation is appropriate for the problem sizes that appear in
 Human Intranet design-space exploration (tens of variables and rows) and is
-validated against ``scipy.optimize.linprog`` in the test suite.
+validated against ``scipy.optimize.linprog`` in the test suite.  A pivot
+updates the tableau in place through a scratch buffer allocated with the
+tableau, so it allocates O(m + n) however dense its row is.
 
-Re-solves from a stored basis (:class:`WarmStartBasis`) skip phase 1.  The
-basis is refactorized through its slack structure (:class:`_SlackBasis`),
-dual-simplex pivots restore primal feasibility, and every verdict of that
-path is checked against the LP's own standard-form data: an optimum by its
-residual, an infeasibility by a Farkas certificate.  Anything unchecked
-goes to the cold two-phase solve.
+Re-solves skip phase 1, in one of two ways.  A solve handed an earlier
+solve's final tableau (:class:`Tableau`) first checks that its LP has the
+same objective, constraint matrices and bound pattern (which bounds are
+finite) as the tableau's.  Such an LP differs only in its rhs, that is in
+its variable bounds and ``<=`` rows, so its ``B⁻¹b`` is the tableau's plus
+``B⁻¹Δb``, read off the tableau's own columns, and dual-simplex pivots
+restore feasibility in the tableau itself.  Any other re-solve refactorizes
+a stored basis (:class:`WarmStartBasis`) through its slack structure
+(:class:`_SlackBasis`).  Every verdict of either path is checked against
+the LP's own standard-form data: an optimum by its residual, an
+infeasibility by a Farkas certificate.  Anything unchecked goes to the cold
+two-phase solve.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +66,16 @@ class SimplexStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+
+
+def _matrix(values, n: int) -> np.ndarray:
+    """``values`` as a float matrix with ``n`` columns; an array that
+    already is one is returned as itself, not as a view, so a re-solve can
+    recognise the matrix its tableau was computed on."""
+    array = np.asarray(values, dtype=float)
+    if array.ndim == 2 and array.shape[1] == n:
+        return array
+    return array.reshape(-1, n)
 
 
 @dataclass
@@ -80,9 +98,9 @@ class LinearProgram:
     def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.shape[0]
-        self.a_ub = np.asarray(self.a_ub, dtype=float).reshape(-1, n)
+        self.a_ub = _matrix(self.a_ub, n)
         self.b_ub = np.asarray(self.b_ub, dtype=float).reshape(-1)
-        self.a_eq = np.asarray(self.a_eq, dtype=float).reshape(-1, n)
+        self.a_eq = _matrix(self.a_eq, n)
         self.b_eq = np.asarray(self.b_eq, dtype=float).reshape(-1)
         self.bounds = np.asarray(self.bounds, dtype=float).reshape(n, 2)
         if self.a_ub.shape[0] != self.b_ub.shape[0]:
@@ -102,11 +120,9 @@ class WarmStartBasis:
     ``basis`` holds the standard-form column index that is basic in each
     row; ``signature`` fingerprints the standard form it belongs to
     (row count, column count, and the per-variable encoding kinds).  A
-    warm start is only attempted against an LP whose standard form has
-    the identical signature — which is exactly the Algorithm-1 situation
-    (same model, one cut rhs tightened) and the B&B parent→child situation
-    (same model, one finite bound moved).  Anything else falls back to the
-    cold two-phase solve.
+    solve handed a basis refactorizes it against its own LP when the
+    signatures agree, and otherwise solves cold.  A re-solve that can use
+    the previous solve's whole tableau instead takes a :class:`Tableau`.
     """
 
     basis: np.ndarray
@@ -118,15 +134,202 @@ class WarmStartBasis:
         )
 
 
+#: Encoding kinds of :class:`_Transform` (its ``kind`` codes).
+SHIFT, REFLECT, SPLIT = 0, 1, 2
+
+
+def _encoding(bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each variable's encoding kind, and whether both its bounds are
+    finite (it then has a ``y <= ub - lb`` row)."""
+    finite_lb, finite_ub = np.isfinite(bounds[:, 0]), np.isfinite(bounds[:, 1])
+    kind = np.where(
+        finite_lb, SHIFT, np.where(finite_ub, REFLECT, SPLIT)
+    ).astype(np.int8)
+    return kind, finite_lb & finite_ub
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` if it is read-only and owns its data, else a read-only
+    copy: either way an array whose entries cannot change."""
+    if array.flags.owndata and not array.flags.writeable:
+        return array
+    copy = array.copy()
+    copy.setflags(write=False)
+    return copy
+
+
+def _same(array: np.ndarray, frozen: np.ndarray) -> bool:
+    """Whether ``array`` has the entries of ``frozen`` (a :func:`_frozen`
+    array, so being that very object proves it)."""
+    return array is frozen or (
+        array.shape == frozen.shape and bool(np.array_equal(array, frozen))
+    )
+
+
+class _Structure:
+    """The part of an LP's standard form that its rhs does not touch.
+
+    It comes from the LP's objective, constraint matrices and which of its
+    bounds are finite.  Columns: each variable's encoding columns in
+    variable order (variable ``j`` starts at ``first[j]``), then one slack
+    per ``<=`` row and per bound row.  Rows: the ``<=`` rows, one
+    ``y <= ub - lb`` row per variable with both bounds finite (in variable
+    order, ``bound_vars``), the equalities.
+
+    ``a`` is the standard-form matrix before any row is flipped to make
+    its rhs nonnegative.  A flip negates one row of ``[A | b]``, which
+    leaves ``B⁻¹A`` and ``B⁻¹b`` unchanged, so a tableau computed on
+    flipped rows is a tableau of ``a`` too.  The LP's own ``c``, ``a_ub``
+    and ``a_eq`` are kept as :func:`_frozen` arrays to check that another
+    LP has the same ones.
+    """
+
+    def __init__(self, lp: LinearProgram, kind: np.ndarray, bounded: np.ndarray):
+        self.c_lp, self.a_ub, self.a_eq = (
+            _frozen(array) for array in (lp.c, lp.a_ub, lp.a_eq)
+        )
+        self.kind, self.bounded = kind, bounded
+        split = kind == SPLIT
+        width = np.where(split, 2, 1)
+        self.first = np.cumsum(width) - width
+        self.num_std = int(width.sum())
+        self.sign = np.where(kind == REFLECT, -1.0, 1.0)
+        self.bound_vars = np.flatnonzero(bounded)
+
+        m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
+        m_bound = len(self.bound_vars)
+        num_slacks = m_ub + m_bound
+        a = np.zeros((m_ub + m_bound + m_eq, self.num_std + num_slacks))
+        c = np.zeros(self.num_std + num_slacks)
+
+        def place(target: np.ndarray, coeffs: np.ndarray) -> None:
+            target[..., self.first] = coeffs * self.sign
+            target[..., self.first[split] + 1] = -coeffs[..., split]
+
+        place(c, lp.c)
+        place(a[:m_ub], lp.a_ub)
+        place(a[m_ub + m_bound:], lp.a_eq)
+        a[m_ub + np.arange(m_bound), self.first[self.bound_vars]] = 1.0
+        a[np.arange(num_slacks), self.num_std + np.arange(num_slacks)] = 1.0
+        self.a, self.c = a, c
+
+    @property
+    def signature(self) -> Tuple:
+        return (self.a.shape[0], self.a.shape[1], self.kind.tobytes())
+
+    def matches(
+        self, lp: LinearProgram, kind: np.ndarray, bounded: np.ndarray
+    ) -> bool:
+        """Whether ``lp`` has this structure, entry for entry."""
+        return (
+            np.array_equal(kind, self.kind)
+            and np.array_equal(bounded, self.bounded)
+            and _same(lp.c, self.c_lp)
+            and _same(lp.a_ub, self.a_ub)
+            and _same(lp.a_eq, self.a_eq)
+        )
+
+    def shifts(self, bounds: np.ndarray) -> np.ndarray:
+        """Each variable's ``shift`` in ``x = shift + sign * y``: its lower
+        bound, its upper bound when reflected, 0 when split."""
+        return np.where(
+            self.kind == SHIFT, bounds[:, 0],
+            np.where(self.kind == REFLECT, bounds[:, 1], 0.0),
+        )
+
+    def rhs(self, lp: LinearProgram, shifts: np.ndarray, exact: bool) -> np.ndarray:
+        """``lp``'s unflipped standard-form rhs.  ``exact`` rounds each
+        shifted row as a standalone dot product (what the cold reduction
+        has always done); otherwise one matrix-vector product, which may
+        differ in the last bit and serves the checks of a re-solve."""
+        dots = _row_dots if exact else np.dot
+        bounds = lp.bounds[self.bound_vars]
+        return np.concatenate([
+            lp.b_ub - dots(lp.a_ub, shifts),
+            bounds[:, 1] - bounds[:, 0],
+            lp.b_eq - dots(lp.a_eq, shifts),
+        ])
+
+    def standard(
+        self, lp: LinearProgram, shifts: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``lp``'s standard-form ``(A, b)``: every row whose exact rhs is
+        negative negated, slack included."""
+        a, b = self.a.copy(), self.rhs(lp, shifts, exact=True)
+        flip = b < 0
+        a[flip] *= -1.0
+        b[flip] *= -1.0
+        return a, b
+
+
+class Tableau:
+    """A solve's final tableau, to be re-solved in place by a later solve.
+
+    ``t`` is ``B⁻¹A`` and ``beta`` is ``B⁻¹b`` for the standard-form
+    basis ``basis`` (the column basic in each row).  ``structure`` is the
+    :class:`_Structure` they belong to, and ``shifts``, ``b_ub``,
+    ``bound_ub`` (the upper bounds of the bounded variables) and ``b_eq``
+    are the rhs data of the LP they currently solve.  ``work`` is the
+    pivots' scratch, allocated with the tableau and shared by its copies,
+    so a tableau and its copies are re-solved one at a time.
+
+    A solve handed a tableau re-solves it in place: afterwards the tableau
+    is that LP's, and another solve can pick it up from there.  A re-solve
+    whose verdict fails its check leaves the tableau spent (``live`` is
+    false), and later solves only refactorize its basis.  :meth:`copy`
+    keeps a state to come back to.
+    """
+
+    def __init__(
+        self,
+        structure: _Structure,
+        t: np.ndarray,
+        beta: np.ndarray,
+        basis: np.ndarray,
+        work: np.ndarray,
+        lp: LinearProgram,
+        shifts: np.ndarray,
+    ) -> None:
+        self.structure = structure
+        self.t, self.beta, self.basis, self.work = t, beta, basis, work
+        self.shifts = shifts.copy()
+        self.b_ub = lp.b_ub.copy()
+        self.bound_ub = lp.bounds[structure.bound_vars, 1].copy()
+        self.b_eq = lp.b_eq.copy()
+        self.live = True
+
+    @property
+    def signature(self) -> Tuple:
+        return self.structure.signature
+
+    _STATE = ("t", "beta", "basis", "shifts", "b_ub", "bound_ub", "b_eq")
+
+    def copy(self, into: Optional["Tableau"] = None) -> "Tableau":
+        """A copy of this tableau.  It is written into ``into`` — a
+        tableau of the same structure whose state is no longer needed —
+        when one is given, so no array is allocated."""
+        if into is None or into.structure is not self.structure:
+            into = object.__new__(Tableau)
+            into.__dict__.update(self.__dict__)
+            for name in self._STATE:
+                setattr(into, name, getattr(self, name).copy())
+            return into
+        for name in self._STATE:
+            np.copyto(getattr(into, name), getattr(self, name))
+        into.live = self.live
+        return into
+
+
 @dataclass
 class SimplexResult:
     """Solution report: status, point in the *original* variable space,
     objective value (including ``c0``), and iteration count.
 
-    ``basis`` is populated (on optimal solves) only when the caller asked
-    for it with ``want_basis=True``; ``warm_started`` records whether the
-    reported verdict (an optimum or a certified infeasibility) came from
-    the warm path rather than the two-phase fallback."""
+    ``basis`` (on optimal solves) and ``tableau`` (the final tableau, when
+    it has no artificial column left) are populated only when the caller
+    asked for them with ``want_basis=True``; ``warm_started`` records
+    whether the reported verdict (an optimum or a certified infeasibility)
+    came from a re-solve rather than the two-phase fallback."""
 
     status: SimplexStatus
     x: Optional[np.ndarray]
@@ -135,14 +338,11 @@ class SimplexResult:
     phase1_objective: float = 0.0
     basis: Optional[WarmStartBasis] = None
     warm_started: bool = False
+    tableau: Optional[Tableau] = None
 
     @property
     def is_optimal(self) -> bool:
         return self.status is SimplexStatus.OPTIMAL
-
-
-#: Encoding kinds of :class:`_Transform` (its ``kind`` codes).
-SHIFT, REFLECT, SPLIT = 0, 1, 2
 
 
 @dataclass
@@ -224,6 +424,19 @@ def _farkas_certified(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> bool:
     return bool(np.all(u @ a >= -VERIFY_TOL) and u @ b < -VERIFY_TOL)
 
 
+def _scratch(tableau: np.ndarray) -> np.ndarray:
+    """The pivots' scratch for ``tableau``: room for two copies of it."""
+    return np.empty(2 * tableau.size)
+
+
+#: What a solve path returns: the result and, when they have no artificial
+#: column, its final ``(B⁻¹A, B⁻¹b, basis, scratch)``.
+_Outcome = Tuple[
+    "SimplexResult",
+    Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+]
+
+
 class SimplexSolver:
     """Two-phase dense-tableau simplex.
 
@@ -245,41 +458,60 @@ class SimplexSolver:
     def solve(
         self,
         lp: LinearProgram,
-        warm_start: Optional[WarmStartBasis] = None,
+        warm_start: Optional[Union[WarmStartBasis, Tableau]] = None,
         want_basis: bool = False,
     ) -> SimplexResult:
         """Solve the LP and return a :class:`SimplexResult`.
 
-        ``warm_start`` (from a previous solve's ``result.basis``) skips
-        phase 1 entirely: the stored basis is refactorized against the new
-        constraint data, primal feasibility is restored with a handful of
-        dual-simplex pivots, and phase 2 polishes to optimality.  The warm
-        path returns only verdicts it has checked on this LP's data: an
-        optimum whose residual is within tolerance, or an infeasibility
-        with a Farkas certificate.  Any other outcome — signature
-        mismatch, singular basis, iteration budget, a failed check —
-        reruns the cold two-phase solve, so the verdict and optimum are
-        the same with or without a warm start.  ``want_basis=True``
-        attaches the optimal basis to the result for the next solve.
+        ``warm_start`` skips phase 1.  A :class:`Tableau` (a previous
+        solve's ``result.tableau``) whose LP has this LP's objective,
+        constraint matrices, bound pattern and equality rhs is re-solved
+        in place: its ``B⁻¹b`` moves by ``B⁻¹Δb`` and dual-simplex pivots
+        restore feasibility.  A :class:`WarmStartBasis`, or a tableau
+        that does not qualify, is refactorized against this LP when their
+        signatures agree.  Either path returns only verdicts it has
+        checked on this LP's data: an optimum whose residual is within
+        tolerance, or an infeasibility with a Farkas certificate.  Any
+        other outcome — signature mismatch, singular basis, iteration
+        budget, a failed check — reruns the cold two-phase solve, so the
+        verdict and optimum are the same with or without a warm start.
+        ``want_basis=True`` attaches the optimal basis and the final
+        tableau to the result for the next solve.
         """
-        std, transform = self._to_standard_form(lp)
-        if std is None:
+        if np.any(lp.bounds[:, 0] > lp.bounds[:, 1]):
             # A variable had lb > ub (caught upstream normally).
             return SimplexResult(SimplexStatus.INFEASIBLE, None, None)
-        a, b, c = std
-        signature = (a.shape[0], a.shape[1], transform.kind.tobytes())
-        result: Optional[SimplexResult] = None
-        basis: Optional[np.ndarray] = None
-        warm_used = False
-        if warm_start is not None and warm_start.signature == signature:
-            warm = self._warm_solve(
-                a, b, c, warm_start.basis, transform.num_std_vars
+        kind, bounded = _encoding(lp.bounds)
+        inheritable = (
+            isinstance(warm_start, Tableau)
+            and warm_start.live
+            and warm_start.structure.matches(lp, kind, bounded)
+        )
+        structure = (
+            warm_start.structure if inheritable
+            else _Structure(lp, kind, bounded)
+        )
+        shifts = structure.shifts(lp.bounds)
+        outcome: Optional[_Outcome] = None
+        tableau: Optional[Tableau] = None
+        standard = None
+        if inheritable and np.array_equal(lp.b_eq, warm_start.b_eq):
+            outcome = self._inherit(lp, warm_start, shifts)
+            tableau = warm_start
+        elif warm_start is not None and warm_start.signature == structure.signature:
+            standard = structure.standard(lp, shifts)
+            outcome = self._warm_solve(
+                *standard, structure.c, warm_start.basis, structure.num_std
             )
-            if warm is not None:
-                result, basis = warm
-                warm_used = True
-        if result is None:
-            result, basis = self._two_phase(a, b, c)
+        warm_used = outcome is not None
+        if outcome is None:
+            if standard is None:
+                standard = structure.standard(lp, shifts)
+            outcome = self._two_phase(*standard, structure.c)
+            tableau = None
+        result, final = outcome
+        if want_basis and tableau is None and final is not None:
+            tableau = Tableau(structure, *final, lp, shifts)
         # Per-solve (not per-pivot) instrumentation: two counter adds per
         # LP relaxation, invisible next to the pivoting work above.
         obs = get_active()
@@ -287,21 +519,65 @@ class SimplexSolver:
         obs.counter("simplex.pivots").inc(result.iterations)
         if warm_used:
             obs.counter("simplex.warm_solves").inc()
+        result.warm_started = warm_used
+        if want_basis:
+            result.tableau = tableau
         if result.status is not SimplexStatus.OPTIMAL:
-            result.warm_started = warm_used
             return result
         assert result.x is not None
+        transform = _Transform(kind, structure.first, shifts, structure.num_std)
         x_original = transform.recover(result.x)
         objective = float(lp.c @ x_original + lp.c0)
         exported = None
-        if want_basis and basis is not None:
-            exported = WarmStartBasis(basis=basis, signature=signature)
+        if want_basis and final is not None:
+            exported = WarmStartBasis(basis=final[2], signature=structure.signature)
         return SimplexResult(
             SimplexStatus.OPTIMAL, x_original, objective, result.iterations,
             result.phase1_objective, basis=exported, warm_started=warm_used,
+            tableau=result.tableau,
         )
 
-    # -- warm-start path --------------------------------------------------------
+    # -- warm-start paths -------------------------------------------------------
+
+    def _inherit(
+        self, lp: LinearProgram, tableau: Tableau, shifts: np.ndarray
+    ) -> Optional[_Outcome]:
+        """Re-solve ``lp`` in place from ``tableau``, whose structure and
+        equality rhs it shares; None = go cold (``tableau`` is then spent).
+
+        ``B⁻¹Δb`` is read off the tableau: a variable whose shift moved by
+        ``δ`` moves ``b`` by ``-sign·δ`` times its own standard-form column
+        (every row it appears in, its bound row included), so ``B⁻¹b``
+        moves by ``-sign·δ`` times its tableau column; a ``<=`` row or a
+        bound row whose rhs moved by ``δ`` moves ``B⁻¹b`` by ``δ`` times
+        its slack's tableau column, since that slack is ``e_i``.  The
+        verdict is then checked on this LP's own rhs.
+        """
+        structure, t, beta = tableau.structure, tableau.t, tableau.beta
+        tableau.live = False
+        moved = np.flatnonzero(shifts != tableau.shifts)
+        for j in moved:
+            delta = structure.sign[j] * (shifts[j] - tableau.shifts[j])
+            beta -= delta * t[:, structure.first[j]]
+        bound_ub = lp.bounds[structure.bound_vars, 1]
+        first_bound_slack = structure.num_std + len(lp.b_ub)
+        for new, old, first_slack in (
+            (lp.b_ub, tableau.b_ub, structure.num_std),
+            (bound_ub, tableau.bound_ub, first_bound_slack),
+        ):
+            for i in np.flatnonzero(new != old):
+                beta += (new[i] - old[i]) * t[:, first_slack + i]
+        tableau.shifts[:] = shifts
+        tableau.b_ub[:] = lp.b_ub
+        tableau.bound_ub[:] = bound_ub
+        outcome = self._reoptimize(
+            t, beta, tableau.basis, structure.a,
+            structure.rhs(lp, shifts, exact=False), structure.c,
+            structure.num_std, tableau.work,
+        )
+        if outcome is not None:
+            tableau.live = True
+        return outcome
 
     def _warm_solve(
         self,
@@ -310,23 +586,15 @@ class SimplexSolver:
         c: np.ndarray,
         basis0: np.ndarray,
         first_slack: int,
-    ) -> Optional[Tuple[SimplexResult, Optional[np.ndarray]]]:
+    ) -> Optional[_Outcome]:
         """Re-optimize from a previously optimal basis; None = go cold.
 
         The stored basis B is refactorized against the *new* (A, b) as
-        ``B⁻¹ [A | b]`` through its slack structure (:class:`_SlackBasis`).
-        Constraint-data changes that keep the signature (a cut rhs
-        tightened, a variable bound moved) typically leave the basis
-        dual-feasible but primal-infeasible in a few rows, which
-        dual-simplex pivots repair; a final primal pass certifies
-        optimality.  A dual-simplex row with no negative entry proves the
-        LP infeasible; the verdict is returned only when that row of
-        ``B⁻¹`` is a Farkas certificate on (A, b) themselves.  An optimum
-        is returned only when its residual ``‖A y − b‖∞`` and its most
-        negative entry are within :data:`VERIFY_TOL`.
+        ``B⁻¹ [A | b]`` through its slack structure (:class:`_SlackBasis`),
+        then re-optimized by :meth:`_reoptimize`.
         """
         m, n = a.shape
-        basis = np.asarray(basis0, dtype=int)
+        basis = np.array(basis0, dtype=int)
         if m == 0 or basis.shape[0] != m:
             return None
         if np.any(basis < 0) or np.any(basis >= n):
@@ -348,7 +616,35 @@ class SimplexSolver:
         # to round-off.
         tableau[:, basis] = 0.0
         tableau[np.arange(m), basis] = 1.0
+        return self._reoptimize(
+            tableau, rhs, basis, a, b, c, first_slack, _scratch(tableau)
+        )
 
+    def _reoptimize(
+        self,
+        tableau: np.ndarray,
+        rhs: np.ndarray,
+        basis: np.ndarray,
+        a: np.ndarray,
+        b: np.ndarray,
+        c: np.ndarray,
+        first_slack: int,
+        work: np.ndarray,
+    ) -> Optional[_Outcome]:
+        """Finish a re-solve whose ``tableau`` and ``rhs`` are ``B⁻¹A`` and
+        ``B⁻¹b`` of the LP ``(a, b, c)``; None = go cold.
+
+        Constraint-data changes that keep the structure (a cut rhs
+        tightened, a variable bound moved) leave the basis dual-feasible
+        but primal-infeasible in a few rows, which dual-simplex pivots
+        repair; a final primal pass certifies optimality.  A dual-simplex
+        row with no negative entry proves the LP infeasible; the verdict is
+        returned only when that row of ``B⁻¹`` is a Farkas certificate on
+        (a, b) themselves.  An optimum is returned only when its residual
+        ``‖a y − b‖∞`` and its most negative entry are within
+        :data:`VERIFY_TOL`.
+        """
+        m, n = a.shape
         iterations = 0
         while np.any(rhs < -EPS):
             if iterations >= self.max_iterations:
@@ -371,16 +667,16 @@ class SimplexSolver:
                     return None
                 return SimplexResult(
                     SimplexStatus.INFEASIBLE, None, None, iterations
-                ), None
+                ), (tableau, rhs, basis, work)
             reduced = c - c[basis] @ tableau
             reduced[basis] = 0.0
             ratios = reduced[candidates] / -row[candidates]
             ties = candidates[ratios <= ratios.min() + EPS]
             entering = int(ties[np.argmax(-row[ties])])
-            self._pivot(tableau, rhs, basis, leaving, entering)
+            self._pivot(tableau, rhs, basis, leaving, entering, work)
             iterations += 1
 
-        status, iters = self._optimize(tableau, rhs, c, basis)
+        status, iters = self._optimize(tableau, rhs, c, basis, work)
         iterations += iters
         if status is SimplexStatus.ITERATION_LIMIT:
             return None
@@ -396,7 +692,7 @@ class SimplexSolver:
             return None
         return (
             SimplexResult(SimplexStatus.OPTIMAL, y, float(c @ y), iterations),
-            basis,
+            (tableau, rhs, basis, work),
         )
 
     # -- standard-form reduction ----------------------------------------------
@@ -406,61 +702,27 @@ class SimplexSolver:
     ) -> Tuple[
         Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], Optional[_Transform]
     ]:
-        """Columns: each variable's encoding columns in variable order,
-        then one slack per ``<=`` row and per bound row.  Rows: the
-        ``<=`` rows, one ``y <= ub - lb`` row per variable with both
-        bounds finite (in variable order), the equalities.  Rows whose rhs
-        is negative are negated, slack included."""
-        lb, ub = lp.bounds[:, 0], lp.bounds[:, 1]
-        if np.any(lb > ub):
+        """``((A, b, c), transform)``: the columns and rows of
+        :class:`_Structure`, with every row whose rhs is negative negated,
+        slack included."""
+        if np.any(lp.bounds[:, 0] > lp.bounds[:, 1]):
             return None, None
-        finite_lb, finite_ub = np.isfinite(lb), np.isfinite(ub)
-        kind = np.where(
-            finite_lb, SHIFT, np.where(finite_ub, REFLECT, SPLIT)
-        ).astype(np.int8)
-        split = kind == SPLIT
-        width = np.where(split, 2, 1)
-        first = np.cumsum(width) - width
-        num_std = int(width.sum())
-        sign = np.where(kind == REFLECT, -1.0, 1.0)
-        # x = shift + sign * y: the shift moves every row's rhs.
-        shifts = np.where(finite_lb, lb, np.where(finite_ub, ub, 0.0))
-        bounded = np.flatnonzero(finite_lb & finite_ub)
-
-        m_ub, m_eq, m_bound = lp.a_ub.shape[0], lp.a_eq.shape[0], len(bounded)
-        m = m_ub + m_bound + m_eq
-        num_slacks = m_ub + m_bound
-        a = np.zeros((m, num_std + num_slacks))
-        b = np.empty(m)
-        c = np.zeros(num_std + num_slacks)
-
-        def place(target: np.ndarray, coeffs: np.ndarray) -> None:
-            target[..., first] = coeffs * sign
-            target[..., first[split] + 1] = -coeffs[..., split]
-
-        place(c, lp.c)
-        place(a[:m_ub], lp.a_ub)
-        place(a[m_ub + m_bound:], lp.a_eq)
-        b[:m_ub] = lp.b_ub - _row_dots(lp.a_ub, shifts)
-        b[m_ub + m_bound:] = lp.b_eq - _row_dots(lp.a_eq, shifts)
-        bound_rows = m_ub + np.arange(m_bound)
-        a[bound_rows, first[bounded]] = 1.0
-        b[bound_rows] = ub[bounded] - lb[bounded]
-        a[np.arange(num_slacks), num_std + np.arange(num_slacks)] = 1.0
-
-        # Normalize to b >= 0 (flipping rows, including their slack signs).
-        flip = b < 0
-        a[flip] *= -1.0
-        b[flip] *= -1.0
-        return (a, b, c), _Transform(kind, first, shifts, num_std)
+        structure = _Structure(lp, *_encoding(lp.bounds))
+        shifts = structure.shifts(lp.bounds)
+        a, b = structure.standard(lp, shifts)
+        transform = _Transform(
+            structure.kind, structure.first, shifts, structure.num_std
+        )
+        return (a, b, structure.c), transform
 
     # -- two-phase driver -------------------------------------------------------
 
     def _two_phase(
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray
-    ) -> Tuple[SimplexResult, Optional[np.ndarray]]:
+    ) -> _Outcome:
         """Cold solve; returns the result and, on optimal solves whose
-        final basis is artificial-free, the basis for warm-start export."""
+        final basis is artificial-free, the basis and tableau for a later
+        re-solve."""
         m, n = a.shape
         if m == 0:
             # No constraints: minimum of c'y over y >= 0 is 0 unless some
@@ -489,13 +751,14 @@ class SimplexSolver:
             tableau[i, n + k] = 1.0
             basis[i] = n + k
         rhs = b.copy()
+        work = _scratch(tableau)
 
         iterations = 0
         phase1_obj = 0.0
         if n_art > 0:
             phase1_cost = np.zeros(total)
             phase1_cost[n:] = 1.0
-            status, iters = self._optimize(tableau, rhs, phase1_cost, basis)
+            status, iters = self._optimize(tableau, rhs, phase1_cost, basis, work)
             iterations += iters
             if status is not SimplexStatus.OPTIMAL:
                 return SimplexResult(status, None, None, iterations), None
@@ -513,7 +776,7 @@ class SimplexSolver:
                     pivoted = False
                     for j in range(n):
                         if abs(tableau[i, j]) > 1e-7:
-                            self._pivot(tableau, rhs, basis, i, j)
+                            self._pivot(tableau, rhs, basis, i, j, work)
                             pivoted = True
                             break
                     if not pivoted:
@@ -526,7 +789,9 @@ class SimplexSolver:
         phase2_cost[:n] = c
         forbidden = np.zeros(total, dtype=bool)
         forbidden[n:] = True
-        status, iters = self._optimize(tableau, rhs, phase2_cost, basis, forbidden)
+        status, iters = self._optimize(
+            tableau, rhs, phase2_cost, basis, work, forbidden
+        )
         iterations += iters
         if status is not SimplexStatus.OPTIMAL:
             return SimplexResult(status, None, None, iterations, phase1_obj), None
@@ -535,13 +800,16 @@ class SimplexSolver:
         for i in range(m):
             if basis[i] < n:
                 y[basis[i]] = rhs[i]
-        # Export the basis only when fully artificial-free (a zeroed
-        # redundant row keeps its artificial and cannot be refactorized
-        # against a future A).
-        exportable = basis.copy() if bool(np.all(basis < n)) else None
-        return SimplexResult(
+        result = SimplexResult(
             SimplexStatus.OPTIMAL, y, float(c @ y), iterations, phase1_obj
-        ), exportable
+        )
+        # Export only a fully artificial-free basis (a zeroed redundant
+        # row keeps its artificial and cannot be re-solved against a
+        # future rhs).
+        if not bool(np.all(basis < n)):
+            return result, None
+        final = np.ascontiguousarray(tableau[:, :n])
+        return result, (final, rhs, basis, work[: 2 * final.size])
 
     # -- core pivoting loop -------------------------------------------------------
 
@@ -551,6 +819,7 @@ class SimplexSolver:
         rhs: np.ndarray,
         cost: np.ndarray,
         basis: np.ndarray,
+        work: np.ndarray,
         forbidden: Optional[np.ndarray] = None,
     ) -> Tuple[SimplexStatus, int]:
         """Run primal simplex pivots in place until optimality."""
@@ -595,25 +864,46 @@ class SimplexSolver:
             else:
                 degenerate_streak = 0
 
-            self._pivot(tableau, rhs, basis, leaving, entering)
+            self._pivot(tableau, rhs, basis, leaving, entering, work)
         return SimplexStatus.ITERATION_LIMIT, self.max_iterations
 
     @staticmethod
     def _pivot(
-        tableau: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int
+        tableau: np.ndarray,
+        rhs: np.ndarray,
+        basis: np.ndarray,
+        row: int,
+        col: int,
+        work: np.ndarray,
     ) -> None:
         """Gauss-Jordan pivot bringing ``col`` into the basis at ``row``.
 
-        Fully vectorized: the elimination is a rank-1 update of the whole
-        tableau, which keeps the per-pivot cost in BLAS rather than a
-        Python row loop.
+        The elimination is a rank-1 update of the columns where the pivot
+        row is nonzero (on P̃ about one in seven): a full update would
+        subtract exactly zero from every other column.  Those columns are
+        gathered into ``work`` (:func:`_scratch`), updated there and
+        scattered back, so the pivot allocates O(m + n) however dense its
+        row is, and its arithmetic is entry for entry that of the full
+        update.  The products come from a matrix product with inner
+        dimension 1 (each entry one rounded multiplication, as in
+        ``np.outer``): a broadcast ``np.multiply`` would allocate numpy's
+        128 KB ufunc buffer on every pivot.
         """
-        pivot = tableau[row, col]
-        tableau[row] /= pivot
+        m = tableau.shape[0]
+        pivot_row = tableau[row]
+        pivot = pivot_row[col]
+        pivot_row /= pivot
         rhs[row] /= pivot
         factors = tableau[:, col].copy()
         factors[row] = 0.0
-        tableau -= np.outer(factors, tableau[row])
+        cols = np.flatnonzero(pivot_row)
+        size = m * len(cols)
+        block = work[:size].reshape(m, len(cols))
+        update = work[size:2 * size].reshape(m, len(cols))
+        np.take(tableau, cols, axis=1, out=block, mode="clip")
+        np.dot(factors.reshape(m, 1), pivot_row[cols].reshape(1, -1), out=update)
+        block -= update
+        tableau[:, cols] = block
         rhs -= factors * rhs[row]
         # The pivot column must be exactly a unit vector; enforce it to
         # stop round-off from accumulating across pivots.

@@ -47,15 +47,16 @@ class SolveResult:
         1 on the Human Intranet models when best-bound search walks
         straight to the optimum; larger values indicate weak pruning.
     warm_lp_solves:
-        Node relaxations whose verdict came from the warm path — an
-        optimum with a checked residual or an infeasibility with a Farkas
+        Node relaxations whose verdict came from a re-solve — an optimum
+        with a checked residual or an infeasibility with a Farkas
         certificate — rather than the cold two-phase path (see
         :mod:`repro.milp.simplex`).
     root_basis:
-        The root relaxation's optimal basis, exported so the *next* solve
-        of the same formulation (an Algorithm-1 cut iteration) can warm
-        start; ``None`` when the root was infeasible or the solver was
-        built with warm starts disabled.
+        A copy of the root relaxation's final tableau
+        (:class:`repro.milp.simplex.Tableau`), exported so the *next*
+        solve of the same formulation (an Algorithm-1 cut iteration) can
+        re-solve it in place; ``None`` when the root was not optimal or
+        the solver was built with warm starts disabled.
     """
 
     status: SolveStatus

@@ -323,6 +323,11 @@ _BAD_SPECS = {
     "quantile above 1": {"mode": "robust", "quantile": 2},
     "negative quantile": {"mode": "robust", "quantile": -0.5},
     "outage_fraction above 1": {"outage_fraction": 5},
+    # hub_stress_ensemble needs (0, 1); hub_stress defaults to True
+    "robust hub-stress outage_fraction 0": {
+        "mode": "robust", "hub_stress": True, "outage_fraction": 0.0},
+    "robust hub-stress outage_fraction 1": {
+        "mode": "robust", "outage_fraction": 1},
     "zero ensemble_size": {"ensemble_size": 0},
     "string seed": {"seed": "x"},
     "negative seed": {"seed": -1},
@@ -351,6 +356,16 @@ class TestBadSpecsRefused:
     def test_from_dict_raises_value_error(self, fields):
         with pytest.raises(ValueError):
             CampaignSpec.from_dict(_bad_spec(fields))
+
+    @pytest.mark.parametrize("fields", [
+        {"outage_fraction": 0.0},
+        {"mode": "robust", "hub_stress": False, "outage_fraction": 1.0},
+    ], ids=["solve", "robust-sampled"])
+    def test_unused_outage_fraction_still_loads(self, fields):
+        """Only a robust hub-stress wearer runs its outage fraction, so
+        stored specs of other wearers with 0 or 1 there still load."""
+        spec = CampaignSpec.from_dict(_bad_spec(fields))
+        assert spec.wearers[0].outage_fraction == fields["outage_fraction"]
 
     @pytest.mark.parametrize("execution", ["local", "fleet"])
     @pytest.mark.parametrize("fields", _BAD_SPECS.values(), ids=list(_BAD_SPECS))

@@ -200,6 +200,23 @@ class TestBadNumericInputs:
             (["robust", "--pdr-min", "85", "--ensemble-size", "0"],
              "ensemble size"),
             (["dual", "--min-lifetime-days", "-1"], "lifetime bound"),
+            (["dual", "--min-lifetime-days", "inf"], "positive and finite"),
+            # hub_stress_ensemble's range, with or without --hub-stress
+            (["robust", "--pdr-min", "85", "--outage-fraction", "nan"],
+             "--outage-fraction"),
+            (["robust", "--pdr-min", "85", "--outage-fraction", "2"],
+             "--outage-fraction"),
+            (["robust", "--pdr-min", "85", "--outage-fraction", "-1"],
+             "--outage-fraction"),
+            (["robust", "--pdr-min", "85", "--hub-stress",
+              "--outage-fraction", "0"], "--outage-fraction"),
+            (["robust", "--pdr-min", "85", "--hub-stress",
+              "--outage-fraction", "1"], "--outage-fraction"),
+            # used to fail in a pool worker, after --out held the campaign
+            (["campaign", "--wearers", "1", "--mode", "robust",
+              "--hub-stress", "--outage-fraction", "0"], "outage_fraction"),
+            (["campaign", "--wearers", "1", "--mode", "robust",
+              "--hub-stress", "--outage-fraction", "1"], "outage_fraction"),
             # numpy refuses a negative seed, once a pool worker simulates
             (["solve", "--pdr-min", "90", "--seed", "-5"], "--seed"),
             (["robust", "--pdr-min", "85", "--seed", "-1"], "--seed"),
@@ -210,7 +227,12 @@ class TestBadNumericInputs:
             (["reduction", "--seed", "-1"], "--seed"),
         ],
         ids=["pdr-min-150", "pdr-min-negative", "quantile-2",
-             "ensemble-size-0", "lifetime-negative", "solve-seed-negative",
+             "ensemble-size-0", "lifetime-negative", "lifetime-inf",
+             "outage-fraction-nan", "outage-fraction-2",
+             "outage-fraction-negative", "hub-stress-outage-fraction-0",
+             "hub-stress-outage-fraction-1",
+             "campaign-hub-stress-outage-fraction-0",
+             "campaign-hub-stress-outage-fraction-1", "solve-seed-negative",
              "robust-seed-negative", "fault-seed-negative",
              "campaign-seed-negative", "figure3-seed-negative",
              "reduction-seed-negative"],

@@ -66,6 +66,15 @@ class TestDualExplorer:
         with pytest.raises(ValueError):
             explorer.explore_max_reliability(min_lifetime_days=0.0)
 
+    @pytest.mark.parametrize("days", [float("inf"), float("nan")])
+    def test_non_finite_bound_refused(self, days):
+        """An infinite bound is a zero power budget; refuse it rather
+        than report an infeasible search."""
+        explorer = HumanIntranetExplorer(tiny_problem())
+        with pytest.raises(ValueError, match="positive and finite"):
+            explorer.explore_max_reliability(min_lifetime_days=days)
+        assert explorer.oracle.simulations_run == 0
+
     def test_best_maximizes_pdr_among_budgeted(self):
         problem = tiny_problem()
         explorer = HumanIntranetExplorer(problem, candidate_cap=8)

@@ -117,17 +117,26 @@ class TestCuts:
 
 
 class TestComboModelReuse:
-    """The combo RunMILP builds P̃ once per cut shape and then moves only
-    the cut row's rhs; each call must solve exactly what a fresh build
-    would, with the same warm-start history."""
+    """The combo RunMILP builds P̃ once, with its cut row always present,
+    and then moves only that row's rhs; each call must solve exactly what
+    a fresh build would, with the same warm-start history."""
 
     @staticmethod
-    def _walk(formulation, fresh_build):
+    def _fresh_model(formulation, cuts):
+        """A fresh build of what a call with ``cuts`` solves: the binding
+        cut, or ``P̄ ≥ 0`` (a cut at ``-ε``) before the first one."""
+        binding = max(cuts) if cuts else -formulation.cut_epsilon_mw
+        return formulation.build([binding])[0]
+
+    def _walk(self, formulation, fresh_build, monkeypatch):
         obs = formulation.obs
         calls, cuts = [], []
         for _level in range(40):  # a stale cut would never end the walk
             if fresh_build:
-                formulation._combo_models.clear()
+                model = self._fresh_model(formulation, cuts)
+                monkeypatch.setattr(
+                    formulation, "_combo_model", lambda _cuts: model
+                )
             nodes = obs.counter("milp.nodes").value
             pivots = obs.counter("milp.lp_iterations").value
             status, configs, p_star = formulation.enumerate_candidates(cuts)
@@ -141,32 +150,36 @@ class TestComboModelReuse:
             cuts.append(p_star)
         return calls
 
-    def test_walk_matches_fresh_builds(self):
+    def test_walk_matches_fresh_builds(self, monkeypatch):
         walks = []
         for fresh_build in (False, True):
             _f, problem = make_formulation(max_nodes=5)
             formulation = MilpFormulation(
                 problem, obs=Instrumentation(MetricsRegistry())
             )
-            walks.append(self._walk(formulation, fresh_build))
+            walks.append(self._walk(formulation, fresh_build, monkeypatch))
         reused, fresh = walks
         assert len(reused) > 3
         assert reused == fresh
 
     def test_cut_rhs_equals_a_fresh_build(self):
-        formulation, _ = make_formulation()
+        """Every Eq. 9 level of smoke P̃ as the cut, then no cut again.
+        Levels 12 and 14 round differently under another association of
+        ``cut + ε - P_bl``, so a cut rhs computed any other way fails."""
+        from repro.experiments.scenario import make_problem
+
+        formulation = MilpFormulation(make_problem(0.9, "smoke"))
         levels = formulation.distinct_power_levels_mw()
-        for cut in levels[:4]:
-            formulation.enumerate_candidates([cut])
-            model, _handles = formulation.build([cut])
-            fresh = [c for c in model.constraints if c.name == "power_cut_0"]
-            reused = formulation._combo_models[1][0]
+        for cuts in [[]] + [[cut] for cut in levels] + [[]]:
+            formulation.enumerate_candidates(cuts)
+            reused = formulation._combo[0]
+            model = self._fresh_model(formulation, cuts)
             assert [
                 (c.name, c.coeffs, c.sense, c.rhs) for c in reused.constraints
             ] == [
                 (c.name, c.coeffs, c.sense, c.rhs) for c in model.constraints
             ]
-            assert fresh[0].rhs == reused.constraints[-1].rhs
+            assert reused.constraints[-1].name == "power_cut_0"
 
     def test_placements_are_enumerated_once(self, monkeypatch):
         formulation, problem = make_formulation(max_nodes=4)

@@ -9,17 +9,19 @@ randomized tightening-cut sequences.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from repro.milp import simplex
+from repro.milp import SolveStatus, simplex
 from repro.milp.branch_bound import BranchAndBoundSolver
 from repro.milp.simplex import (
     LinearProgram,
     SimplexSolver,
     SimplexStatus,
+    Tableau,
     solve_lp,
 )
 
@@ -248,6 +250,42 @@ class TestBranchAndBoundWarmStart:
             assert warm.status is cold.status
             assert warm.objective == cold.objective
             basis = warm.root_basis if warm.is_optimal else None
+
+    def test_tree_keeps_a_bounded_number_of_tableaux(self, monkeypatch):
+        """A tree of hundreds of nodes allocates at most three tableaux
+        beyond its cold root's: the root's copy and the two saved parents',
+        whose arrays later copies reuse."""
+        from repro.milp import Model
+        from repro.milp.branch_bound import SAVED_TABLEAUX
+        from repro.milp.expr import LinExpr
+
+        rng = np.random.default_rng(12)
+        model = Model("knapsack", sense="max")
+        xs = [model.add_binary(f"x{i}") for i in range(24)]
+        weights = rng.integers(20, 60, size=len(xs))
+        values = weights + rng.integers(-5, 6, size=len(xs))
+        model.set_objective(LinExpr.sum_of(
+            int(v) * x for v, x in zip(values, xs)
+        ))
+        model.add_constraint(LinExpr.sum_of(
+            int(w) * x for w, x in zip(weights, xs)
+        ) <= int(weights.sum()) // 2)
+        allocated = []
+        copy = Tableau.copy
+
+        def counting(self, into=None):
+            result = copy(self, into)
+            if result is not into:
+                allocated.append(result)
+            return result
+
+        monkeypatch.setattr(Tableau, "copy", counting)
+        warm = BranchAndBoundSolver(use_warm_starts=True).solve(model)
+        cold = BranchAndBoundSolver(use_warm_starts=False).solve(model)
+        assert warm.nodes_explored > 100
+        assert warm.warm_lp_solves == warm.nodes_explored - 1
+        assert len(allocated) == 1 + SAVED_TABLEAUX
+        assert warm.objective == cold.objective
 
 
 def _weighted_pair(rng, up):
@@ -547,3 +585,268 @@ class TestVectorisedStandardForm:
     def test_crossed_bounds_have_no_standard_form(self):
         problem = lp([1.0, 1.0], bounds=[[0.0, 1.0], [2.0, 1.0]])
         assert SimplexSolver()._to_standard_form(problem)[0] is None
+
+
+def _smoke_lowering(cuts):
+    """``(levels, c, a_ub, a_eq, b_eq, bounds, c0, b_ub by cut)`` of P̃ on
+    smoke with its cut row, lowered once and read-only as branch and bound
+    shares them; ``b_ub by cut`` maps each of ``cuts`` (indices into the
+    Eq. 9 levels) to the ``<=`` rhs of that cut."""
+    from repro.core.milp_builder import MilpFormulation
+    from repro.experiments.scenario import make_problem
+
+    form = MilpFormulation(make_problem(pdr_min=0.9, preset="smoke"))
+    levels = form.distinct_power_levels_mw()
+    lowered = {
+        k: form.build([levels[k]])[0].to_standard_arrays() for k in cuts
+    }
+    c, a_ub, _b_ub, a_eq, b_eq, bounds, c0 = lowered[cuts[0]]
+    for array in (c, a_ub, a_eq):
+        array.setflags(write=False)
+    for arrays in lowered.values():
+        assert np.array_equal(arrays[1], a_ub)
+    return c, a_ub, a_eq, b_eq, bounds, c0, {
+        k: arrays[2] for k, arrays in lowered.items()
+    }
+
+
+def _random_node(rng, bounds):
+    """Branch-and-bound style fixings: a few binaries pinned at 0 or 1."""
+    node = bounds.copy()
+    for j in rng.permutation(len(node))[: int(rng.integers(0, 7))]:
+        node[j] = [1.0, 1.0] if rng.random() < 0.5 else [0.0, 0.0]
+    return node
+
+
+class TestInheritedTableau:
+    """A solve handed the previous solve's final tableau re-solves it in
+    place when its LP differs only in its rhs; every verdict is checked on
+    the LP's own data, and anything else goes cold."""
+
+    def _pair(self):
+        """(parent, child): the child moves one ``<=`` rhs."""
+        base = dict(
+            c=[-1.0, -2.0], a_ub=np.array([[1.0, 1.0], [1.0, 3.0]]),
+            bounds=[[0.0, 10.0], [0.0, 10.0]],
+        )
+        return lp(b_ub=[4.0, 9.0], **base), lp(b_ub=[3.0, 9.0], **base)
+
+    def test_randomized_fixings_and_cut_moves_match_cold(self):
+        cuts = list(range(0, 18, 3))
+        c, a_ub, a_eq, b_eq, bounds, c0, b_ub = _smoke_lowering(cuts)
+        rng = np.random.default_rng(25)
+        solver = SimplexSolver()
+        tableau = None
+        statuses = set()
+        for step in range(80):
+            problem = LinearProgram(
+                c, a_ub, b_ub[cuts[int(rng.integers(0, len(cuts)))]],
+                a_eq, b_eq, _random_node(rng, bounds), c0,
+            )
+            warm = solver.solve(problem, warm_start=tableau, want_basis=True)
+            cold = solver.solve(problem)
+            assert warm.status is cold.status, step
+            statuses.add(warm.status)
+            if cold.is_optimal:
+                # up to round-off well inside branch and bound's 1e-9 gap
+                # tolerance: this chain re-solves one tableau 80 times,
+                # each moving several bounds, and never refactorizes
+                assert warm.objective == pytest.approx(
+                    cold.objective, rel=1e-9, abs=1e-9
+                ), step
+            if step == 0:
+                tableau = warm.tableau
+                assert not warm.warm_started
+            else:
+                # re-solved in place, infeasible children included
+                assert warm.warm_started, step
+                assert warm.tableau is tableau and tableau.live, step
+        assert statuses == {SimplexStatus.OPTIMAL, SimplexStatus.INFEASIBLE}
+
+    @pytest.mark.parametrize("part", ["rhs", "tableau"])
+    def test_corrupted_tableau_falls_back_cold(self, part):
+        parent_lp, child_lp = self._pair()
+        solver = SimplexSolver()
+        tableau = solver.solve(parent_lp, want_basis=True).tableau
+        if part == "rhs":
+            tableau.beta += 1e-5
+        else:
+            # the moved row's slack column, which B⁻¹Δb is read from
+            tableau.t[:, tableau.structure.num_std] += 1e-3
+        result = solver.solve(child_lp, warm_start=tableau, want_basis=True)
+        cold = solver.solve(child_lp)
+        assert not result.warm_started
+        assert not tableau.live
+        assert result.tableau is not tableau
+        assert result.objective == cold.objective
+        assert np.array_equal(result.x, cold.x)
+
+    @pytest.mark.parametrize("up", [False, True], ids=["down", "up"])
+    def test_infeasible_child_is_certified_from_the_tableau(self, up):
+        rng = np.random.default_rng(7 if up else 6)
+        solver = SimplexSolver()
+        for trial in range(30):
+            parent_lp, child_lp = _weighted_pair(rng, up)
+            tableau = solver.solve(parent_lp, want_basis=True).tableau
+            assert tableau is not None, trial
+            warm = solver.solve(child_lp, warm_start=tableau)
+            assert warm.status is SimplexStatus.INFEASIBLE, trial
+            assert warm.warm_started and tableau.live, trial
+
+    def test_infeasible_child_without_certificate_goes_cold(self, monkeypatch):
+        parent_lp, child_lp = _weighted_pair(np.random.default_rng(6), False)
+        solver = SimplexSolver()
+        tableau = solver.solve(parent_lp, want_basis=True).tableau
+        checked = []
+
+        def refused(a, b, u):
+            checked.append(u)
+            return False
+
+        monkeypatch.setattr(simplex, "_farkas_certified", refused)
+        result = solver.solve(child_lp, warm_start=tableau)
+        assert checked  # the re-solve did reach a certificate
+        assert result.status is SimplexStatus.INFEASIBLE
+        assert not result.warm_started
+        assert not tableau.live
+
+    @pytest.mark.parametrize("change", ["a_ub", "a_ub in place", "c", "a_eq"])
+    def test_different_matrix_never_uses_the_tableau(self, change, monkeypatch):
+        """Same signature, different data: the tableau is neither re-solved
+        nor changed; the solve refactorizes its basis or goes cold."""
+        base = dict(
+            c=np.array([-1.0, -2.0, -0.5]),
+            a_ub=np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 0.0]]),
+            b_ub=[4.0, 9.0],
+            a_eq=np.array([[1.0, 0.0, -1.0]]), b_eq=[0.5],
+            bounds=[[0.0, 10.0]] * 3,
+        )
+        solver = SimplexSolver()
+        tableau = solver.solve(lp(**base), want_basis=True).tableau
+        before = tableau.copy()
+        if change == "a_ub in place":
+            base["a_ub"][0, 2] = 2.0  # the very array the tableau saw
+        else:
+            base[change] = base[change].copy()
+            base[change].flat[0] += 0.25
+        problem = lp(**base)
+        inherited = []
+        monkeypatch.setattr(
+            SimplexSolver, "_inherit",
+            lambda self, *args: inherited.append(args),
+        )
+        result = solver.solve(problem, warm_start=tableau, want_basis=True)
+        monkeypatch.undo()
+        cold = solver.solve(problem)
+        assert not inherited
+        assert result.tableau is not tableau
+        for name in Tableau._STATE:
+            assert np.array_equal(getattr(tableau, name), getattr(before, name))
+        assert result.status is cold.status is SimplexStatus.OPTIMAL
+        assert result.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+class TestAllocationFreePivots:
+    """Pivots and the set-up of an in-place re-solve allocate O(m + n),
+    however dense the pivot row: no temporary the size of the tableau,
+    whose allocator cost would depend on the process's malloc state."""
+
+    M, N = 200, 100  # 200 dense rows: a 200 x (100 + 200) tableau
+
+    def _peak(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_dense_pivot(self):
+        rng = np.random.default_rng(0)
+        tableau = rng.normal(size=(self.M, self.M + self.N))
+        rhs = rng.random(self.M)
+        basis = np.arange(self.M)
+        work = simplex._scratch(tableau)
+        expected = tableau - np.outer(tableau[:, 7], tableau[3] / tableau[3, 7])
+        peak = self._peak(
+            lambda: SimplexSolver._pivot(tableau, rhs, basis, 3, 7, work)
+        )
+        assert peak < tableau.nbytes / 10
+        expected[3] = tableau[3]
+        expected[:, 7] = 0.0
+        expected[3, 7] = 1.0
+        assert np.allclose(tableau, expected)
+
+    def test_dense_inherited_resolve(self):
+        rng = np.random.default_rng(1)
+        a_ub = rng.uniform(0.5, 1.5, size=(self.M, self.N))
+        a_ub.setflags(write=False)
+        c = -rng.uniform(0.5, 1.5, size=self.N)
+        c.setflags(write=False)
+        b_ub = rng.uniform(5.0, 10.0, size=self.M)
+        solver = SimplexSolver()
+        first = solver.solve(lp(c, a_ub=a_ub, b_ub=b_ub), want_basis=True)
+        tableau = first.tableau
+        assert tableau.t.shape == (self.M, self.M + self.N)
+        for step in range(4):
+            b_ub = b_ub.copy()
+            b_ub[int(rng.integers(0, self.M))] *= 0.5
+            problem = lp(c, a_ub=a_ub, b_ub=b_ub)
+            result = None
+
+            def resolve():
+                nonlocal result
+                result = solver.solve(problem, warm_start=tableau)
+
+            peak = self._peak(resolve)
+            assert result.warm_started and result.iterations > 0, step
+            assert peak < tableau.t.nbytes / 10, step
+
+
+class TestAlgorithmOneWalks:
+    """Every Eq. 9 level of P̃, warm and cold, and the cold solves of a
+    warm walk."""
+
+    @staticmethod
+    def _walk(formulation):
+        calls, cuts = [], []
+        for _level in range(40):
+            status, configs, p_star = formulation.enumerate_candidates(cuts)
+            calls.append((status, repr(p_star), [c.key() for c in configs]))
+            if status is not SolveStatus.OPTIMAL:
+                return calls
+            cuts.append(p_star)
+        raise AssertionError("the walk did not end")
+
+    @pytest.mark.parametrize("preset", ["smoke", "ci", "paper"])
+    def test_every_level_is_the_same_warm_and_cold(self, preset):
+        from repro.core.milp_builder import MilpFormulation
+        from repro.experiments.scenario import make_problem
+
+        walks = []
+        for warm in (True, False):
+            formulation = MilpFormulation(make_problem(0.9, preset))
+            formulation._solver = BranchAndBoundSolver(use_warm_starts=warm)
+            walks.append(self._walk(formulation))
+        assert len(walks[0]) == 19  # 18 levels, then infeasible
+        assert walks[0] == walks[1]
+
+    @pytest.mark.parametrize("seed", [6, 15, 19, 25, 35, 52])
+    def test_a_walk_solves_cold_once(self, seed, monkeypatch):
+        """perfbench's deep seeds: only the first root is solved cold."""
+        from repro.core.milp_builder import MilpFormulation
+        from repro.experiments.scenario import make_problem
+
+        warm_started = []
+        solve = SimplexSolver.solve
+
+        def spy(self, *args, **kwargs):
+            result = solve(self, *args, **kwargs)
+            warm_started.append(result.warm_started)
+            return result
+
+        monkeypatch.setattr(SimplexSolver, "solve", spy)
+        formulation = MilpFormulation(make_problem(0.99, "smoke", seed=seed))
+        assert len(self._walk(formulation)) == 19
+        assert warm_started[0] is False
+        assert all(warm_started[1:])

@@ -331,9 +331,13 @@ def bench_milp_warm_vs_cold(
     """Algorithm 1's tightening cut loop, warm-started vs cold.
 
     The model sequence replays what ``enumerate_candidates`` builds: the
-    relaxation with no cut, then with one cut row whose rhs tightens to
-    the previous optimum each iteration.  Only ``solver.solve`` is timed;
-    the (identical) model builds are excluded from both sides.
+    relaxation with no cut, then with one cut that tightens to the
+    previous optimum each iteration.  A cut is its row plus the
+    combination bounds the row implies, so each solve settles at its
+    root on both sides, and the difference is the root relaxation: a
+    re-solve of the previous root's tableau against a cold two-phase
+    solve.  Only ``solver.solve`` is timed; the (identical) model builds
+    are excluded from both sides.
     """
     from repro.core.milp_builder import MilpFormulation
     from repro.experiments.scenario import make_problem

@@ -11,8 +11,9 @@ parts (DESIGN.md §9):
   <key>}``); the three shapes on disk are log lines (``entry``),
   manifests (``manifest``) and cache envelopes (``record`` /
   ``summary``);
-* **one atomic writer** — :func:`write_atomic`: tmp file, fsync,
-  ``os.replace``, so a reader sees the old bytes or the new, never a mix;
+* **one atomic writer** — :func:`write_atomic`: a per-writer tmp file,
+  fsync, ``os.replace``, so a reader sees the old bytes or the new, never
+  a mix;
 * **one append log** — :class:`EventLog`, the only code that opens a
   log, truncates a torn tail or appends (each line flushed and fsynced
   before the call returns);
@@ -66,10 +67,12 @@ instead of silently producing a franken-trajectory.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import pathlib
+import threading
 import zlib
 from typing import Iterable, List, Optional, Tuple
 
@@ -176,14 +179,27 @@ def _sync(fh) -> None:
 
 def write_atomic(path, text: str) -> pathlib.Path:
     """Replace ``path`` with ``text`` all-or-nothing (tmp, fsync,
-    ``os.replace``); returns the path."""
+    ``os.replace``); returns the path.
+
+    Each writer stages in its own ``<path>.<pid>.<thread>.tmp`` beside
+    ``path``, so two writers of one path cannot move each other's
+    temporary away (the last replace wins).  Directory scans skip the
+    ``.tmp`` suffix; a failed write removes its temporary.
+    """
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        _sync(fh)
-    os.replace(tmp, path)
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            _sync(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # keep the original error
+            tmp.unlink()
+        raise
     return path
 
 

@@ -21,23 +21,33 @@ optimum comes in CSMA and TDMA flavours; the optimum-set enumerator
 the behaviour the paper's Fig. 3 arrows show, where the same placement and
 power appear with both MACs at different PDRs.
 
-Power cuts from Algorithm 1's line 11 (``P̄ > P̄*``) are applied as linear
-constraints on the z combination.  :meth:`MilpFormulation.build` makes a
-fresh model for any cut list.  The default ``"combo"`` RunMILP builds P̃
-once, with its one cut row always present (``P̄ ≥ 0`` before the first
-cut, which no configuration violates), and afterwards moves only that
-row's rhs, computed through the same expression ``build`` uses.  So every
+A power cut from Algorithm 1's line 11 (``P̄ > P̄*``) is the row
+``P̄ ≥ P̄* + ε`` plus the combination bounds it implies.  Exactly one z is
+1, so P̄ is a function of the selected combination alone, and the row
+holds exactly when every combination whose one-hot point violates it has
+``z = 0``: those indicators get ``ub = 0`` and the rest ``ub = 1``
+(:func:`_bound_combos`).  The row alone is a weak cut: the LP relaxation
+meets it with a fractional mix of a combination below the cut and one
+above it, and branch and bound has to branch its way out.  With the
+bounds the relaxation's optimum sits on the cheapest combination left,
+and P̃ solves at its root.
+
+:meth:`MilpFormulation.build` makes a fresh model for any cut list.  The
+default ``"combo"`` RunMILP builds P̃ once, with its one cut row always
+present (``P̄ ≥ 0`` before the first cut, which no configuration
+violates), and afterwards moves only that row's rhs, computed through the
+same expression ``build`` uses, and the z bounds it implies.  So every
 call solves a model equal to a fresh build, and every call after the first
-differs from the one before only in that rhs.
+differs from the one before only in rhs data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.design_space import Configuration
+from repro.core.design_space import Configuration, DesignSpace, PlacementConstraints
 from repro.core.problem import DesignProblem
 from repro.library.mac_options import MacKind, RoutingKind
 from repro.milp import Constraint, Model, SolveStatus, enumerate_optimal_solutions
@@ -63,6 +73,30 @@ class _Vars:
     combos: Dict[Tuple[str, int, int], Var]
 
 
+def _bound_combos(combos: Iterable[Var], cut_rows: Sequence[Constraint]) -> None:
+    """Give each combination indicator the upper bound the ``P̄ ≥ rhs``
+    cut rows imply: 0 when its own coefficient in some row is below that
+    row's rhs (its one-hot point violates the row), else 1."""
+    for z in combos:
+        excluded = any(row.coeffs.get(z.index, 0.0) < row.rhs for row in cut_rows)
+        z.ub = 0.0 if excluded else 1.0
+
+
+@lru_cache(maxsize=8)
+def _placements_by_size(
+    constraints: PlacementConstraints,
+) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The placements satisfying ``constraints``, grouped by node count:
+    entry ``n`` holds those of ``n`` nodes.  Enumerated once per
+    constraint set, and immutable because every formulation shares it."""
+    by_size: List[List[Tuple[int, ...]]] = [
+        [] for _ in range(constraints.max_nodes + 1)
+    ]
+    for placement in DesignSpace(constraints=constraints).placements():
+        by_size[len(placement)].append(placement)
+    return tuple(tuple(group) for group in by_size)
+
+
 class MilpFormulation:
     """Builds and solves P̃ for a given design problem.
 
@@ -86,8 +120,9 @@ class MilpFormulation:
         # the previous root's final tableau.
         self._solver = BranchAndBoundSolver()
         self._root_basis = None
-        #: The combo method's P̃ and its cut row, built on first use.
-        self._combo: Optional[Tuple[Model, Constraint]] = None
+        #: The combo method's P̃, its cut row and its combination
+        #: indicators, built on first use.
+        self._combo: Optional[Tuple[Model, Constraint, List[Var]]] = None
 
     # -- cost table ---------------------------------------------------------------
 
@@ -205,11 +240,15 @@ class MilpFormulation:
         p_bar = radio_power + self.scenario.app.baseline_mw
         m.set_objective(p_bar)
 
-        # Algorithm 1 cuts: P̄ > cut, realized as P̄ ≥ cut + ε.
-        for c_index, cut in enumerate(power_cuts_mw):
+        # Algorithm 1 cuts: P̄ > cut, realized as P̄ ≥ cut + ε and the
+        # combination bounds that row implies.
+        cut_rows = [
             m.add_constraint(
                 p_bar >= cut + self._cut_epsilon_mw, name=f"power_cut_{c_index}"
             )
+            for c_index, cut in enumerate(power_cuts_mw)
+        ]
+        _bound_combos(combos.values(), cut_rows)
 
         return m, _Vars(placement, tx_levels, mac_tdma, routing_vars, node_counts, combos)
 
@@ -309,27 +348,20 @@ class MilpFormulation:
         return SolveStatus.OPTIMAL, configs[:max_solutions], p_star
 
     def _combo_model(self, cuts: Sequence[float]) -> Model:
-        """P̃ with its cut row set to ``cuts`` (at most one; none reads
-        ``P̄ ≥ 0``), through the ``objective >= cut + ε`` expression
-        :meth:`build` adds a cut with."""
+        """P̃ with its cut set to ``cuts`` (at most one; none reads
+        ``P̄ ≥ 0``): the row's rhs through the ``objective >= cut + ε``
+        expression :meth:`build` adds a cut with, then the z bounds."""
         if self._combo is None:
-            model, _handles = self.build()
+            model, handles = self.build()
             cut_row = model.add_constraint(
                 model.objective >= 0.0, name="power_cut_0"
             )
-            self._combo = (model, cut_row)
-        model, cut_row = self._combo
+            self._combo = (model, cut_row, list(handles.combos.values()))
+        model, cut_row, combos = self._combo
         bound = cuts[0] + self._cut_epsilon_mw if cuts else 0.0
         cut_row.rhs = (model.objective >= bound).as_row()[2]
+        _bound_combos(combos, [cut_row])
         return model
-
-    @cached_property
-    def _placements_by_size(self) -> Dict[int, List[Tuple[int, ...]]]:
-        """The design space's placements grouped by node count."""
-        by_size: Dict[int, List[Tuple[int, ...]]] = {}
-        for placement in self.space.placements():
-            by_size.setdefault(len(placement), []).append(placement)
-        return by_size
 
     def _expand_tied_combos(self, p_star_mw: float) -> List[Configuration]:
         """All grid configurations whose Eq. 9 power equals P̄*."""
@@ -344,7 +376,7 @@ class MilpFormulation:
         for routing_value, k, n in tied:
             routing = RoutingKind(routing_value)
             tx_dbm = self.space.tx_levels_dbm[k]
-            for placement in self._placements_by_size.get(n, []):
+            for placement in _placements_by_size(self.space.constraints)[n]:
                 for mac in self.space.mac_kinds:
                     configs.append(Configuration(placement, tx_dbm, mac, routing))
         configs.sort(key=lambda c: c.key())

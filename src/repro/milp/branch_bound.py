@@ -210,7 +210,7 @@ class BranchAndBoundSolver:
                 # least-integral variable instead of accepting a bogus
                 # incumbent.
                 x = result.x.copy()
-                x[int_indices] = np.round(x[int_indices])
+                x[int_indices] = x[int_indices].round()
                 if self._rounded_point_feasible(x, a_ub, b_ub, a_eq, b_eq):
                     incumbent_obj = float(c @ x)
                     incumbent_value = x
@@ -319,8 +319,8 @@ class BranchAndBoundSolver:
             if len(candidates) == 0:
                 continue
             values = x[candidates]
-            dist = np.abs(values - np.round(values))
-            best = int(np.argmax(dist))
+            dist = np.abs(values - values.round())
+            best = int(dist.argmax())
             if dist[best] > tol:
                 return int(candidates[best]), float(values[best])
         return None, 0.0
@@ -335,8 +335,8 @@ class BranchAndBoundSolver:
         tol: float = 1e-7,
     ) -> bool:
         """Constraint check for a rounded candidate incumbent."""
-        if a_ub.shape[0] and np.any(a_ub @ x > b_ub + tol):
+        if a_ub.shape[0] and (a_ub @ x > b_ub + tol).any():
             return False
-        if a_eq.shape[0] and np.any(np.abs(a_eq @ x - b_eq) > tol):
+        if a_eq.shape[0] and (np.abs(a_eq @ x - b_eq) > tol).any():
             return False
         return True

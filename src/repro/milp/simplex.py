@@ -58,6 +58,15 @@ EPS = 1e-9
 #: residual and sign of an optimum, and both sides of a Farkas certificate.
 VERIFY_TOL = 1e-7
 
+# The per-solve and per-pivot code calls ufunc reductions and ndarray
+# methods directly.  numpy's module-level wrappers (``np.any``,
+# ``np.argmin``, ``np.flatnonzero``, ...) reach the same C routines, so the
+# results are identical, through a Python dispatch layer that costs more
+# than the work itself on P̃'s small arrays.
+_any = np.logical_or.reduce
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+
 
 class SimplexStatus(enum.Enum):
     """Outcome of a simplex solve."""
@@ -478,7 +487,7 @@ class SimplexSolver:
         ``want_basis=True`` attaches the optimal basis and the final
         tableau to the result for the next solve.
         """
-        if np.any(lp.bounds[:, 0] > lp.bounds[:, 1]):
+        if _any(lp.bounds[:, 0] > lp.bounds[:, 1]):
             # A variable had lb > ub (caught upstream normally).
             return SimplexResult(SimplexStatus.INFEASIBLE, None, None)
         kind, bounded = _encoding(lp.bounds)
@@ -555,7 +564,7 @@ class SimplexSolver:
         """
         structure, t, beta = tableau.structure, tableau.t, tableau.beta
         tableau.live = False
-        moved = np.flatnonzero(shifts != tableau.shifts)
+        moved = (shifts != tableau.shifts).nonzero()[0]
         for j in moved:
             delta = structure.sign[j] * (shifts[j] - tableau.shifts[j])
             beta -= delta * t[:, structure.first[j]]
@@ -565,7 +574,7 @@ class SimplexSolver:
             (lp.b_ub, tableau.b_ub, structure.num_std),
             (bound_ub, tableau.bound_ub, first_bound_slack),
         ):
-            for i in np.flatnonzero(new != old):
+            for i in (new != old).nonzero()[0]:
                 beta += (new[i] - old[i]) * t[:, first_slack + i]
         tableau.shifts[:] = shifts
         tableau.b_ub[:] = lp.b_ub
@@ -646,16 +655,16 @@ class SimplexSolver:
         """
         m, n = a.shape
         iterations = 0
-        while np.any(rhs < -EPS):
+        while _any(rhs < -EPS):
             if iterations >= self.max_iterations:
                 return None
             # Dual simplex: leave the most infeasible row, enter the column
             # minimizing the dual ratio.  Zero-cost columns make most
             # ratios tie at 0; ties go to the largest pivot magnitude
             # (then the first index — deterministic).
-            leaving = int(np.argmin(rhs))
+            leaving = int(rhs.argmin())
             row = tableau[leaving]
-            candidates = np.nonzero(row < -EPS)[0]
+            candidates = (row < -EPS).nonzero()[0]
             if len(candidates) == 0:
                 # Row `leaving` reads sum(row * y) = rhs < 0 with row >= 0:
                 # no y >= 0 satisfies it.  Re-derive the row from (A, b).
@@ -671,8 +680,8 @@ class SimplexSolver:
             reduced = c - c[basis] @ tableau
             reduced[basis] = 0.0
             ratios = reduced[candidates] / -row[candidates]
-            ties = candidates[ratios <= ratios.min() + EPS]
-            entering = int(ties[np.argmax(-row[ties])])
+            ties = candidates[ratios <= _min(ratios) + EPS]
+            entering = int(ties[(-row[ties]).argmax()])
             self._pivot(tableau, rhs, basis, leaving, entering, work)
             iterations += 1
 
@@ -686,8 +695,8 @@ class SimplexSolver:
         y = np.zeros(n)
         y[basis] = rhs
         if (
-            np.max(np.abs(a @ y - b)) > VERIFY_TOL
-            or np.min(y) < -VERIFY_TOL
+            _max(np.abs(a @ y - b)) > VERIFY_TOL
+            or _min(y) < -VERIFY_TOL
         ):
             return None
         return (
@@ -836,25 +845,25 @@ class SimplexSolver:
                 reduced = np.where(forbidden, np.inf, reduced)
 
             if use_bland:
-                candidates = np.nonzero(reduced < -EPS)[0]
+                candidates = (reduced < -EPS).nonzero()[0]
                 if len(candidates) == 0:
                     return SimplexStatus.OPTIMAL, iteration
                 entering = int(candidates[0])
             else:
-                entering = int(np.argmin(reduced))
+                entering = int(reduced.argmin())
                 if reduced[entering] >= -EPS:
                     return SimplexStatus.OPTIMAL, iteration
 
             column = tableau[:, entering]
             positive = column > EPS
-            if not np.any(positive):
+            if not _any(positive):
                 return SimplexStatus.UNBOUNDED, iteration
             ratios = np.where(positive, rhs / np.where(positive, column, 1.0), np.inf)
-            leaving = int(np.argmin(ratios))
+            leaving = int(ratios.argmin())
             if use_bland:
                 # Tie-break the ratio test by smallest basis index.
                 best = ratios[leaving]
-                ties = np.nonzero(np.abs(ratios - best) <= EPS)[0]
+                ties = (np.abs(ratios - best) <= EPS).nonzero()[0]
                 leaving = int(min(ties, key=lambda i: basis[i]))
 
             if ratios[leaving] <= EPS:
@@ -896,11 +905,11 @@ class SimplexSolver:
         rhs[row] /= pivot
         factors = tableau[:, col].copy()
         factors[row] = 0.0
-        cols = np.flatnonzero(pivot_row)
+        cols = pivot_row.nonzero()[0]
         size = m * len(cols)
         block = work[:size].reshape(m, len(cols))
         update = work[size:2 * size].reshape(m, len(cols))
-        np.take(tableau, cols, axis=1, out=block, mode="clip")
+        tableau.take(cols, axis=1, out=block, mode="clip")
         np.dot(factors.reshape(m, 1), pivot_row[cols].reshape(1, -1), out=update)
         block -= update
         tableau[:, cols] = block

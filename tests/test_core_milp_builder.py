@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.design_space import DesignSpace, PlacementConstraints
-from repro.core.milp_builder import MilpFormulation
+from repro.core.milp_builder import MilpFormulation, _placements_by_size
 from repro.core.problem import DesignProblem, ScenarioParameters
 from repro.library.mac_options import MacKind, RoutingKind
 from repro.milp import SolveStatus
@@ -179,10 +179,19 @@ class TestComboModelReuse:
             ] == [
                 (c.name, c.coeffs, c.sense, c.rhs) for c in model.constraints
             ]
+            assert [(v.name, v.lb, v.ub) for v in reused.variables] == [
+                (v.name, v.lb, v.ub) for v in model.variables
+            ]
             assert reused.constraints[-1].name == "power_cut_0"
 
     def test_placements_are_enumerated_once(self, monkeypatch):
-        formulation, problem = make_formulation(max_nodes=4)
+        """Once per constraint set, shared by formulations over equal
+        spaces, as an immutable table."""
+        (first, problem), (second, other) = (
+            make_formulation(max_nodes=4) for _ in range(2)
+        )
+        assert problem.space == other.space
+        assert problem.space.constraints is not other.space.constraints
         space_type = type(problem.space)
         original = space_type.placements
         calls = []
@@ -192,11 +201,110 @@ class TestComboModelReuse:
             return original(space)
 
         monkeypatch.setattr(space_type, "placements", counting)
-        cuts = []
-        for _ in range(3):
-            _status, _configs, p_star = formulation.enumerate_candidates(cuts)
-            cuts.append(p_star)
+        _placements_by_size.cache_clear()
+        try:
+            for formulation in (first, second):
+                cuts = []
+                for _ in range(3):
+                    _status, _configs, p_star = (
+                        formulation.enumerate_candidates(cuts)
+                    )
+                    cuts.append(p_star)
+            table = _placements_by_size(other.space.constraints)
+        finally:
+            _placements_by_size.cache_clear()
         assert len(calls) == 1
+        assert isinstance(table, tuple)
+        assert all(isinstance(group, tuple) for group in table)
+        assert sum(len(group) for group in table) == 8
+
+
+class TestTightCuts:
+    """A cut is its row plus the combination bounds the row implies, so
+    P̃ solves at its root, with the optima of the row alone."""
+
+    @staticmethod
+    def _walk(formulation):
+        obs = formulation.obs
+        calls, nodes, cuts = [], [], []
+        for _level in range(40):
+            before = obs.counter("milp.nodes").value
+            status, configs, p_star = formulation.enumerate_candidates(cuts)
+            calls.append((status, repr(p_star), [c.key() for c in configs]))
+            nodes.append(obs.counter("milp.nodes").value - before)
+            if status is not SolveStatus.OPTIMAL:
+                return calls, nodes
+            cuts.append(p_star)
+        raise AssertionError("the walk did not end")
+
+    @pytest.mark.parametrize("preset", ["smoke", "ci", "paper"])
+    def test_every_call_solves_at_its_root_with_the_rows_optima(
+        self, preset, monkeypatch
+    ):
+        """Call for call, the walk equals a reference walk over the same
+        model with every z upper bound put back to 1 (the cut row alone),
+        and explores one node per call where the reference branches."""
+        from repro.experiments.scenario import make_problem
+
+        walks = []
+        for tight in (True, False):
+            formulation = MilpFormulation(
+                make_problem(0.9, preset),
+                obs=Instrumentation(MetricsRegistry()),
+            )
+            if not tight:
+                def row_only(cuts, formulation=formulation,
+                             combo_model=formulation._combo_model):
+                    model = combo_model(cuts)
+                    for z in formulation._combo[2]:
+                        z.ub = 1.0
+                    return model
+
+                monkeypatch.setattr(formulation, "_combo_model", row_only)
+            walks.append(self._walk(formulation))
+        (calls, nodes), (reference, reference_nodes) = walks
+        assert len(calls) == 19  # 18 levels, then infeasible
+        assert calls == reference
+        assert nodes == [1] * 19
+        assert sum(reference_nodes) > 19
+
+    def test_a_bound_is_zero_exactly_where_the_row_is_violated(self):
+        """At every smoke level, and with no cut: in the reused model and
+        in a fresh build, z has ub 0 exactly when its combination's one-hot
+        point violates the cut row, that is when its P̄ is at or below
+        the cut."""
+        from repro.experiments.scenario import make_problem
+
+        formulation = MilpFormulation(make_problem(0.9, "smoke"))
+        levels = formulation.distinct_power_levels_mw()
+        baseline = formulation.scenario.app.baseline_mw
+        for k, cuts in enumerate([[]] + [[cut] for cut in levels]):
+            formulation.enumerate_candidates(cuts)
+            fresh, handles = formulation.build(cuts)
+            if not cuts:
+                assert "power_cut_0" not in [c.name for c in fresh.constraints]
+                assert all(z.ub == 1.0 for z in handles.combos.values())
+            models = [(formulation._combo[0], formulation._combo[2])]
+            if cuts:
+                models.append((fresh, list(handles.combos.values())))
+            for model, combos in models:
+                (row,) = [
+                    c for c in model.constraints if c.name == "power_cut_0"
+                ]
+                excluded = set()
+                for z in combos:
+                    one_hot = dict.fromkeys(range(model.num_vars), 0.0)
+                    one_hot[z.index] = 1.0
+                    violated = row.violation(one_hot, tol=0.0) > 0.0
+                    assert (z.ub == 0.0) == violated, (k, z.name)
+                    assert z.lb == 0.0
+                    if violated:
+                        excluded.add(z.index)
+                assert {
+                    baseline + formulation._cost_table[key]
+                    for key, z in handles.combos.items()
+                    if z.index in excluded
+                } == set(levels[:k])
 
 
 class TestNogoodEquivalence:
@@ -213,6 +321,39 @@ class TestNogoodEquivalence:
             )
             assert p1 == pytest.approx(p2)
             assert {c.key() for c in combo} == {c.key() for c in nogood}
+
+    def test_combo_equals_nogood_at_every_level_with_few_optima(self):
+        """The candidate sets agree at every smoke level holding at most
+        16 tied optima (the generic no-good path takes seconds per larger
+        level) and at every level of the reduced space."""
+        from repro.experiments.scenario import make_problem
+
+        checked = 0
+        for formulation, levels in (
+            (MilpFormulation(make_problem(0.9, "smoke")), 18),
+            (make_formulation(max_nodes=4)[0], 6),
+        ):
+            cuts = []
+            for _level in range(levels + 1):
+                s1, combo, p1 = formulation.enumerate_candidates(
+                    cuts, max_solutions=10_000, method="combo"
+                )
+                if len(combo) > 16:
+                    cuts.append(p1)
+                    continue
+                s2, nogood, p2 = formulation.enumerate_candidates(
+                    cuts, max_solutions=64, method="nogood"
+                )
+                assert s1 is s2
+                checked += 1
+                if s1 is not SolveStatus.OPTIMAL:
+                    assert combo == nogood == [] and p1 is p2 is None
+                    break
+                assert p1 == pytest.approx(p2, abs=1e-9)
+                assert [c.key() for c in combo] == [c.key() for c in nogood]
+                cuts.append(p1)
+            assert s1 is SolveStatus.INFEASIBLE
+        assert checked == 6 + 1 + 6 + 1
 
     def test_unknown_method_rejected(self):
         formulation, _ = make_formulation()

@@ -14,6 +14,8 @@ resumed run (double kill).
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -26,6 +28,7 @@ from repro.core.journal import (
     SUMMARY_FILENAME,
     summary_projection,
     payload_crc,
+    write_atomic,
     write_summary,
 )
 from repro.experiments.scenario import get_preset, make_problem
@@ -63,7 +66,7 @@ def test_resume_requires_a_journal(tmp_path):
 
 def test_create_killed_before_fsync_leaves_no_journal(tmp_path, monkeypatch):
     """A failure after the journal file is opened but before its manifest
-    is durable must not leave a journal.jsonl behind."""
+    is durable must not leave a journal.jsonl, or its temporary, behind."""
     def fail(_fd):
         raise OSError("injected failure before fsync")
 
@@ -71,6 +74,7 @@ def test_create_killed_before_fsync_leaves_no_journal(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="injected"):
         RunJournal.create(tmp_path, command="t")
     assert not (tmp_path / JOURNAL_FILENAME).exists()
+    assert list(tmp_path.glob("*.tmp")) == []
     monkeypatch.undo()
     with RunJournal.create(tmp_path, command="t") as journal:
         assert journal.manifest["command"] == "t"
@@ -191,6 +195,40 @@ def test_write_summary_is_projected_and_stable(tmp_path):
     on_disk = json.loads(path.read_text())
     assert on_disk == summary_projection(payload)
     assert "wall_seconds" not in on_disk
+
+
+def test_concurrent_writers_of_one_path_do_not_collide(tmp_path):
+    """More writers than cores replace one path over and over, switching
+    threads often: none fails, the file ends as one writer's whole text,
+    and no temporary is left behind."""
+    path = tmp_path / "entry.json"
+    texts = [str(i) * (1000 + 100 * i) + "\n" for i in range(8)]
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(40):
+                write_atomic(path, text)
+        except BaseException as exc:  # reported below, not lost in a thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=writer, args=(text,), daemon=True)
+        for text in texts
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert path.read_text() in texts
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 # ---------------------------------------------------------------------------

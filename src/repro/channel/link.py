@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.channel.fading import (
     FadingParameters,
@@ -125,9 +125,10 @@ class Channel:
         entries: Sequence[Tuple[int, float, bool, Tuple[int, int]]],
         t: float,
         blocked=None,
-    ) -> List[float]:
-        """Received power at every receiver of one broadcast, bit-identical
-        to calling :meth:`received_power_dbm` per receiver in order.
+    ) -> Dict[int, float]:
+        """Received power at every receiver of one broadcast, keyed by
+        receiver in ``entries`` order, bit-identical to calling
+        :meth:`received_power_dbm` per receiver in order.
 
         ``entries`` is the precomputed fan-out plan: ``(receiver,
         mean_path_loss, skip, pair_key)`` tuples where ``mean_path_loss``
@@ -148,13 +149,13 @@ class Channel:
         active (posture draws are time-keyed and shared across pairs);
         that path falls back to the generic per-receiver computation.
         """
+        out: Dict[int, float] = {}
         if self.posture is not None:
-            out: List[float] = []
             for loc, _mean, _skip, _key in entries:
                 if blocked is not None and blocked(sender, loc):
-                    out.append(-math.inf)
+                    out[loc] = -math.inf
                 else:
-                    out.append(tx_dbm - self.path_loss(sender, loc, t))
+                    out[loc] = tx_dbm - self.path_loss(sender, loc, t)
             return out
         fading = self.fading
         fading_sample = fading.sample
@@ -172,8 +173,6 @@ class Channel:
         relax = shadow._relax
         exp = math.exp
         sqrt = math.sqrt
-        out = []
-        append = out.append
 
         # The warm-state update of both processes (a state record exists
         # and time strictly advanced — by far the common case on the
@@ -189,27 +188,47 @@ class Channel:
         # this loop against the generic path.
         #
         # The sender's occlusion state is the same for every receiver at
-        # this timestamp; compute it once, when the first non-blocked
-        # receiver needs it.  Each node's chain has its own stream, so the
-        # order in which chains advance changes no draw; what matters is
-        # that the sender's chain is not touched at all when every
-        # receiver is fault-blocked, as in the generic path.
-        sender_occ = -1
+        # this timestamp, so its chain ticks once, first.  Each node's
+        # chain has its own stream, so the order in which chains advance
+        # changes no draw; what matters is that the sender's chain is not
+        # touched at all when every receiver is fault-blocked, as in the
+        # generic path.
+        sender_loss = 0.0
+        if shadow_on and entries and (
+            blocked is None
+            or not all(blocked(sender, entry[0]) for entry in entries)
+        ):
+            state = shadow_state.get(sender)
+            if state is not None and t > state[1]:
+                decay = exp(-relax * (t - state[1]))
+                if state[2]:
+                    p_on = pi + (1.0 - pi) * decay
+                else:
+                    p_on = pi * (1.0 - decay)
+                draws = state[0]
+                occluded = (draws.pop() if draws else draws.take()) < p_on
+                state[1] = t
+                state[2] = occluded
+            else:
+                occluded = is_occ(sender, t)
+            if occluded:
+                sender_loss = depth
         # Grouping note: the generic path computes the loss as
-        # ``(mean + fading) + extra`` and the power as ``tx − loss``; the
-        # same association is kept here so every float is bit-identical.
+        # ``(mean + fading) + extra`` with ``extra`` summed sender first
+        # from 0.0, and the power as ``tx − loss``; the same association
+        # is kept here (``0.0 + depth`` is ``depth``), so every float is
+        # bit-identical.
         for loc, mean_pl, skip, key in entries:
             if blocked is not None and blocked(sender, loc):
-                append(-math.inf)
+                out[loc] = -math.inf
                 continue
             if skip:
-                # Unobservable pair: keep the shared shadowing chains in
-                # step but leave the pair's private OU stream untouched.
+                # Unobservable pair: keep the receiver's shadowing chain
+                # in step but leave the pair's private OU stream
+                # untouched.
                 if shadow_on:
-                    if sender_occ < 0:
-                        sender_occ = 1 if is_occ(sender, t) else 0
                     is_occ(loc, t)
-                append(-math.inf)
+                out[loc] = -math.inf
                 continue
             state = fading_state.get(key)
             if state is not None and t > state[1]:
@@ -231,8 +250,6 @@ class Channel:
             else:
                 value = fading_sample(sender, loc, t)
             if shadow_on:
-                if sender_occ < 0:
-                    sender_occ = 1 if is_occ(sender, t) else 0
                 # Receiver shadow tick, inlined (the same warm branch as
                 # NodeShadowing.is_occluded): it runs for every receiver
                 # of every packet.
@@ -249,13 +266,10 @@ class Channel:
                     state[2] = occluded
                 else:
                     occluded = is_occ(loc, t)
-                if sender_occ:
-                    extra = depth + depth if occluded else depth
-                else:
-                    extra = depth if occluded else 0.0
-                append(tx_dbm - ((mean_pl + value) + extra))
+                extra = sender_loss + depth if occluded else sender_loss
+                out[loc] = tx_dbm - ((mean_pl + value) + extra)
             else:
-                append(tx_dbm - ((mean_pl + value) + 0.0))
+                out[loc] = tx_dbm - ((mean_pl + value) + 0.0)
         return out
 
     def budget(self, tx_dbm: float, sensitivity_dbm: float, i: int, j: int) -> LinkBudget:

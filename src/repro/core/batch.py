@@ -350,8 +350,8 @@ class _Variant:
         for loc in placement:
             plan = net.medium._plan_for(net.nodes[loc].radio)
             rows = []
-            for (rx, mean_pl, skip, key), sens in zip(
-                plan.entries, plan.sens_py
+            for (rx, mean_pl, skip, key), (_rx, _radio, sens) in zip(
+                plan.entries, plan.receivers
             ):
                 rows.append((rx, index_of[rx], mean_pl, skip, key, sens))
             self.raw_entries.append(rows)

@@ -339,13 +339,13 @@ class MilpFormulation:
             return result.status, [], None
         assert result.objective is not None
         p_star = result.objective
-        configs = self._expand_tied_combos(p_star)
+        configs = self._expand_tied_combos(p_star, max_solutions)
         if not configs:
             raise RuntimeError(
                 "MILP optimum has no matching grid configuration — the "
                 "model and the design space disagree"
             )
-        return SolveStatus.OPTIMAL, configs[:max_solutions], p_star
+        return SolveStatus.OPTIMAL, configs, p_star
 
     def _combo_model(self, cuts: Sequence[float]) -> Model:
         """P̃ with its cut set to ``cuts`` (at most one; none reads
@@ -363,24 +363,28 @@ class MilpFormulation:
         _bound_combos(combos, [cut_row])
         return model
 
-    def _expand_tied_combos(self, p_star_mw: float) -> List[Configuration]:
-        """All grid configurations whose Eq. 9 power equals P̄*."""
+    def _expand_tied_combos(
+        self, p_star_mw: float, limit: Optional[int]
+    ) -> List[Configuration]:
+        """The first ``limit`` (all for ``None``) grid configurations whose
+        Eq. 9 power equals P̄*, in :meth:`Configuration.key` order.  The
+        tied set is sorted as keys, and only the kept prefix is built into
+        configurations: a level can tie over a hundred of them."""
         baseline = self.scenario.app.baseline_mw
         radio_target = p_star_mw - baseline
-        tied = [
-            key
-            for key, cost in self._cost_table.items()
+        by_size = _placements_by_size(self.space.constraints)
+        keys = [
+            (placement, self.space.tx_levels_dbm[k], mac.value, routing_value)
+            for (routing_value, k, n), cost in self._cost_table.items()
             if abs(cost - radio_target) <= 1e-9
+            for placement in by_size[n]
+            for mac in self.space.mac_kinds
         ]
-        configs: List[Configuration] = []
-        for routing_value, k, n in tied:
-            routing = RoutingKind(routing_value)
-            tx_dbm = self.space.tx_levels_dbm[k]
-            for placement in _placements_by_size(self.space.constraints)[n]:
-                for mac in self.space.mac_kinds:
-                    configs.append(Configuration(placement, tx_dbm, mac, routing))
-        configs.sort(key=lambda c: c.key())
-        return configs
+        keys.sort()
+        return [
+            Configuration(placement, tx_dbm, MacKind(mac), RoutingKind(routing))
+            for placement, tx_dbm, mac, routing in keys[:limit]
+        ]
 
     def _to_configuration(self, model: Model, solution) -> Configuration:
         cons = self.space.constraints

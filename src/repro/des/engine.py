@@ -10,17 +10,23 @@ properties matter for reproducibility and are guaranteed here:
   (e.g. a TDMA slot boundary and a packet arrival), and unstable ordering
   would make runs irreproducible.
 * **Cheap cancellation.**  Cancelled events stay in the heap but are marked
-  dead and skipped on pop, so timers (MAC backoffs, retransmission guards)
-  can be cancelled in O(1).
+  dead and skipped on pop, so a timer can be cancelled in O(1).  No
+  simulator code cancels: the MACs clear their pending-event handle when
+  the event fires and schedule a new one only when the handle is empty,
+  so a handle that is set is pending.
 
 Performance notes (profile-guided, see DESIGN.md §8): the kernel keeps a
 live-event counter so :attr:`Simulator.pending_count` is O(1) instead of a
-heap walk; the run loop binds the heap and ``heappop`` to locals and pops
-events directly rather than peeking then re-scanning; and when cancelled
-events come to dominate the heap (timer-heavy MACs cancel most of what
-they schedule) the heap is lazily compacted — a filter + ``heapify`` that
-preserves the (time, priority, seq) total order exactly, so execution
-order is bit-identical with or without compaction.
+heap walk; :attr:`Simulator.now` is a plain attribute the run loop writes;
+the run loop binds the heap and ``heappop`` to locals and counts executed
+events in a local, so :attr:`Simulator.events_executed` and
+:attr:`Simulator.pending_count` are brought up to date once per
+:meth:`Simulator.run` call: both are exact whenever no ``run()`` is in
+progress (a callback reading them mid-run sees the values from before the
+call).  When cancelled events come to dominate the heap the heap is
+lazily compacted — a filter + ``heapify`` that preserves the (time,
+priority, seq) total order exactly, so execution order is bit-identical
+with or without compaction.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.obs.runtime import get_active
 
 _heappush = heapq.heappush
+_new_object = object.__new__
 
 #: Priority lane for environment interventions (fault injection).  An
 #: intervention scheduled at time t must take effect before any protocol
@@ -109,7 +116,9 @@ class Simulator:
     COMPACT_MIN_DEAD = 64
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, read
+        #: by every protocol layer: only the kernel writes it.
+        self.now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         #: Sequence number of the next scheduled event (the FIFO
         #: tie-break); a plain int, so a paused simulator pickles.
@@ -122,26 +131,27 @@ class Simulator:
         self._live = 0
         self._dead = 0
 
-    # -- time ------------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
+    # -- counters ----------------------------------------------------------------
 
     @property
     def events_executed(self) -> int:
-        """Number of callbacks executed so far (for instrumentation)."""
+        """Number of callbacks executed so far (for instrumentation);
+        exact whenever no :meth:`run` is in progress."""
         return self._events_executed
 
     @property
     def pending_count(self) -> int:
         """Number of live events still in the queue (O(1): maintained on
-        schedule/cancel/pop instead of walking the heap)."""
+        schedule, cancel and run instead of walking the heap); exact
+        whenever no :meth:`run` is in progress."""
         return self._live
 
     def _note_cancel(self) -> None:
-        """Called by :meth:`Event.cancel` for a previously pending event."""
+        """Called by :meth:`Event.cancel` for a previously pending event.
+        Inside a :meth:`run` the live count still includes the events
+        that run has executed, so the compaction test is conservative
+        there; it only decides when the heap is rebuilt, never the order
+        in which events run."""
         self._live -= 1
         self._dead += 1
         if self._dead >= self.COMPACT_MIN_DEAD and self._dead > self._live:
@@ -170,13 +180,23 @@ class Simulator:
         # Inlined schedule_at: this is the hottest scheduling entry point
         # (timers, MAC backoffs, app traffic all come through here) and a
         # non-negative delay from a finite `now` already implies the
-        # time-ordering checks.
-        time = self._now + delay
+        # time-ordering checks.  The event is filled in here rather than
+        # through Event.__init__, which would cost a Python frame per
+        # event.
+        time = self.now + delay
         if not math.isfinite(time):
             raise ValueError("event time must be finite")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args, self)
+        event = _new_object(Event)
+        event.time = time
+        event.priority = priority
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.done = False
+        event.sim = self
         _heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
@@ -189,15 +209,23 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule at t={time} which is before now={self._now}"
+                f"cannot schedule at t={time} which is before now={self.now}"
             )
         if not math.isfinite(time):
             raise ValueError("event time must be finite")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args, self)
+        event = _new_object(Event)  # as in schedule
+        event.time = time
+        event.priority = priority
+        event.seq = seq
+        event.callback = callback
+        event.args = args
+        event.cancelled = False
+        event.done = False
+        event.sim = self
         _heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
@@ -213,7 +241,7 @@ class Simulator:
             if event.cancelled:
                 self._dead -= 1
                 continue
-            self._now = time
+            self.now = time
             event.done = True
             self._live -= 1
             self._events_executed += 1
@@ -239,8 +267,10 @@ class Simulator:
             raise RuntimeError("simulator is not reentrant")
         self._running = True
         executed = 0
-        # Hot loop: everything the per-event path touches is a local, and
-        # an absent horizon or budget is one that never stops the loop.
+        # Hot loop: everything the per-event path touches is a local, an
+        # absent horizon or budget is one that never stops the loop, and
+        # the executed-event count is kept in `executed` and folded into
+        # the counters once, on the way out.
         heap = self._heap
         pop = heapq.heappop
         horizon = math.inf if until is None else until
@@ -254,7 +284,8 @@ class Simulator:
                     pop(heap)
                     self._dead -= 1
                     continue
-                if entry[0] > horizon:
+                time = entry[0]
+                if time > horizon:
                     break
                 if executed >= budget:
                     # Stopped short of the horizon: the clock must not
@@ -262,21 +293,21 @@ class Simulator:
                     reached = False
                     break
                 pop(heap)
-                self._now = event.time
+                self.now = time
                 event.done = True
-                self._live -= 1
-                self._events_executed += 1
-                event.callback(*event.args)
                 executed += 1
+                event.callback(*event.args)
                 if heap is not self._heap:
                     # A callback cancelled enough timers to trigger heap
                     # compaction (or scheduled into a rebuilt heap); pick
                     # up the replacement list.
                     heap = self._heap
-            if reached and until is not None and until > self._now:
-                self._now = until
+            if reached and until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
+            self._events_executed += executed
+            self._live -= executed
             # Milestone instrumentation: once per run() call, never per
             # event — the event loop above stays untouched.
             obs = get_active()
@@ -286,7 +317,7 @@ class Simulator:
                 obs.event(
                     "des.run",
                     events=executed,
-                    now=round(self._now, 9),
+                    now=round(self.now, 9),
                     until=until,
                 )
 
@@ -303,6 +334,6 @@ class Simulator:
 
     def __repr__(self) -> str:
         return (
-            f"Simulator(now={self._now:.6f}, pending={len(self._heap)}, "
+            f"Simulator(now={self.now:.6f}, pending={len(self._heap)}, "
             f"executed={self._events_executed})"
         )

@@ -16,12 +16,20 @@ The channel's per-link and per-node streams are read through
 :class:`RawDraws` chunks (:meth:`RngStreams.normals` /
 :meth:`RngStreams.uniforms`): the same values in the same order as one
 scalar call per draw, at a fraction of the cost.
+
+A stream's starting state is a pure function of (seed, replicate, name),
+and every run of one answer shares its seed and replicate, so the state
+is derived once per process (:func:`_initial_state`, a bounded memo) and
+each run's stream starts from it (:func:`generator_from_state`) instead
+of hashing a fresh ``SeedSequence``: the same generator, about 5x cheaper
+to build.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -59,6 +67,44 @@ class RawDraws(list):
         return self.pop()
 
 
+@functools.lru_cache(maxsize=None)
+def _placeholder_seed():
+    """A seed sequence for a bit generator whose state is replaced right
+    after construction: it skips a real seed sequence's entropy hashing.
+    Such a generator is only ever drawn from, never spawned."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PlaceholderSeed(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return PlaceholderSeed()
+
+
+def generator_from_state(bit_generator_type, state: dict) -> np.random.Generator:
+    """A generator over a ``bit_generator_type`` bit generator that starts
+    in ``state`` (a bit generator's ``.state`` dict), never seeded."""
+    bit_generator = bit_generator_type(_placeholder_seed())
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+@functools.lru_cache(maxsize=1024)
+def _initial_state(seed: int, replicate: int, name: str) -> Tuple[int, int]:
+    """The PCG64 ``(state, inc)`` that ``default_rng`` seeds stream
+    ``name`` of ``(seed, replicate)`` with.  Hash the name to a stable
+    64-bit key; ``SeedSequence`` mixes it with the root seed and the
+    replicate index.  Bounded: a run opens ~20 streams, so this holds
+    every stream of ~50 (seed, replicate) pairs."""
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    name_key = int.from_bytes(digest[:8], "little")
+    sequence = np.random.SeedSequence(
+        entropy=seed, spawn_key=(replicate, name_key)
+    )
+    state = np.random.PCG64(sequence).state["state"]
+    return state["state"], state["inc"]
+
+
 class RngStreams:
     """A factory of named ``numpy.random.Generator`` streams.
 
@@ -81,7 +127,13 @@ class RngStreams:
         """Return (creating on first use) the generator for ``name``."""
         gen = self._streams.get(name)
         if gen is None:
-            gen = np.random.default_rng(self._derive(name))
+            state, inc = _initial_state(self.seed, self.replicate, name)
+            gen = generator_from_state(np.random.PCG64, {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            })
             self._streams[name] = gen
         return gen
 
@@ -105,15 +157,6 @@ class RngStreams:
             draws = RawDraws(getattr(self.stream(name), method))
             self._chunks[name] = draws
         return draws
-
-    def _derive(self, name: str) -> np.random.SeedSequence:
-        # Hash the name to a stable 64-bit key; SeedSequence mixes it with
-        # the root seed and replicate index.
-        digest = hashlib.sha256(name.encode("utf-8")).digest()
-        name_key = int.from_bytes(digest[:8], "little")
-        return np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.replicate, name_key)
-        )
 
     def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
         """Draw one uniform sample from the named stream."""

@@ -75,6 +75,12 @@ class FaultState:
         else:
             self._blocked[link] = count
 
+    @property
+    def any_link_blocked(self) -> bool:
+        """Whether some link is in a blackout episode: while none is,
+        :meth:`link_blocked` is False for every pair."""
+        return bool(self._blocked)
+
     def link_blocked(self, a: int, b: int) -> bool:
         """Hot-path hook: is the (a, b) channel in a blackout episode?"""
         if not self._blocked:

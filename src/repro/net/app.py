@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from repro.des.engine import Simulator
 from repro.des.rng import RngStreams
-from repro.net.packet import Packet
+from repro.net.packet import Packet, _copy_counter, _new_record
 from repro.net.stats import NodeStats
 
 
@@ -76,6 +76,9 @@ class Application:
         self._generation_stopped = False
         self._halted = False
         self._stop_at: Optional[float] = None
+        # Read on every generation.
+        self._period_s = params.period_s
+        self._packet_bytes = params.packet_bytes
         if self.peers:
             phase = rng.uniform(f"app_phase/{location}", 0.0, params.period_s)
             sim.schedule(warmup_s + phase, self._generate)
@@ -96,24 +99,23 @@ class Application:
     # -- traffic generation ---------------------------------------------------
 
     def _generate(self) -> None:
-        if self._halted or (
-            self._stop_at is not None and self.sim.now >= self._stop_at
-        ):
+        now = self.sim.now
+        if self._halted or (self._stop_at is not None and now >= self._stop_at):
             self._generation_stopped = True
             return
         destination = self.peers[self._dst_cursor % len(self.peers)]
         self._dst_cursor += 1
-        packet = Packet(
-            origin=self.location,
-            seq=self._seq,
-            destination=destination,
-            length_bytes=self.params.packet_bytes,
-            created_at=self.sim.now,
-        )
-        self._seq += 1
-        self.stats.record_sent(destination, t=self.sim.now)
+        seq = self._seq
+        # The Packet record, built directly: AppParameters validated the
+        # length, and every other field is a fresh payload's default.
+        packet = _new_record(Packet, (
+            self.location, seq, destination, self._packet_bytes, 0,
+            frozenset(), None, now, None, next(_copy_counter),
+        ))
+        self._seq = seq + 1
+        self.stats.record_sent(destination, t=now)
         self.routing_send(packet)
-        self.sim.schedule(self.params.period_s, self._generate)
+        self.sim.schedule(self._period_s, self._generate)
 
     # -- reception -----------------------------------------------------------------
 

@@ -42,6 +42,8 @@ class MacBase:
         self.rng = rng
         self.queue: Deque[Packet] = deque()
         self._in_flight: Optional[Packet] = None
+        # B_MAC, read on every enqueue.
+        self._buffer_size = options.buffer_size
         radio.on_tx_done = self._on_tx_done
 
     @property
@@ -57,7 +59,7 @@ class MacBase:
 
         Returns False (and counts a buffer drop) when B_MAC is exceeded.
         """
-        if len(self.queue) >= self.options.buffer_size:
+        if len(self.queue) >= self._buffer_size:
             self.stats.buffer_drops += 1
             return False
         self.queue.append(packet)

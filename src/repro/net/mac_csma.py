@@ -42,6 +42,8 @@ class CsmaMac(MacBase):
         rng: RngStreams,
     ) -> None:
         super().__init__(sim, radio, options, stats, rng)
+        #: The scheduled sensing attempt, cleared when it fires; never
+        #: cancelled, so a handle that is set is pending.
         self._pending_attempt: Optional[Event] = None
         self.backoffs = 0
         # Stream handle cached once: the backoff draw is on the contention
@@ -51,7 +53,7 @@ class CsmaMac(MacBase):
     def _kick(self) -> None:
         if not self.queue or self._in_flight is not None:
             return
-        if self._pending_attempt is not None and self._pending_attempt.pending:
+        if self._pending_attempt is not None:
             return  # an attempt is already scheduled
         self._pending_attempt = self.sim.schedule(0.0, self._attempt)
 

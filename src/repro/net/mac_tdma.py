@@ -54,18 +54,23 @@ class TdmaMac(MacBase):
             )
         self.slot_index = slot_index
         self.num_slots = num_slots
+        #: The scheduled slot start, cleared when it fires; never
+        #: cancelled, so a handle that is set is pending.
         self._slot_event: Optional[Event] = None
+        # The slot grid, fixed at construction.
+        self._offset = slot_index * options.slot_s
+        self._frame = num_slots * options.slot_s
 
     @property
     def frame_s(self) -> float:
-        return self.num_slots * self.options.slot_s
+        return self._frame
 
     def next_own_slot_time(self, now: float) -> float:
         """Start time of the next slot owned by this node, strictly after
         (or at) ``now`` with a small epsilon guard so that a packet queued
         exactly on a slot boundary still uses that slot."""
-        offset = self.slot_index * self.options.slot_s
-        frame = self.frame_s
+        offset = self._offset
+        frame = self._frame
         k = math.ceil((now - offset - 1e-12) / frame)
         t = offset + max(0, k) * frame
         if t < now - 1e-12:
@@ -75,7 +80,7 @@ class TdmaMac(MacBase):
     def _kick(self) -> None:
         if not self.queue or self._in_flight is not None:
             return
-        if self._slot_event is not None and self._slot_event.pending:
+        if self._slot_event is not None:
             return
         t = self.next_own_slot_time(self.sim.now)
         self._slot_event = self.sim.schedule_at(t, self._slot_start)
@@ -85,7 +90,7 @@ class TdmaMac(MacBase):
         if not self.queue or self._in_flight is not None:
             return
         packet = self.queue[0]
-        airtime = self.radio.spec.packet_airtime_s(packet.length_bytes)
+        airtime = self.radio.airtime_s(packet.length_bytes)
         if airtime > self.options.slot_s + 1e-12:
             raise ValueError(
                 f"packet airtime {airtime * 1e3:.3f} ms exceeds the TDMA slot "

@@ -39,7 +39,7 @@ from repro.channel.pathloss import PathLossParameters
 from repro.channel.posture import PostureParameters
 from repro.des.engine import Simulator
 from repro.des.monitor import TraceLog
-from repro.des.rng import RngStreams
+from repro.des.rng import RngStreams, generator_from_state
 from repro.faults.injector import FaultInjector, first_event_s
 from repro.library.batteries import COORDINATOR_PACK, CR2032, BatterySpec
 from repro.library.mac_options import MacOptions, RoutingKind, RoutingOptions
@@ -346,36 +346,16 @@ class Network:
 # -- snapshots -----------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _placeholder_seed():
-    """A seed sequence for a restored bit generator, whose saved state
-    replaces the seed's at once: it skips a real seed sequence's entropy
-    hashing.  A restored stream is only ever drawn from, never spawned."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PlaceholderSeed(ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype=dtype)
-
-    return PlaceholderSeed()
-
-
-def _restore_generator(bit_generator_type, state):
-    bit_generator = bit_generator_type(_placeholder_seed())
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
-
-
 def _reduce_generator(generator):
     bit_generator = generator.bit_generator
-    return _restore_generator, (type(bit_generator), bit_generator.state)
+    return generator_from_state, (type(bit_generator), bit_generator.state)
 
 
 @functools.lru_cache(maxsize=None)
 def _snapshot_dispatch_table() -> dict:
-    """copyreg's table plus numpy generators.  Built on first use, like
-    :func:`_placeholder_seed`: importing ``numpy.random`` with this module
-    would add ~15 modules to every command's start-up."""
+    """copyreg's table plus numpy generators.  Built on first use:
+    importing ``numpy.random`` with this module would add ~15 modules to
+    every command's start-up."""
     table = copyreg.dispatch_table.copy()
     table[np.random.Generator] = _reduce_generator
     return table

@@ -24,8 +24,6 @@ import enum
 import math
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.channel.link import Channel
 from repro.des.engine import Simulator
 from repro.des.monitor import TraceLog
@@ -91,28 +89,25 @@ class _Transmission:
 class _FanoutPlan:
     """Per-sender precomputed reception geometry (see DESIGN.md §8).
 
-    Everything deterministic about one sender's broadcast fan-out —
-    receiver order, mean path losses, each receiver's radio object and
-    sensitivity, and which pairs are provably unobservable — is computed
-    once per (sender, tx-mode) and reused for every packet.  Plans are
-    invalidated whenever a radio registers.
+    Everything deterministic about one sender's broadcast fan-out is
+    computed once per (sender, tx-mode) and reused for every packet, in
+    receiver registration order: ``entries`` are the channel's rows
+    ``(receiver, mean path loss, skip, pair key)``
+    (:meth:`repro.channel.link.Channel.fanout_powers`; ``skip`` marks a
+    pair that is provably unobservable), ``receivers`` the delivery rows
+    ``(receiver, radio, sensitivity)``.  Plans are invalidated whenever a
+    radio registers.
     """
 
-    __slots__ = ("entries", "radios", "sens", "locs", "sens_py")
+    __slots__ = ("entries", "receivers")
 
     def __init__(
         self,
         entries: List[Tuple[int, float, bool, Tuple[int, int]]],
-        radios: List["Radio"],
-        sens: "np.ndarray",
+        receivers: List[Tuple[int, "Radio", float]],
     ) -> None:
         self.entries = entries
-        self.radios = radios
-        self.sens = sens
-        # Receiver order and sensitivities as plain Python objects, for
-        # the scalar delivery loop and the rx-power dict construction.
-        self.locs = tuple(e[0] for e in entries)
-        self.sens_py = [float(s) for s in sens]
+        self.receivers = receivers
 
 
 class Medium:
@@ -121,9 +116,10 @@ class Medium:
     ``faults`` is an optional fault-state object (see
     :class:`repro.faults.injector.FaultState`) consulted on the hot path
     through two narrow hooks: ``link_blocked(a, b)`` forces the received
-    power of a blacked-out pair below sensitivity, and a failed radio
-    (``radio.failed``) neither senses, receives, nor reaches the medium.
-    Healthy networks pass ``None`` and pay nothing.
+    power of a blacked-out pair below sensitivity (asked only while
+    ``any_link_blocked``), and a failed radio (``radio.failed``) neither
+    senses, receives, nor reaches the medium.  Healthy networks pass
+    ``None`` and pay nothing.
 
     ``carrier_sense_floor_dbm`` is the lowest carrier-sense threshold any
     MAC in this network will ever pass to :meth:`sensed_busy`.  Supplying
@@ -186,8 +182,7 @@ class Medium:
         # carrier-sense floor the skip is disabled outright.
         allow_skip = cs_floor is not None and channel.posture is None
         entries: List[Tuple[int, float, bool, Tuple[int, int]]] = []
-        radios: List["Radio"] = []
-        sens: List[float] = []
+        receivers: List[Tuple[int, "Radio", float]] = []
         for loc, other in self._radios.items():
             if loc == sender:
                 continue
@@ -212,9 +207,8 @@ class Medium:
                 skip = dead_out and dead_back
             key = (sender, loc) if sender <= loc else (loc, sender)
             entries.append((loc, mean, skip, key))
-            radios.append(other)
-            sens.append(other.spec.sensitivity_dbm)
-        return _FanoutPlan(entries, radios, np.asarray(sens, dtype=np.float64))
+            receivers.append((loc, other, other.spec.sensitivity_dbm))
+        return _FanoutPlan(entries, receivers)
 
     @property
     def radios(self) -> Dict[int, "Radio"]:
@@ -241,15 +235,21 @@ class Medium:
     def begin_transmission(self, radio: "Radio", packet: Packet) -> float:
         """Start broadcasting ``packet`` from ``radio``; returns airtime."""
         now = self.sim.now
-        airtime = radio.spec.packet_airtime_s(packet.length_bytes)
-        blocked = self.faults.link_blocked if self.faults is not None else None
+        airtime = radio.airtime_s(packet.length_bytes)
+        faults = self.faults
+        # With no link blacked out, link_blocked answers False for every
+        # pair, so it is not asked at all.
+        blocked = (
+            faults.link_blocked
+            if faults is not None and faults.any_link_blocked
+            else None
+        )
         sender = radio.location
         if self.use_fast_path:
-            plan = self._plan_for(radio)
-            powers = self.channel.fanout_powers(
+            plan = self._plans.get(sender) or self._plan_for(radio)
+            rx_power = self.channel.fanout_powers(
                 sender, radio.tx_mode.output_dbm, plan.entries, now, blocked
             )
-            rx_power = dict(zip(plan.locs, powers))
         else:
             plan = None
             # Reference path: per-receiver link-budget derivation, kept
@@ -290,13 +290,58 @@ class Medium:
         return airtime
 
     def _finish_transmission(self, tx: _Transmission) -> None:
+        """End ``tx``: free the sender, then resolve decodability and
+        capture at every receiver, in registration order.
+
+        The fast path walks the sender's plan and makes the reference
+        loop's comparisons on the same floats, so it is decision for
+        decision the same delivery."""
         self._active.remove(tx)
-        sender_radio = self._radios[tx.sender]
-        sender_radio._transmission_ended(tx)
-        if tx.plan is not None:
-            self._deliver_fast(tx)
-        else:
+        self._radios[tx.sender]._transmission_ended(tx)
+        plan = tx.plan
+        if plan is None:
             self._deliver_reference(tx)
+            return
+        duration = tx.end - tx.start
+        rx_power = tx.rx_power
+        interf = tx.interference
+        packet = tx.packet
+        tracing = self.trace.enabled
+        for loc, radio, sensitivity in plan.receivers:
+            if radio.failed:
+                # A dark radio never wakes its receive chain: no RX
+                # energy, no delivery.
+                radio.stats.fault_rx_suppressed += 1
+                continue
+            power = rx_power[loc]
+            stats = radio.stats
+            if power < sensitivity:
+                stats.below_sensitivity += 1
+                continue
+            # The receive chain locked onto this arrival: pay RX energy.
+            stats.rx_seconds += duration
+            if interf:
+                interference = interf.get(loc, -math.inf)
+                if (
+                    interference > -math.inf
+                    and power - interference < CAPTURE_THRESHOLD_DB
+                ):
+                    stats.collisions_seen += 1
+                    if tracing:
+                        self.trace.log(
+                            self.sim.now, "phy_collision", receiver=loc,
+                            sender=tx.sender,
+                        )
+                    continue
+            stats.receptions += 1
+            if tracing:
+                self.trace.log(
+                    self.sim.now, "phy_rx", receiver=loc, sender=tx.sender,
+                    packet=repr(packet),
+                )
+            receive = radio.on_receive
+            if receive is not None:
+                receive(packet, power)
 
     def _deliver_reference(self, tx: _Transmission) -> None:
         """Original per-receiver decodability/capture resolution."""
@@ -329,130 +374,13 @@ class Medium:
             )
             radio.deliver(tx.packet, power)
 
-    #: Receiver count at which :meth:`_deliver_fast` switches from the
-    #: scalar loop to numpy masks.  Array setup costs ~2 µs per call,
-    #: which only amortizes once the fan-out is wide; both branches make
-    #: identical float64 comparisons, so the results are bit-equal.
-    VECTOR_MIN_RECEIVERS = 8
-
-    def _deliver_fast(self, tx: _Transmission) -> None:
-        """Vectorized decodability/capture over all receivers at once.
-
-        The boolean masks are computed with numpy (float64 comparisons
-        are bit-identical to the scalar path); per-receiver effects —
-        stats, traces, delivery — still run in registration order with
-        the original Python floats, so nothing downstream ever sees a
-        numpy scalar.
-        """
-        duration = tx.end - tx.start
-        plan = tx.plan
-        entries = plan.entries
-        n = len(entries)
-        rx_power = tx.rx_power
-        interf = tx.interference
-        if n < self.VECTOR_MIN_RECEIVERS:
-            self._deliver_scalar(tx, plan, duration)
-            return
-        powers = np.fromiter(
-            (rx_power[e[0]] for e in entries), dtype=np.float64, count=n
-        )
-        if interf:
-            ints = np.fromiter(
-                (interf.get(e[0], -math.inf) for e in entries),
-                dtype=np.float64,
-                count=n,
-            )
-            with np.errstate(invalid="ignore"):
-                # −inf − −inf → NaN, which correctly compares False.
-                collided = (ints > -math.inf) & (
-                    powers - ints < CAPTURE_THRESHOLD_DB
-                )
-        else:
-            collided = None
-        decodable = powers >= plan.sens
-        trace = self.trace
-        now = self.sim.now
-        packet = tx.packet
-        sender = tx.sender
-        for k in range(n):
-            radio = plan.radios[k]
-            if radio.failed:
-                # A dark radio never wakes its receive chain: no RX
-                # energy, no delivery.
-                radio.stats.fault_rx_suppressed += 1
-                continue
-            if not decodable[k]:
-                radio.stats.below_sensitivity += 1
-                continue
-            stats = radio.stats
-            # The receive chain locked onto this arrival: pay RX energy.
-            stats.rx_seconds += duration
-            loc = entries[k][0]
-            if collided is not None and collided[k]:
-                stats.collisions_seen += 1
-                if trace.enabled:
-                    trace.log(now, "phy_collision", receiver=loc, sender=sender)
-                continue
-            stats.receptions += 1
-            if trace.enabled:
-                trace.log(
-                    now, "phy_rx", receiver=loc, sender=sender,
-                    packet=repr(packet),
-                )
-            radio.deliver(packet, rx_power[loc])
-
-    def _deliver_scalar(self, tx, plan, duration: float) -> None:
-        """Plan-ordered delivery loop without array setup, for narrow
-        fan-outs.  Decision-for-decision the same comparisons as the
-        vectorized branch (and the reference loop), on the same floats."""
-        rx_power = tx.rx_power
-        interf = tx.interference
-        trace = self.trace
-        now = self.sim.now
-        packet = tx.packet
-        sender = tx.sender
-        for loc, radio, sensitivity in zip(
-            plan.locs, plan.radios, plan.sens_py
-        ):
-            if radio.failed:
-                # A dark radio never wakes its receive chain: no RX
-                # energy, no delivery.
-                radio.stats.fault_rx_suppressed += 1
-                continue
-            power = rx_power[loc]
-            stats = radio.stats
-            if power < sensitivity:
-                stats.below_sensitivity += 1
-                continue
-            # The receive chain locked onto this arrival: pay RX energy.
-            stats.rx_seconds += duration
-            if interf:
-                interference = interf.get(loc, -math.inf)
-                if (
-                    interference > -math.inf
-                    and power - interference < CAPTURE_THRESHOLD_DB
-                ):
-                    stats.collisions_seen += 1
-                    if trace.enabled:
-                        trace.log(
-                            now, "phy_collision", receiver=loc, sender=sender
-                        )
-                    continue
-            stats.receptions += 1
-            if trace.enabled:
-                trace.log(
-                    now, "phy_rx", receiver=loc, sender=sender,
-                    packet=repr(packet),
-                )
-            radio.deliver(packet, rx_power[loc])
-
 
 class Radio:
     """One node's radio front end.
 
-    The MAC layer calls :meth:`transmit`; the medium calls :meth:`deliver`
-    for successfully decoded packets, which the radio hands up the stack
-    through ``on_receive``.
+    The MAC layer calls :meth:`transmit`; the medium hands successfully
+    decoded packets up the stack through ``on_receive`` (the reference
+    delivery loop through :meth:`deliver`).
     """
 
     def __init__(
@@ -477,11 +405,22 @@ class Radio:
         self.failed = False
         self.on_receive: Optional[Callable[[Packet, float], None]] = None
         self.on_tx_done: Optional[Callable[[Packet], None]] = None
+        #: Packet length (bytes) -> airtime (s), filled on first use.
+        self._airtimes: Dict[int, float] = {}
         medium.register(self)
 
     @property
     def is_transmitting(self) -> bool:
         return self.state is RadioState.TX
+
+    def airtime_s(self, length_bytes: int) -> float:
+        """Airtime of a ``length_bytes`` packet on this radio, computed
+        once per length."""
+        airtime = self._airtimes.get(length_bytes)
+        if airtime is None:
+            airtime = self.spec.packet_airtime_s(length_bytes)
+            self._airtimes[length_bytes] = airtime
+        return airtime
 
     # -- fault hooks ------------------------------------------------------------
 
@@ -512,7 +451,7 @@ class Radio:
             # complete after the nominal airtime — keeping TDMA slots and
             # CSMA cycles deterministic through an outage — but the packet
             # never reaches the medium and no energy is drawn.
-            airtime = self.spec.packet_airtime_s(packet.length_bytes)
+            airtime = self.airtime_s(packet.length_bytes)
             self.state = RadioState.TX
             self.stats.fault_tx_suppressed += 1
             self.sim.schedule(airtime, self._void_transmission_ended, packet)

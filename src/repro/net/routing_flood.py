@@ -54,10 +54,16 @@ class FloodRouting:
         self.rng = rng
         self.jitter_max_s = jitter_max_s
         self.deliver_up: Optional[Callable[[Packet, float], None]] = None
+        # Fixed at construction, as in StarRouting; and the jitter stream
+        # handle is cached once, as CSMA caches its backoff stream, so a
+        # relay draws without a name lookup.
+        self._location = mac.location
+        if jitter_max_s > 0:
+            self._jitter_stream = rng.stream(f"flood_jitter/{self._location}")
 
     @property
     def location(self) -> int:
-        return self.mac.location
+        return self._location
 
     # -- downward path -----------------------------------------------------------
 
@@ -72,20 +78,19 @@ class FloodRouting:
             self.deliver_up(packet, rssi_dbm)
         if not self._should_relay(packet):
             return
-        copy = packet.relayed_by(self.location)
+        copy = packet.relayed_by(self._location)
         self.stats.relays += 1
         if self.jitter_max_s > 0:
-            delay = self.rng.uniform(
-                f"flood_jitter/{self.location}", 0.0, self.jitter_max_s
-            )
+            delay = float(self._jitter_stream.uniform(0.0, self.jitter_max_s))
             self.sim.schedule(delay, self.mac.enqueue, copy)
         else:
             self.mac.enqueue(copy)
 
     def _should_relay(self, packet: Packet) -> bool:
         """The three controlled-flooding conditions."""
-        if packet.destination == self.location:
+        location = self._location
+        if packet.destination == location:
             return False
-        if self.location in packet.visited:
+        if location in packet.visited:
             return False
         return packet.hops_used < self.options.max_hops

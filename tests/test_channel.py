@@ -380,7 +380,9 @@ class TestChunkedDraws:
             route = k % 4
             if route == 0:
                 got = channel.fanout_powers(self.I, self.TX, entries, t)
-                assert got == [self.TX - ref.loss(mean, self.I, self.J, t)]
+                assert got == {
+                    self.J: self.TX - ref.loss(mean, self.I, self.J, t)
+                }
             elif route == 1:
                 assert channel.fading.sample(self.J, self.I, t) == ref.fade(
                     self.I, self.J, t
@@ -449,9 +451,9 @@ class TestChunkedDraws:
         mean, entries = self.entries(channel)
         for k in range(300):
             t = 0.01 * k
-            assert channel.fanout_powers(self.I, self.TX, entries, t) == [
-                self.TX - ((mean + 0.0) + 0.0)
-            ]
+            assert channel.fanout_powers(self.I, self.TX, entries, t) == {
+                self.J: self.TX - ((mean + 0.0) + 0.0)
+            }
             assert channel.fading.sample(self.I, self.J, t) == 0.0
             assert not channel.shadowing.is_occluded(self.J, t)
         for name in (f"fading/{self.I}-{self.J}", f"shadow/{self.I}",

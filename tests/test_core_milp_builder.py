@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.design_space import DesignSpace, PlacementConstraints
+from repro.core.design_space import (
+    Configuration,
+    DesignSpace,
+    PlacementConstraints,
+)
 from repro.core.milp_builder import MilpFormulation, _placements_by_size
 from repro.core.problem import DesignProblem, ScenarioParameters
 from repro.library.mac_options import MacKind, RoutingKind
@@ -305,6 +309,52 @@ class TestTightCuts:
                     for key, z in handles.combos.items()
                     if z.index in excluded
                 } == set(levels[:k])
+
+
+def expand_then_slice(formulation, p_star_mw, max_solutions):
+    """The tied-set expansion as it was first written: every configuration
+    tied at P̄* built, sorted by key, then sliced to the cap."""
+    radio_target = p_star_mw - formulation.scenario.app.baseline_mw
+    configs = []
+    for (routing_value, k, n), cost in formulation._cost_table.items():
+        if abs(cost - radio_target) > 1e-9:
+            continue
+        tx_dbm = formulation.space.tx_levels_dbm[k]
+        for placement in _placements_by_size(formulation.space.constraints)[n]:
+            for mac in formulation.space.mac_kinds:
+                configs.append(Configuration(
+                    placement, tx_dbm, mac, RoutingKind(routing_value)
+                ))
+    configs.sort(key=lambda c: c.key())
+    return configs[:max_solutions]
+
+
+class TestTiedPrefix:
+    """The combo path builds configurations for the kept prefix of the
+    tied set only; the candidates are those of expanding the whole set."""
+
+    @pytest.mark.parametrize("max_solutions", [8, 16, None])
+    def test_every_level_matches_expand_then_slice(self, max_solutions):
+        from repro.experiments.scenario import make_problem
+
+        walked = []
+        for formulation in (
+            MilpFormulation(make_problem(0.9, "smoke")),
+            make_formulation(max_nodes=4)[0],
+        ):
+            cuts = []
+            while True:
+                status, configs, p_star = formulation.enumerate_candidates(
+                    cuts, max_solutions=max_solutions
+                )
+                if status is not SolveStatus.OPTIMAL:
+                    break
+                assert configs == expand_then_slice(
+                    formulation, p_star, max_solutions
+                )
+                cuts.append(p_star)
+            walked.append(len(cuts))
+        assert walked == [18, 6]
 
 
 class TestNogoodEquivalence:

@@ -1,5 +1,8 @@
 """Tests for random streams and measurement primitives."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.des.monitor import (
@@ -9,7 +12,7 @@ from repro.des.monitor import (
     merge_traces,
     summarize_counters,
 )
-from repro.des.rng import RngStreams
+from repro.des.rng import RngStreams, _initial_state
 
 
 class TestRngStreams:
@@ -46,6 +49,36 @@ class TestRngStreams:
         rng2.stream("brand-new-consumer").normal(size=10)
         second_draws = rng2.stream("alpha").normal(size=3)
         assert (first_draws == second_draws).all()
+
+    @pytest.mark.parametrize("replicate", [0, 2])
+    @pytest.mark.parametrize("seed", [0, 6, 2**40 + 3])
+    def test_memoized_streams_equal_seeded_generators(self, seed, replicate):
+        """A stream starts from the memoized PCG64 state of (seed,
+        replicate, name) rather than seeding its own: it must draw
+        exactly as ``default_rng`` over that SeedSequence does, when the
+        state is first derived and when the memo serves it again."""
+        names = ("fading/0-3", "shadow/9", "csma_backoff/1", "app_phase/0",
+                 "flood_jitter/6", "")
+        for _pass in range(2):
+            rng = RngStreams(seed=seed, replicate=replicate)
+            for name in names:
+                digest = hashlib.sha256(name.encode("utf-8")).digest()
+                reference = np.random.default_rng(np.random.SeedSequence(
+                    entropy=seed,
+                    spawn_key=(replicate, int.from_bytes(digest[:8], "little")),
+                ))
+                stream = rng.stream(name)
+                assert stream.bit_generator.state == (
+                    reference.bit_generator.state
+                )
+                for draw in (
+                    lambda g: g.standard_normal(40),
+                    lambda g: g.random(7),
+                    lambda g: g.integers(0, 1000, 5, dtype=np.uint32),
+                    lambda g: g.uniform(2.0, 3.0, 3),
+                ):
+                    assert draw(stream).tolist() == draw(reference).tolist()
+        assert _initial_state.cache_info().maxsize is not None
 
     def test_scalar_helpers(self):
         rng = RngStreams(seed=0)

@@ -83,7 +83,8 @@ class CoordinatorClient:
     was lost leaves a lease that simply expires and is reassigned.
 
     ``requests`` / ``connections_opened`` counters make the savings
-    measurable (``bench fleet`` asserts opened ≪ requests).
+    measurable (``tests/test_campaign_fleet.py`` asserts at least three
+    requests per connection).
 
     ``base_url`` may be a **comma-separated ordered list** of
     coordinators (primary first, standbys after) — a transport failure
@@ -261,7 +262,7 @@ class WorkerAgent:
         self.exit_idle = exit_idle
         #: Artificial delay after each wearer: models a slow or loaded
         #: host (the straggler the work-stealing path exists for) in
-        #: benchmarks and tests without needing heterogeneous hardware.
+        #: tests without needing heterogeneous hardware.
         self.throttle_s = max(0.0, float(throttle_s))
         #: Local cross-campaign wearer-result store (consulted before any
         #: simulation, seeded by coordinator prefetches).

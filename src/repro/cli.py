@@ -272,55 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     space = sub.add_parser("space", help="summarize the design space")
     _add_common(space)
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark suites (hotpath: DES kernel, PHY fan-out, MILP "
-        "warm starts; fleet: warm cache, work stealing, RPC batching); "
-        "writes a JSON report",
-    )
-    bench.add_argument(
-        "--suite",
-        default="hotpath",
-        choices=("hotpath", "fleet"),
-        help="which benchmark suite to run",
-    )
-    bench.add_argument(
-        "--preset",
-        default="ci",
-        choices=("paper", "ci", "smoke"),
-        help="measurement preset for the simulation/MILP benchmarks",
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        help="path of the JSON report (default BENCH_<suite>.json)",
-    )
-    bench.add_argument(
-        "--wearers",
-        type=int,
-        default=6,
-        help="fleet suite: wearer population size",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="fleet suite: worker agent count",
-    )
-    bench.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="best-of repeat count per timed section",
-    )
-    bench.add_argument(
-        "--des-events",
-        type=int,
-        default=50_000,
-        help="timer-churn workload size for the DES kernel benchmark",
-    )
-    add_runtime_flags(bench)
-
     campaign = sub.add_parser(
         "campaign",
         help="run a fleet campaign: one journaled design run per wearer, "
@@ -687,6 +638,13 @@ _NUMERIC_FLAGS = (
     # where the flag has no use
     ("robust", "--outage-fraction", *_OUTAGE_FRACTION),
     ("robustness", "--outage-fraction", *_OUTAGE_FRACTION),
+    # a bound above 1 reads as a percentage, so [0, 100] covers both forms
+    ("robustness", "--pdr-min", lambda p: 0 <= p <= 100,
+     "must be within [0, 100]"),
+    ("robustness", "--quantile", lambda q: 0 <= q <= 1,
+     "must be within [0, 1]"),
+    ("robustness", "--ensemble-size", *_AT_LEAST_1),
+    ("annealing", "--sa-steps", *_AT_LEAST_1),
     ("serve", "--port", lambda port: 0 <= port <= 65535,
      "must be a TCP port in [0, 65535]"),
     # a lease lapses once expires_at <= now, so a TTL of 0 or less would
@@ -703,10 +661,6 @@ _NUMERIC_FLAGS = (
     ("worker", "--exit-idle", *_SECONDS),
     # a socket timeout of 0 makes every connect non-blocking
     ("worker", "--rpc-timeout", *_POSITIVE_SECONDS),
-    ("bench", "--repeats", *_AT_LEAST_1),
-    ("bench", "--wearers", *_AT_LEAST_1),
-    ("bench", "--workers", *_AT_LEAST_1),
-    ("bench", "--des-events", *_AT_LEAST_1),
 )
 
 
@@ -732,8 +686,6 @@ def _storage_path_error(args) -> Optional[str]:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is None:
             continue
-        if flag == "--out" and args.command == "bench":
-            directory = False  # bench --out names its report file
         path = existing = pathlib.Path(value)
         # os.path.exists is False, not an error, below an unsearchable dir
         while not os.path.exists(existing):
@@ -991,45 +943,6 @@ def _run_command(args, obs) -> int:
             fabric_secret=args.fabric_secret,
             rpc_timeout=args.rpc_timeout,
         )
-
-    if args.command == "bench":
-        from repro.bench import (
-            run_fleet_benchmarks,
-            run_hotpath_benchmarks,
-            write_report,
-        )
-
-        out = args.out or f"BENCH_{args.suite}.json"
-        if args.suite == "fleet":
-            report = run_fleet_benchmarks(
-                preset=args.preset,
-                wearers=args.wearers,
-                workers=args.workers,
-            )
-            write_report(report, out)
-            print(f"wrote {out}")
-            print(
-                "warm cache: "
-                f"{report['warm_cache']['speedup']:.2f}x  "
-                "straggler stealing: "
-                f"{report['straggler']['speedup']:.2f}x  "
-                "requests/connection: "
-                f"{report['rpc']['requests_per_connection']:.1f}"
-            )
-            return 0
-        report = run_hotpath_benchmarks(
-            preset=args.preset,
-            repeats=args.repeats,
-            des_events=args.des_events,
-        )
-        write_report(report, out)
-        print(f"wrote {out}")
-        print(
-            f"single replicate: {report['speedup_single_replicate']:.2f}x  "
-            f"MILP warm starts: {report['speedup_milp_warm']:.2f}x  "
-            f"DES throughput: {report['speedup_des_events']:.2f}x"
-        )
-        return 0
 
     if args.command == "space":
         from repro.experiments.scenario import make_space

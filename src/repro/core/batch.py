@@ -38,10 +38,9 @@ only in bulk draw-block generation, whose bitstream equivalence with the
 scalar draw calls is asserted by tests.  The ``exp`` memo tables are
 keyed by the exact ``dt`` argument, so a memo hit returns the float the
 scalar call would have produced.  The scalar DES remains the reference
-implementation, exactly as :mod:`repro.bench.reference` frames it: the
-``ensemble_batched`` benchmark asserts full-outcome equality before
-reporting any speedup, and the test suite sweeps seeds, replicate
-counts, fault ensembles, and TX variants.
+implementation: ``tests/test_batch_kernel.py`` asserts full-outcome
+equality with it, sweeping seeds, replicate counts, fault ensembles,
+and TX variants.
 
 Supported surface
 -----------------

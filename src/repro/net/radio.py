@@ -50,7 +50,6 @@ class _Transmission:
         "packet",
         "start",
         "end",
-        "tx_dbm",
         "rx_power",
         "interference",
         "plan",
@@ -62,7 +61,6 @@ class _Transmission:
         packet: Packet,
         start: float,
         end: float,
-        tx_dbm: float,
         rx_power: Dict[int, float],
         plan: Optional["_FanoutPlan"] = None,
     ) -> None:
@@ -70,7 +68,6 @@ class _Transmission:
         self.packet = packet
         self.start = start
         self.end = end
-        self.tx_dbm = tx_dbm
         #: received power at each other node, sampled at transmission start.
         self.rx_power = rx_power
         #: strongest interferer power seen at each receiver (−inf if none).
@@ -133,7 +130,7 @@ class Medium:
 
     ``use_fast_path=False`` selects the original per-receiver reference
     implementation; the fast path must produce bit-identical results, and
-    the A/B tests plus the ``repro.bench`` harness rely on both paths
+    the A/B tests (``tests/test_legacy_reference.py``) rely on both paths
     staying callable.
     """
 
@@ -253,7 +250,7 @@ class Medium:
         else:
             plan = None
             # Reference path: per-receiver link-budget derivation, kept
-            # callable for A/B bit-identity tests and benchmarks.
+            # callable for A/B bit-identity tests.
             rx_power = {}
             for loc in self._radios:
                 if loc == sender:
@@ -266,10 +263,7 @@ class Medium:
                 rx_power[loc] = self.channel.received_power_dbm(
                     radio.tx_mode.output_dbm, sender, loc, now
                 )
-        tx = _Transmission(
-            sender, packet, now, now + airtime, radio.tx_mode.output_dbm,
-            rx_power, plan,
-        )
+        tx = _Transmission(sender, packet, now, now + airtime, rx_power, plan)
 
         # Mutual interference with every overlapping transmission.
         for other in self._active:

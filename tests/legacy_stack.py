@@ -1,10 +1,10 @@
-"""Frozen pre-optimization implementations for honest A/B benchmarks.
+"""Frozen pre-optimization implementations, the reference for A/B tests.
 
 The hot-path overhaul (fast PHY fan-out, cached RNG stream handles,
 lazily-compacted event heap) rewrote the seed implementations in place,
-so "how much faster did we get?" needs the *old* code to race against.
-This module carries verbatim copies of the seed versions of the three
-rewritten hot spots:
+so "did the fast paths change an answer?" needs the *old* code to
+compare against.  This module carries verbatim copies of the seed
+versions of the three rewritten hot spots:
 
 * :class:`LegacySimulator` / :class:`LegacyEvent` — the seed DES kernel
   (O(n) ``pending_count``, no heap compaction, double-dispatch
@@ -18,9 +18,9 @@ channel processes and event kernel are swapped for these copies and whose
 medium runs the reference per-receiver delivery loop — i.e. the seed
 stack end to end.  Both stacks consume identical RNG streams in identical
 order, so a legacy run and a fast run of the same replicate produce
-bit-identical outcomes; the benchmark harness asserts this on every run.
+bit-identical outcomes; ``tests/test_legacy_reference.py`` asserts this.
 
-These classes are benchmark fixtures, not supported simulation API.
+These classes are test fixtures, not supported simulation API.
 """
 
 from __future__ import annotations
@@ -275,14 +275,8 @@ class LegacyNodeShadowing:
         self._state.clear()
 
 
-def build_network(
-    scenario, config, seed: int = 0, replicate: int = 0, fault_scenario=None
-):
-    """A current-stack Network for one (scenario, configuration) pair.
-
-    ``fault_scenario`` overrides the scenario's own fault world (the
-    ensemble benchmark races one topology across many explicit worlds).
-    """
+def build_network(scenario, config, seed: int = 0, replicate: int = 0):
+    """A current-stack Network for one (scenario, configuration) pair."""
     from repro.net.network import Network
 
     return Network(
@@ -298,17 +292,11 @@ def build_network(
         body=scenario.body,
         pathloss_params=scenario.pathloss,
         fading_params=scenario.fading,
-        fault_scenario=(
-            fault_scenario
-            if fault_scenario is not None
-            else getattr(scenario, "fault_scenario", None)
-        ),
+        fault_scenario=getattr(scenario, "fault_scenario", None),
     )
 
 
-def legacy_network(
-    scenario, config, seed: int = 0, replicate: int = 0, fault_scenario=None
-):
+def legacy_network(scenario, config, seed: int = 0, replicate: int = 0):
     """A Network running the seed hot paths end to end.
 
     Three swaps reconstruct the pre-overhaul stack:
@@ -330,10 +318,7 @@ def legacy_network(
     original = network_mod.Simulator
     network_mod.Simulator = LegacySimulator  # type: ignore[misc]
     try:
-        net = build_network(
-            scenario, config, seed=seed, replicate=replicate,
-            fault_scenario=fault_scenario,
-        )
+        net = build_network(scenario, config, seed=seed, replicate=replicate)
     finally:
         network_mod.Simulator = original  # type: ignore[misc]
     net.medium.use_fast_path = False

@@ -73,6 +73,16 @@ def _agent(port, workdir, name, **kwargs):
     )
 
 
+def _assert_keep_alive(agents):
+    """Each worker's RPCs rode a persistent connection: at least three
+    requests per connection it opened."""
+    for agent in agents:
+        client = agent.client
+        assert client.requests >= 3 * client.connections_opened, (
+            agent.name, client.requests, client.connections_opened
+        )
+
+
 async def _drain_workers(agents):
     """Run every agent's pull loop on a thread until all exit."""
     codes = {}
@@ -248,7 +258,7 @@ class TestFleetExecution:
 
 class TestFleetHotPath:
     """PR 9 end-to-end: warm cross-campaign cache and work stealing,
-    both under the byte-identity contract."""
+    both under the byte-identity contract, with keep-alive RPCs."""
 
     def test_warm_campaign_simulates_nothing(self, tmp_path, golden):
         """Two campaigns over the same wearer population (different
@@ -273,6 +283,7 @@ class TestFleetHotPath:
                 codes = await _drain_workers([warm])
                 assert codes == {"w-warm": 0}
                 assert warm.wearers_run == len(warm_spec.wearers)
+                _assert_keep_alive([cold, warm])
                 return cold_id, warm_id
             finally:
                 await service.stop()
@@ -351,6 +362,7 @@ class TestFleetHotPath:
                 assert slow.wearers_run + fast.wearers_run >= len(
                     spec.wearers
                 )
+                _assert_keep_alive([slow, fast])
                 return cid
             finally:
                 await service.stop()

@@ -16,11 +16,11 @@ from repro.obs import read_trace
 ALL_COMMANDS = (
     "solve", "figure3", "reduction", "annealing",
     "table1", "dual", "extensions", "space",
-    "robust", "robustness", "bench", "campaign", "serve",
+    "robust", "robustness", "campaign", "serve",
 )
 
 #: subcommands without --preset/--seed (runtime flags only)
-RUNTIME_ONLY_COMMANDS = ("table1", "bench", "serve")
+RUNTIME_ONLY_COMMANDS = ("table1", "serve")
 
 #: minimal valid argv per subcommand (parse-level only)
 PARSE_ARGV = {
@@ -34,7 +34,6 @@ PARSE_ARGV = {
     "space": ["space"],
     "robust": ["robust", "--pdr-min", "85"],
     "robustness": ["robustness"],
-    "bench": ["bench"],
     "campaign": ["campaign"],
     "serve": ["serve", "--root", "/tmp/fleet"],
 }
@@ -64,7 +63,7 @@ class TestParsing:
     @pytest.mark.parametrize("command", ALL_COMMANDS)
     def test_runtime_flags_parse_on_every_subcommand(self, command):
         """The add_runtime_flags hoist: every subcommand — including
-        table1, bench, campaign, and serve — takes the uniform runtime
+        table1, campaign, and serve — takes the uniform runtime
         surface (--jobs/--cache-dir/--trace-out/--metrics-out)."""
         argv = PARSE_ARGV[command] + [
             "--jobs", "2", "--cache-dir", "/tmp/c",
@@ -225,6 +224,12 @@ class TestBadNumericInputs:
             (["campaign", "--wearers", "2", "--seed", "-1"], "--seed"),
             (["figure3", "--seed", "-1"], "--seed"),
             (["reduction", "--seed", "-1"], "--seed"),
+            # used to end in a ValueError traceback
+            (["robustness", "--quantile", "2"], "--quantile"),
+            (["robustness", "--quantile", "nan"], "--quantile"),
+            (["robustness", "--ensemble-size", "0"], "--ensemble-size"),
+            (["robustness", "--pdr-min", "150"], "--pdr-min"),
+            (["annealing", "--sa-steps", "0"], "--sa-steps"),
         ],
         ids=["pdr-min-150", "pdr-min-negative", "quantile-2",
              "ensemble-size-0", "lifetime-negative", "lifetime-inf",
@@ -235,7 +240,9 @@ class TestBadNumericInputs:
              "campaign-hub-stress-outage-fraction-1", "solve-seed-negative",
              "robust-seed-negative", "fault-seed-negative",
              "campaign-seed-negative", "figure3-seed-negative",
-             "reduction-seed-negative"],
+             "reduction-seed-negative", "robustness-quantile-2",
+             "robustness-quantile-nan", "robustness-ensemble-size-0",
+             "robustness-pdr-min-150", "annealing-sa-steps-0"],
     )
     def test_bad_numeric_input_exits_2(self, argv, expected, tmp_path,
                                        capsys):
@@ -253,9 +260,8 @@ class TestBadNumericInputs:
 
     def _assert_refused(self, argv, tmp_path, capsys, monkeypatch):
         """``argv`` exits 2 with one line, before ``serve`` creates --root
-        or binds a port, before ``worker`` creates --workdir or dials a
-        coordinator, and before ``bench`` writes its --out report."""
-        from repro import bench
+        or binds a port, and before ``worker`` creates --workdir or dials
+        a coordinator."""
         from repro.campaign import service, worker
 
         def unreachable(*args, **kwargs):
@@ -263,18 +269,13 @@ class TestBadNumericInputs:
 
         monkeypatch.setattr(service, "serve_forever", unreachable)
         monkeypatch.setattr(worker, "run_worker", unreachable)
-        monkeypatch.setattr(bench, "run_hotpath_benchmarks", unreachable)
-        monkeypatch.setattr(bench, "run_fleet_benchmarks", unreachable)
         root = tmp_path / "root"
         workdir = tmp_path / "workdir"
-        report = tmp_path / "bench.json"
         if argv[0] == "serve":
             storage = ["--root", str(root)]
-        elif argv[0] == "worker":
+        else:
             storage = ["--coordinator", "http://127.0.0.1:9",
                        "--workdir", str(workdir)]
-        else:
-            storage = ["--out", str(report)]
         assert cli.main(argv + storage) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -283,7 +284,6 @@ class TestBadNumericInputs:
         assert lines[0].startswith(f"hi-explore: {argv[0]}: {argv[1]} ")
         assert not root.exists()
         assert not workdir.exists()
-        assert not report.exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -302,24 +302,18 @@ class TestBadNumericInputs:
             ["serve", "--cache-max-bytes", "-1"],
             ["serve", "--cache-max-bytes", "0"],
             ["serve", "--cache-max-entries", "0"],
-            ["bench", "--repeats", "0"],
-            ["bench", "--wearers", "0"],
-            ["bench", "--workers", "0"],
-            ["bench", "--des-events", "0"],
         ],
         ids=["port-negative", "port-70000", "lease-ttl-0",
              "lease-ttl-negative", "lease-ttl-inf", "ping-interval-negative",
              "ping-interval-0", "ping-misses-0", "max-inflight-0",
              "min-sync-interval-negative", "min-sync-interval-nan",
              "cache-max-bytes-negative", "cache-max-bytes-0",
-             "cache-max-entries-0", "repeats-0", "wearers-0", "workers-0",
-             "des-events-0"],
+             "cache-max-entries-0"],
     )
     def test_bad_serve_or_bench_flag_exits_2(self, argv, tmp_path, capsys,
                                              monkeypatch):
         """``serve`` takes neither --preset nor --out: the check must come
-        before it creates --root or binds a port, and before ``bench``
-        writes its --out report."""
+        before it creates --root or binds a port."""
         self._assert_refused(argv, tmp_path, capsys, monkeypatch)
 
     @pytest.mark.parametrize(
@@ -521,49 +515,6 @@ class TestJobsAutoDetect:
         assert cli.auto_jobs(limit=None) >= 1
         # A limit below one still yields a worker.
         assert cli.auto_jobs(limit=0) == 1
-
-
-class TestBenchCommand:
-    def test_bench_parses_with_defaults(self):
-        args = cli.build_parser().parse_args(["bench"])
-        assert args.command == "bench"
-        assert args.preset == "ci"
-        assert args.suite == "hotpath"
-        # --out defaults per suite at dispatch time (BENCH_<suite>.json)
-        assert args.out is None
-        assert args.repeats == 3
-        assert args.des_events == 50_000
-
-    def test_bench_fleet_suite_parses(self):
-        args = cli.build_parser().parse_args([
-            "bench", "--suite", "fleet", "--wearers", "4",
-            "--workers", "3",
-        ])
-        assert (args.suite, args.wearers, args.workers) == ("fleet", 4, 3)
-        assert args.out is None
-
-    def test_bench_flags_parse(self):
-        args = cli.build_parser().parse_args([
-            "bench", "--preset", "smoke", "--out", "x.json",
-            "--repeats", "1", "--des-events", "1000",
-        ])
-        assert (args.preset, args.out, args.repeats, args.des_events) == (
-            "smoke", "x.json", 1, 1000
-        )
-
-    def test_bench_runs_on_smoke(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "bench.json"
-        assert cli.main([
-            "bench", "--preset", "smoke", "--out", str(out),
-            "--repeats", "1", "--des-events", "2000",
-        ]) == 0
-        report = json.loads(out.read_text())
-        assert report["benchmark"] == "hotpath"
-        assert report["single_replicate"]["bit_identical_outcome"]
-        assert report["milp_warm_vs_cold"]["identical_objectives"]
-        assert "wrote" in capsys.readouterr().out
 
 
 class TestRobustCommands:

@@ -260,6 +260,11 @@ def main(argv=None) -> int:
             return 1
         log(f"submitted warm fleet campaign {payload['id']} "
             f"(state {payload['state']})")
+        if payload["state"] != "done":
+            log("FAIL: every warm wearer is cached, so the coordinator "
+                "should have answered the submission itself with state "
+                f"done, not {payload['state']!r}")
+            return 1
         warm_worker = start_worker(
             "warm", base_url, workdir / "work-warm"
         )
@@ -323,6 +328,14 @@ def main(argv=None) -> int:
         return 1
     log("warm worker wrote zero run journals — every wearer was a "
         "cache hit")
+    warm_census = json.loads(
+        (workdir / "coord" / warm_cid / "telemetry.json").read_text()
+    )["pool"]["workers"]
+    if set(warm_census) != {"coordinator"}:
+        log(f"FAIL: warm campaign shards were committed by "
+            f"{warm_census}, not by the coordinator alone")
+        return 1
+    log(f"warm campaign committed by the coordinator alone: {warm_census}")
 
     telemetry = json.loads(
         (workdir / "coord" / cid / "telemetry.json").read_text()

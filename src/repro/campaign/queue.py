@@ -835,6 +835,13 @@ class CampaignQueue:
     def done(self) -> bool:
         return all(s["state"] == "committed" for s in self._shards.values())
 
+    def pending_shards(self) -> List[int]:
+        """Shards nobody holds, has split or has committed, lowest first."""
+        return [
+            index for index in sorted(self._shards)
+            if self._shards[index]["state"] == "pending"
+        ]
+
     def counts(self) -> Dict[str, int]:
         tally = {"pending": 0, "leased": 0, "split": 0, "committed": 0}
         for state in self._shards.values():

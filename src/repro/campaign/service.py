@@ -45,12 +45,17 @@ The fleet hot path (PR 9, DESIGN.md §13) adds three more::
                                        round-robin across active fleet
                                        campaigns, so one big campaign
                                        cannot starve later submissions),
-                                       with cross-campaign cached wearer
+                                       with the shard's cached wearer
                                        summaries prefetched onto the
                                        lease payload
     GET  /cache/wearers/<fingerprint>  cross-campaign wearer-result cache
     PUT  /cache/wearers/<fingerprint>  (content-addressed, CRC-validated,
                                        idempotent; 409 on divergence)
+
+A fleet shard whose every wearer is already in that cache never reaches
+a worker: the coordinator commits it from the cache when the campaign's
+queue opens (at submission, or at recovery), so a fully cached campaign
+is answered ``done`` by its POST.
 
 Connections are **keep-alive** by default (HTTP/1.1 semantics: one
 request after another on the same socket until the client sends
@@ -126,6 +131,7 @@ from repro.campaign.queue import (
     DEFAULT_LEASE_TTL,
     CampaignQueue,
     QueueError,
+    shard_payload_crc,
 )
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.wearer_cache import (
@@ -289,7 +295,8 @@ class CampaignService:
         self._queues: Dict[str, CampaignQueue] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         #: Cross-campaign wearer-result cache (fed by shard commits,
-        #: served over GET/PUT /cache/wearers/<fp>, prefetched on leases).
+        #: served over GET/PUT /cache/wearers/<fp>, committing fully
+        #: cached shards at submission, prefetched on the other leases).
         self.wearer_cache = WearerResultCache(
             self.root / WEARER_CACHE_DIRNAME,
             max_bytes=cache_max_bytes,
@@ -550,7 +557,16 @@ class CampaignService:
         return self.status(campaign_id)
 
     def _open_queue(self, campaign_id: str, spec: CampaignSpec) -> None:
-        """Create (or reopen) the shard queue of a fleet campaign."""
+        """Create (or reopen) the shard queue of a fleet campaign.
+
+        A pending shard whose every wearer is in the wearer cache has
+        nothing left to simulate, so it is committed here, as
+        ``coordinator``, from the cached summaries: the same bytes a
+        worker would replay and commit, CRC-checked on read.  A fully
+        cached campaign is therefore ``done`` before any worker hears of
+        it; a partially cached shard stays pending for a worker, with
+        its hits prefetched onto the lease (:meth:`_grant_lease`).
+        """
         queue = CampaignQueue(
             spec,
             self.campaign_dir(campaign_id),
@@ -561,9 +577,17 @@ class CampaignService:
         )
         self._queues[campaign_id] = queue
         self._errors.pop(campaign_id, None)
+        wearers = {w.wearer_id: w for w in spec.wearers}
+        for index in queue.pending_shards():
+            shard = [wearers[wid] for wid in queue.wearers_of[index]]
+            cached = self.wearer_cache.prefetch(spec.preset, shard)
+            if len(cached) == len(shard):
+                queue.commit(index, cached, shard_payload_crc(cached),
+                             worker="coordinator")
         if queue.done:
-            # Every shard already committed (e.g. killed between the
-            # last commit and aggregation): finalize immediately.
+            # Every shard committed: served whole from the wearer cache,
+            # or killed between the last commit and aggregation.  Either
+            # way, finalize immediately.
             queue.finalize()
             self._set_state(campaign_id, "done")
         else:
@@ -1378,10 +1402,11 @@ class CampaignService:
         """One lease from the active fleet campaigns, round-robin.
 
         The cursor advances past whichever campaign granted, so one big
-        early campaign cannot starve later submissions.  Cached wearer
-        summaries for the granted shard ride along under ``"cached"`` —
-        the worker never makes a separate cache round-trip for work the
-        coordinator already knew was warm.
+        early campaign cannot starve later submissions.  A shard fully
+        cached when its queue opened never gets here (:meth:`_open_queue`
+        commits it); for the others, cached wearer summaries ride along
+        under ``"cached"`` — the worker never makes a separate cache
+        round-trip for work the coordinator already knew was warm.
         """
         active = [
             cid for cid in sorted(self._queues)

@@ -26,10 +26,12 @@ and raises loudly (:class:`WearerCacheDiverged`) instead of silently
 replacing bytes other campaigns may already have aggregated.
 
 Both ends of the fabric hold one of these: the coordinator under
-``<root>/wearer_cache/`` (fed by shard commits, served over
-``GET/PUT /cache/wearers/<fingerprint>``), each worker under its own
-local directory (consulted before any simulation, seeded by coordinator
-prefetches riding on lease responses).
+``<root>/wearer_cache/`` (fed by shard commits and local campaigns,
+served over ``GET/PUT /cache/wearers/<fingerprint>``; a fleet shard whose
+wearers all hit is committed by the coordinator at submission, and the
+hits of a partially cached shard ride its lease), each worker under its
+own local directory (consulted before any simulation, seeded by those
+lease prefetches).
 """
 
 from __future__ import annotations
@@ -138,7 +140,11 @@ class WearerResultCache:
     plain ``unlink`` — a concurrent reader that already leased against
     the entry sees a clean miss (404 on the wire) and re-simulates,
     which the determinism contract guarantees reproduces identical
-    bytes.
+    bytes.  Several instances may share one directory: with a cap set,
+    each ``put`` first folds in the entries the others wrote or evicted
+    (a directory scan), so the caps count every file and the saved index
+    names every file.  An uncapped store never evicts, so it skips the
+    scan; a capped one opened on its directory later folds it in.
     """
 
     def __init__(
@@ -160,13 +166,16 @@ class WearerResultCache:
     def index_path(self) -> pathlib.Path:
         return self.directory / INDEX_FILENAME
 
-    def _scan_index(self) -> dict:
-        """Rebuild the index from the directory, oldest-mtime first (so
-        pre-index entries get the lowest recency and evict first)."""
-        entries: Dict[str, dict] = {}
-        seq = 0
+    def _fold_directory(self) -> None:
+        """Bring the in-memory index in line with the entry files, which
+        other instances on this directory (a local campaign's wearer
+        tasks each open their own) write and evict behind this one's
+        back.  Files it does not know were written since it loaded its
+        index, so they join as the most recently used, oldest mtime
+        first; entries whose file is gone leave."""
+        index = self._load_index()
+        found = []
         if self.directory.exists():
-            found = []
             for path in self.directory.iterdir():
                 if path.suffix != ".json" or path.name == INDEX_FILENAME:
                     continue
@@ -175,10 +184,16 @@ class WearerResultCache:
                 except OSError:
                     continue
                 found.append((stat.st_mtime, path.stem, stat.st_size))
-            for _, fingerprint, size in sorted(found):
-                seq += 1
-                entries[fingerprint] = {"bytes": size, "seq": seq}
-        return {"next_seq": seq + 1, "entries": entries}
+        entries = index["entries"]
+        present = {fingerprint for _, fingerprint, _ in found}
+        for fingerprint in [fp for fp in entries if fp not in present]:
+            del entries[fingerprint]
+        for _, fingerprint, size in sorted(found):
+            if fingerprint not in entries:
+                entries[fingerprint] = {
+                    "bytes": size, "seq": index["next_seq"]
+                }
+                index["next_seq"] += 1
 
     def _load_index(self) -> dict:
         if self._index is not None:
@@ -198,7 +213,10 @@ class WearerResultCache:
                 "entries": entries,
             }
         except (OSError, ValueError, KeyError, TypeError):
-            self._index = self._scan_index()
+            # Rebuilt from the files, oldest mtime first, so the oldest
+            # entries get the lowest recency and evict first.
+            self._index = {"next_seq": 1, "entries": {}}
+            self._fold_directory()
         return self._index
 
     def _save_index(self) -> None:
@@ -323,6 +341,8 @@ class WearerResultCache:
         ) + "\n"
         write_atomic(self.path_for(fingerprint), blob)
         _count("cache.wearer_stores")
+        if self.max_bytes is not None or self.max_entries is not None:
+            self._fold_directory()
         self._touch(fingerprint, size=len(blob.encode("utf-8")))
         self._evict_over_caps(protect=fingerprint)
         self._save_index()

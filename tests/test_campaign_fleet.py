@@ -24,13 +24,20 @@ import pytest
 from repro.campaign.queue import shard_payload_crc
 from repro.campaign.runner import run_campaign, run_wearer_task, wearer_run_dir
 from repro.campaign.service import CampaignService
+from repro.campaign.shard import shard_assignment
 from repro.campaign.spec import make_population
+from repro.campaign.wearer_cache import (
+    WEARER_CACHE_DIRNAME,
+    WearerResultCache,
+    wearer_fingerprint,
+)
 from repro.campaign.worker import WorkerAgent
 from repro.core.journal import (
     JOURNAL_FILENAME,
     QUEUE_LOG_FILENAME,
     SUMMARY_FILENAME,
     EventLog,
+    read_summary,
 )
 
 from tests.test_campaign_service import _request
@@ -51,9 +58,23 @@ def golden(tmp_path_factory):
     run_campaign(spec, directory, shards=len(spec.wearers), jobs=1)
     return {
         "spec": spec,
+        "directory": directory,
         "aggregate": (directory / "aggregate.json").read_bytes(),
         "atlas": (directory / "atlas.json").read_bytes(),
     }
+
+
+def _golden_summary(golden, wearer_id):
+    """One wearer's ``summary.json`` from the single-host golden run."""
+    (path,) = golden["directory"].glob(
+        f"shards/*/{wearer_id}/{SUMMARY_FILENAME}"
+    )
+    return read_summary(path.parent)
+
+
+def _assert_golden_artifacts(directory, golden):
+    assert (directory / "aggregate.json").read_bytes() == golden["aggregate"]
+    assert (directory / "atlas.json").read_bytes() == golden["atlas"]
 
 
 async def _submit_fleet(port, spec):
@@ -263,8 +284,10 @@ class TestFleetHotPath:
     def test_warm_campaign_simulates_nothing(self, tmp_path, golden):
         """Two campaigns over the same wearer population (different
         names) against one coordinator: the second is served entirely
-        from the wearer cache — its worker writes zero run journals —
-        and still produces byte-identical artifacts."""
+        from the coordinator's wearer cache at submission — its POST
+        already answers ``done``, and its worker runs no wearer and
+        writes zero run journals — and still produces byte-identical
+        artifacts."""
         warm_spec = _spec(name="fleet-warm")
         warm_golden = tmp_path / "warm-golden"
         run_campaign(warm_spec, warm_golden, jobs=1)
@@ -278,19 +301,23 @@ class TestFleetHotPath:
                 codes = await _drain_workers([cold])
                 assert codes == {"w-cold": 0}
 
-                warm_id = await _submit_fleet(port, warm_spec)
+                status, warm_sub = await _request(
+                    port, "POST", "/campaigns",
+                    {**warm_spec.to_dict(), "execution": "fleet"},
+                )
+                assert (status, warm_sub["state"]) == (200, "done")
                 warm = _agent(port, tmp_path / "work-warm", "w-warm")
                 codes = await _drain_workers([warm])
                 assert codes == {"w-warm": 0}
-                assert warm.wearers_run == len(warm_spec.wearers)
+                assert warm.wearers_run == 0
                 _assert_keep_alive([cold, warm])
-                return cold_id, warm_id
+                return cold_id, warm_sub["id"]
             finally:
                 await service.stop()
 
         cold_id, warm_id = asyncio.run(scenario())
         # the warm worker never simulated: no run journal anywhere in
-        # its workdir (cache hits write summary.json only)
+        # its workdir
         warm_journals = list(
             (tmp_path / "work-warm").rglob(JOURNAL_FILENAME)
         )
@@ -308,6 +335,118 @@ class TestFleetHotPath:
                 )
             assert (directory / "aggregate.json").read_bytes() == want[0]
             assert (directory / "atlas.json").read_bytes() == want[1]
+
+    def test_partially_cached_campaign_leases_only_the_uncached_shard(
+        self, tmp_path, golden
+    ):
+        """Two shards: every wearer of one is cached, one wearer of the
+        other.  The coordinator commits the first at submission; the
+        worker leases only the second, finds its one hit prefetched on
+        the lease and simulates the rest, and the artifacts match the
+        single-host golden."""
+        spec = golden["spec"]
+        layout = {
+            index: [w.wearer_id for w in wearers]
+            for index, wearers in shard_assignment(spec, 2).items()
+        }
+        full, mixed = sorted(layout, key=lambda index: len(layout[index]))
+        assert layout[full] and len(layout[mixed]) >= 2
+        hit = layout[mixed][0]
+
+        async def scenario():
+            service = CampaignService(
+                tmp_path / "coord", shards=2, lease_ttl=30.0
+            )
+            for wearer_id in layout[full] + [hit]:
+                service.wearer_cache.put(
+                    wearer_fingerprint(spec.preset, spec.wearer(wearer_id)),
+                    _golden_summary(golden, wearer_id),
+                )
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                status, sub = await _request(
+                    port, "POST", "/campaigns",
+                    {**spec.to_dict(), "execution": "fleet"},
+                )
+                assert (status, sub["state"]) == (202, "fleet")
+                shards = {s["index"]: s for s in sub["shards"]}
+                assert (shards[full]["state"], shards[full]["worker"]) == (
+                    "committed", "coordinator"
+                )
+                assert shards[mixed]["state"] == "pending"
+
+                worker = _agent(port, tmp_path / "work", "w1")
+                leases = []
+                run_shard = worker._run_shard
+
+                def recording(campaign_id, lease):
+                    leases.append(lease)
+                    return run_shard(campaign_id, lease)
+
+                worker._run_shard = recording
+                codes = await _drain_workers([worker])
+                assert codes == {"w1": 0}
+                assert [lease["shard"] for lease in leases] == [mixed]
+                assert set(leases[0]["cached"]) == {hit}
+
+                status, payload = await _request(
+                    port, "GET", f"/campaigns/{sub['id']}"
+                )
+                assert payload["state"] == "done"
+                return sub["id"]
+            finally:
+                await service.stop()
+
+        cid = asyncio.run(scenario())
+        assert len(list((tmp_path / "work").rglob(JOURNAL_FILENAME))) == 1
+        _assert_golden_artifacts(tmp_path / "coord" / cid, golden)
+
+    def test_recovery_commits_a_campaign_the_cache_now_covers(
+        self, tmp_path, golden
+    ):
+        """A fleet campaign is submitted with no worker and the service
+        stops; meanwhile every wearer's summary lands in the coordinator's
+        wearer cache.  The restarted coordinator's recovery commits every
+        shard from the cache and finalizes: ``done``, golden bytes, and
+        no lease ever granted."""
+        spec = golden["spec"]
+        root = tmp_path / "coord"
+
+        async def submit_and_stop():
+            service = CampaignService(root, lease_ttl=30.0)
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                status, sub = await _request(
+                    port, "POST", "/campaigns",
+                    {**spec.to_dict(), "execution": "fleet"},
+                )
+                assert (status, sub["state"]) == (202, "fleet")
+                return sub["id"]
+            finally:
+                await service.stop()
+
+        cid = asyncio.run(submit_and_stop())
+        cache = WearerResultCache(root / WEARER_CACHE_DIRNAME)
+        for wearer in spec.wearers:
+            cache.put(
+                wearer_fingerprint(spec.preset, wearer),
+                _golden_summary(golden, wearer.wearer_id),
+            )
+
+        async def restart():
+            service = CampaignService(root, lease_ttl=30.0)
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                return await _request(port, "GET", f"/campaigns/{cid}")
+            finally:
+                await service.stop()
+
+        status, payload = asyncio.run(restart())
+        assert (status, payload["state"]) == (200, "done")
+        assert {s["worker"] for s in payload["shards"]} == {"coordinator"}
+        with EventLog(root / cid / QUEUE_LOG_FILENAME) as log:
+            assert {e["kind"] for e in log.entries} == {"commit"}
+        _assert_golden_artifacts(root / cid, golden)
 
     def test_stealing_rescues_a_straggler_shard(self, tmp_path, golden):
         """One shard, a throttled holder, a fast idle worker: the idle

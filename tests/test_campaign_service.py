@@ -550,10 +550,12 @@ class TestFabricEndpoints:
 
     def test_sync_lease_carries_cached_prefetch(self, tmp_path):
         async def scenario():
-            service = CampaignService(tmp_path)
+            # One shard holding a cached and an uncached wearer: it stays
+            # pending for a worker, and its one hit rides the lease.
+            service = CampaignService(tmp_path, shards=1)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                spec = _spec(size=1, base_seed=53, name="prefetch")
+                spec = _spec(size=2, base_seed=53, name="prefetch")
                 wearer = spec.wearers[0]
                 summary = _cacheable_summary()
                 service.wearer_cache.put(
@@ -564,6 +566,9 @@ class TestFabricEndpoints:
                     port, "POST", "/fabric/sync", {"worker": "w1"}
                 )
                 assert status == 200
+                assert [w["wearer_id"] for w in sync["lease"]["wearers"]] == [
+                    w.wearer_id for w in spec.wearers
+                ]
                 cached = sync["lease"]["cached"]
                 assert set(cached) == {wearer.wearer_id}
                 assert cached[wearer.wearer_id]["tag"] == "a"

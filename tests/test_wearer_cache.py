@@ -271,6 +271,24 @@ class TestBoundedCache:
         rebuilt.put("aa04", _summary("four"))
         assert len(rebuilt) == 2  # cap still enforced after rebuild
 
+    def test_two_instances_on_one_directory_keep_the_cap(self, tmp_path):
+        # A long-lived capped instance shares its directory with another
+        # writer, as the coordinator's cache does with a local campaign's
+        # wearer tasks: each put folds in what the other wrote, so the
+        # cap counts every file and the index names every file.
+        a = WearerResultCache(tmp_path / "wc", max_entries=2)
+        a.put("aa", _summary("one"))
+        b = WearerResultCache(tmp_path / "wc", max_entries=2)
+        b.put("bb", _summary("two"))
+        a.put("cc", _summary("three"))
+        files = {
+            p.stem for p in (tmp_path / "wc").glob("*.json")
+            if p.name != "index.json"
+        }
+        assert files == {"bb", "cc"}  # aa, the oldest, was evicted
+        index = json.loads(a.index_path.read_text())
+        assert set(index["entries"]) == files
+
     def test_unbounded_by_default(self, tmp_path):
         cache = WearerResultCache(tmp_path / "wc")
         for i in range(20):

@@ -19,7 +19,9 @@ real processes on localhost:
    different name against the same coordinator: every wearer must be
    served from the cross-campaign wearer cache — the warm worker may
    write **zero** run journals — and the artifacts must again be
-   byte-identical to a single-host run of the warm spec.
+   byte-identical to a single-host run of the warm spec;
+6. require that no worker workdir holds a ``wearer_cache`` directory:
+   the coordinator's cache is the only one.
 
 If the doomed worker finishes its shard before the kill lands the test
 degrades to a plain two-worker fleet run — still asserting byte
@@ -336,6 +338,18 @@ def main(argv=None) -> int:
             f"{warm_census}, not by the coordinator alone")
         return 1
     log(f"warm campaign committed by the coordinator alone: {warm_census}")
+
+    # One wearer cache: the coordinator's.  Workers replay what their
+    # leases carry and keep no cache of their own.
+    worker_caches = sorted(
+        str(path)
+        for work in (workdir / "work", workdir / "work-warm")
+        for path in work.rglob("wearer_cache")
+    )
+    if worker_caches:
+        log(f"FAIL: worker workdirs hold a wearer cache: {worker_caches}")
+        return 1
+    log("no worker workdir holds a wearer cache")
 
     telemetry = json.loads(
         (workdir / "coord" / cid / "telemetry.json").read_text()

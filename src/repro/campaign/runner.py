@@ -21,7 +21,10 @@ wearer runs through :func:`run_wearer_task` on the fault-tolerant
 :class:`~repro.core.parallel.WorkerPool` (one wearer per task, serial
 inside the worker), every shard is committed without a lease, and the
 queue writes the artifacts.  Fleet workers lease the same work items and
-build the same tasks (:func:`wearer_tasks`).
+build the same tasks (:func:`wearer_tasks`).  No task opens the
+cross-campaign wearer cache: the coordinator prefetches its hits onto
+the work item (``"cached"``, from a lease or from :func:`run_campaign`'s
+``cached``) and stores the summaries it gets back.
 
 Crash safety is inherited, not reimplemented: each wearer run is an
 ordinary journaled exploration, so a kill at any instant loses at most
@@ -44,12 +47,11 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.campaign.aggregate import AGGREGATE_FILENAME, ATLAS_FILENAME
 from repro.campaign.queue import CampaignQueue, shard_payload_crc
 from repro.campaign.spec import CampaignSpec, WearerSpec
-from repro.campaign.wearer_cache import WearerResultCache, wearer_fingerprint
 from repro.core.explorer import HumanIntranetExplorer
 from repro.core.journal import (
     JOURNAL_FILENAME,
@@ -75,6 +77,8 @@ class CampaignReport:
     directory: pathlib.Path
     aggregate: dict
     telemetry: dict
+    #: wearer_id → the ``summary.json`` projection every wearer ended on.
+    summaries: Dict[str, dict]
 
     @property
     def aggregate_path(self) -> pathlib.Path:
@@ -137,14 +141,13 @@ def run_wearer_task(task: dict) -> dict:
     — all three converge on the same summary bytes, which is what makes
     the campaign aggregate invariant under kills and retries.
 
-    Two optional fast paths sit in front of the simulation: a summary
-    prefetched from the coordinator's cross-campaign wearer cache
-    (``task["cached_summary"]``) and a local cache under
-    ``task["wearer_cache_dir"]`` keyed by
-    :func:`~repro.campaign.wearer_cache.wearer_fingerprint`.  A hit goes
-    through :func:`write_summary` like a fresh run, so the resulting
-    ``summary.json`` is byte-identical to simulating, and returns state
-    ``"cached"``; fresh results are stored back into the local cache.
+    One fast path sits in front of the simulation: a summary the
+    coordinator prefetched from its cross-campaign wearer cache
+    (``task["cached_summary"]``).  It goes through :func:`write_summary`
+    like a fresh run, so the resulting ``summary.json`` is
+    byte-identical to simulating, and returns state ``"cached"``.  The
+    task never opens a cache itself: the coordinator stores the summary
+    when it is committed or its local campaign finishes.
     """
     obs = runtime.get_active()
     wearer = WearerSpec.from_dict(task["wearer"])
@@ -156,27 +159,17 @@ def run_wearer_task(task: dict) -> dict:
             "state": "loaded",
         }
 
-    cache = fingerprint = None
-    if task.get("wearer_cache_dir"):
-        cache = WearerResultCache(task["wearer_cache_dir"])
-        fingerprint = wearer_fingerprint(task["preset"], wearer)
     cached = task.get("cached_summary")
-    source = "prefetch" if cached is not None else None
-    if cached is None and cache is not None:
-        cached = cache.get(fingerprint)
-        source = "local"
     if cached is not None:
         # Replaying the cached bytes through write_summary applies the
         # same (idempotent) deterministic projection a fresh run gets,
         # so downstream aggregation cannot tell a hit from a simulation.
         write_summary(run_dir, cached)
-        if cache is not None and source == "prefetch":
-            cache.put(fingerprint, cached)  # seed the local cache too
         obs.counter("cache.wearer_hits").inc()
         obs.event(
             "cache.wearer",
             action="hit",
-            source=source,
+            source="prefetch",
             wearer_id=wearer.wearer_id,
             campaign=task.get("campaign"),
         )
@@ -185,8 +178,6 @@ def run_wearer_task(task: dict) -> dict:
             "summary": read_summary(run_dir),
             "state": "cached",
         }
-    if cache is not None:
-        obs.counter("cache.wearer_misses").inc()
 
     problem = make_problem(
         wearer.pdr_min,
@@ -232,22 +223,9 @@ def run_wearer_task(task: dict) -> dict:
         journal.close()
         oracle.close()
         explorer.oracle.close()
-    summary = read_summary(run_dir)
-    if cache is not None:
-        # The on-disk summary is already the deterministic projection;
-        # storing those bytes makes the entry exactly what a future hit
-        # will replay.
-        cache.put(fingerprint, summary)
-        obs.counter("cache.wearer_stores").inc()
-        obs.event(
-            "cache.wearer",
-            action="store",
-            wearer_id=wearer.wearer_id,
-            campaign=task.get("campaign"),
-        )
     return {
         "wearer_id": wearer.wearer_id,
-        "summary": summary,
+        "summary": read_summary(run_dir),
         "state": "resumed" if resumed else "ran",
     }
 
@@ -257,14 +235,14 @@ def wearer_tasks(
     campaign_root,
     cache_dir: Optional[str],
     batch_mode: str,
-    wearer_cache_dir: Optional[str],
 ) -> List[dict]:
     """One :func:`run_wearer_task` description per wearer of ``work``.
 
     ``work`` is a :meth:`~repro.campaign.queue.CampaignQueue.work_item`:
     a fleet lease, or a shard of a local run.  Each wearer journals under
-    ``<campaign_root>/shards/shard-NN/<wearer_id>/``; summaries a lease
-    prefetched from the wearer cache (``work["cached"]``) ride along.
+    ``<campaign_root>/shards/shard-NN/<wearer_id>/``; summaries the
+    coordinator prefetched from its wearer cache (``work["cached"]``)
+    ride along.
     """
     cached = work.get("cached") or {}
     return [
@@ -277,7 +255,6 @@ def wearer_tasks(
             ),
             "cache_dir": cache_dir,
             "batch_mode": batch_mode,
-            "wearer_cache_dir": wearer_cache_dir,
             "cached_summary": cached.get(wearer["wearer_id"]),
         }
         for wearer in work["wearers"]
@@ -291,7 +268,7 @@ def run_campaign(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     batch_mode: str = "auto",
-    wearer_cache_dir: Optional[str] = None,
+    cached: Optional[Dict[str, dict]] = None,
 ) -> CampaignReport:
     """Execute (or resume) a campaign in ``directory``.
 
@@ -299,10 +276,11 @@ def run_campaign(
     resume the shard count pinned in the campaign manifest wins, so a
     killed ``--jobs 4`` campaign can be finished under ``--jobs 1`` with
     every journal found where it was left.  ``jobs`` sizes the
-    fault-tolerant worker pool (1 = in-process serial).
-    ``wearer_cache_dir`` (optional) points at a cross-campaign wearer
-    cache: hits skip simulation entirely, with byte-identical artifacts
-    either way.
+    fault-tolerant worker pool (1 = in-process serial).  ``cached``
+    (optional) maps wearer ids to summaries the coordinator's wearer
+    cache already holds: those wearers replay their summary instead of
+    simulating, with byte-identical artifacts either way.  The report
+    carries every wearer's summary, for the caller to cache.
 
     The directory's :class:`~repro.campaign.queue.CampaignQueue` records
     the outcome: every wearer runs (a finished one only loads its
@@ -321,8 +299,8 @@ def run_campaign(
             task
             for index in sorted(queue.wearers_of)
             for task in wearer_tasks(
-                queue.work_item(index), queue.directory, cache_dir,
-                batch_mode, wearer_cache_dir,
+                dict(queue.work_item(index), cached=cached),
+                queue.directory, cache_dir, batch_mode,
             )
         ]
         obs.event(
@@ -377,5 +355,5 @@ def run_campaign(
     )
     return CampaignReport(
         spec=spec, directory=queue.directory, aggregate=aggregate,
-        telemetry=telemetry,
+        telemetry=telemetry, summaries=summaries,
     )

@@ -25,37 +25,31 @@ workers, both through the campaign's
                                         atlas.json, telemetry.json,
                                         campaign.json)
 
-Fleet-executed campaigns add the lease/commit surface of the
-distributed work queue (:mod:`repro.campaign.queue`, DESIGN.md §12)::
+Fleet-executed campaigns add the three routes a worker calls, the
+surface of the distributed work queue (:mod:`repro.campaign.queue`,
+DESIGN.md §12 and §13)::
 
-    POST /campaigns/<id>/leases                    acquire a shard lease
-                                                   (body {"worker": name};
-                                                   {"lease": null} = no work)
-    POST /campaigns/<id>/leases/<token>/heartbeat  renew (410 once gone)
-    POST /campaigns/<id>/leases/<token>/release    graceful return
-    POST /campaigns/<id>/shards/<n>/complete       CRC-checked idempotent
-                                                   commit of the shard's
-                                                   per-wearer summaries
+    POST /fabric/sync                            one round-trip for a whole
+                                                 worker tick: renew every
+                                                 held lease (each entry
+                                                 answers its own status,
+                                                 410 once gone) AND
+                                                 acquire new work (granted
+                                                 round-robin across active
+                                                 fleet campaigns), with
+                                                 the shard's cached wearer
+                                                 summaries prefetched onto
+                                                 the lease
+    POST /campaigns/<id>/leases/<token>/release  graceful return
+    POST /campaigns/<id>/shards/<n>/complete     CRC-checked idempotent
+                                                 commit of the shard's
+                                                 per-wearer summaries
 
-The fleet hot path (PR 9, DESIGN.md §13) adds three more::
-
-    POST /fabric/sync                  one round-trip for a whole worker
-                                       tick: renew every held lease AND
-                                       acquire new work (granted
-                                       round-robin across active fleet
-                                       campaigns, so one big campaign
-                                       cannot starve later submissions),
-                                       with the shard's cached wearer
-                                       summaries prefetched onto the
-                                       lease payload
-    GET  /cache/wearers/<fingerprint>  cross-campaign wearer-result cache
-    PUT  /cache/wearers/<fingerprint>  (content-addressed, CRC-validated,
-                                       idempotent; 409 on divergence)
-
-A fleet shard whose every wearer is already in that cache never reaches
-a worker: the coordinator commits it from the cache when the campaign's
-queue opens (at submission, or at recovery), so a fully cached campaign
-is answered ``done`` by its POST.
+The coordinator's wearer cache (:attr:`CampaignService.wearer_cache`) is
+the only reader and writer of wearer results.  A fleet shard whose every
+wearer is already in it never reaches a worker: the coordinator commits
+it from the cache when the campaign's queue opens (at submission, or at
+recovery), so a fully cached campaign is answered ``done`` by its POST.
 
 Connections are **keep-alive** by default (HTTP/1.1 semantics: one
 request after another on the same socket until the client sends
@@ -89,7 +83,7 @@ defences without changing any artifact byte:
 
 * **Authenticated fabric RPCs** — with a shared secret configured
   (``--fabric-secret`` / ``REPRO_FABRIC_SECRET``), every fabric-plane
-  request (sync, lease, commit, cache, promote) must carry an HMAC
+  request (sync, release, commit, promote) must carry an HMAC
   request signature (:mod:`repro.campaign.auth`); missing/forged → 401,
   stale/replayed → 403, always before any state mutation.  Without a
   secret the service runs in legacy mode and says so loudly at startup.
@@ -138,7 +132,6 @@ from repro.campaign.wearer_cache import (
     WEARER_CACHE_DIRNAME,
     WearerCacheDiverged,
     WearerResultCache,
-    summary_crc,
     wearer_fingerprint,
 )
 from repro.core.journal import (
@@ -267,7 +260,6 @@ class CampaignService:
         batch_mode: str = "auto",
         lease_ttl: float = DEFAULT_LEASE_TTL,
         read_timeout: float = DEFAULT_READ_TIMEOUT,
-        steal_enabled: bool = True,
         fabric_secret: Optional[str] = None,
         auth_window: float = DEFAULT_AUTH_WINDOW,
         standby_of: Optional[str] = None,
@@ -286,7 +278,6 @@ class CampaignService:
         self.batch_mode = batch_mode
         self.lease_ttl = float(lease_ttl)
         self.read_timeout = float(read_timeout)
-        self.steal_enabled = bool(steal_enabled)
         #: id → "queued" | "running" | "fleet" | "done" | "failed"
         self._states: Dict[str, str] = {}
         self._errors: Dict[str, str] = {}
@@ -294,9 +285,11 @@ class CampaignService:
         #: id → shard queue of a fleet-executed campaign
         self._queues: Dict[str, CampaignQueue] = {}
         self._server: Optional[asyncio.base_events.Server] = None
-        #: Cross-campaign wearer-result cache (fed by shard commits,
-        #: served over GET/PUT /cache/wearers/<fp>, committing fully
-        #: cached shards at submission, prefetched on the other leases).
+        #: Cross-campaign wearer-result cache, the only reader and writer
+        #: of wearer results, touched only on the event loop: fed by
+        #: shard commits and finished local campaigns, it commits fully
+        #: cached fleet shards at submission and is prefetched onto the
+        #: other leases and onto local runs.
         self.wearer_cache = WearerResultCache(
             self.root / WEARER_CACHE_DIRNAME,
             max_bytes=cache_max_bytes,
@@ -572,7 +565,6 @@ class CampaignService:
             self.campaign_dir(campaign_id),
             shards=self._fleet_shards(spec),
             lease_ttl=self.lease_ttl,
-            steal_enabled=self.steal_enabled,
             epoch=self.epoch,
         )
         self._queues[campaign_id] = queue
@@ -601,13 +593,16 @@ class CampaignService:
         )
 
     async def _run(self, campaign_id: str, spec: CampaignSpec) -> None:
+        """Run a local campaign on a worker thread.  The wearer cache is
+        read before the thread starts and fed after it returns, both on
+        the loop, so the next submission already sees the results."""
         # The runner imports the simulator, which a coordinator that only
         # serves fleet campaigns never needs.
         from repro.campaign.runner import run_campaign
 
         self._set_state(campaign_id, "running")
         try:
-            await asyncio.to_thread(
+            report = await asyncio.to_thread(
                 run_campaign,
                 spec,
                 self.campaign_dir(campaign_id),
@@ -615,8 +610,9 @@ class CampaignService:
                 jobs=self.jobs,
                 cache_dir=self.cache_dir,
                 batch_mode=self.batch_mode,
-                wearer_cache_dir=str(self.wearer_cache.directory),
+                cached=self.wearer_cache.prefetch(spec.preset, spec.wearers),
             )
+            self._ingest_summaries(spec, report.summaries)
         except Exception as exc:  # surfaced via GET status, not lost
             self._set_state(
                 campaign_id, "failed", error=f"{type(exc).__name__}: {exc}"
@@ -1053,25 +1049,21 @@ class CampaignService:
     def _protected(method: str, segments: List[str]) -> bool:
         """Is this a fabric-plane request that must be signed?
 
-        The fabric plane — everything a *worker* does (sync, leases,
-        heartbeats, commits, cache) plus promotion — is protected.  The
-        operator plane (submission, status, result, artifact GETs) is
-        deliberately not: it mutates nothing a worker's signature would
-        protect, and keeping it open means `curl` diagnostics keep
-        working during an incident.  DESIGN.md §14 spells out the split.
+        The fabric plane — everything a *worker* does (sync, release,
+        commit) plus promotion — is protected.  The operator plane
+        (submission, status, result, artifact GETs) is deliberately not:
+        it mutates nothing a worker's signature would protect, and
+        keeping it open means `curl` diagnostics keep working during an
+        incident.  DESIGN.md §14 spells out the split.
         """
         if segments[:1] == ["fabric"]:
             return True
-        if segments[:2] == ["cache", "wearers"]:
-            return True
-        if (
+        return (
             method == "POST"
             and len(segments) >= 3
             and segments[0] == "campaigns"
             and segments[2] in ("leases", "shards")
-        ):
-            return True
-        return False
+        )
 
     def _authenticate(
         self, method: str, path: str, body: bytes,
@@ -1122,7 +1114,7 @@ class CampaignService:
             if method != "POST":
                 raise HttpError(405, "fabric promote is POST-only")
             return 200, self.promote()
-        if method in ("POST", "PUT"):
+        if method == "POST":
             # Every mutation, fabric- or operator-plane, is refused on a
             # standby (503: retry against the primary or promote first)
             # and on a fenced ex-primary (410: a newer epoch owns the
@@ -1138,12 +1130,6 @@ class CampaignService:
             self._check_fenced()
         elif self.role == "standby":
             self._refresh_standby_view()
-        if len(segments) == 3 and segments[:2] == ["cache", "wearers"]:
-            if method == "GET":
-                return self._get_wearer_cache(segments[2])
-            if method == "PUT":
-                return self._put_wearer_cache(segments[2], body)
-            raise HttpError(405, f"{method} not allowed on {path!r}")
         if segments == ["fabric", "sync"]:
             if method != "POST":
                 raise HttpError(405, "fabric sync is POST-only")
@@ -1159,18 +1145,12 @@ class CampaignService:
                 }
             raise HttpError(405, f"{method} not allowed on /campaigns")
         campaign_id = segments[1]
-        # -- fabric surface (POST: leases, heartbeats, commits) ----------------
+        # -- fabric surface (POST: releases, commits) ---------------------------
         if method == "POST":
-            if len(segments) == 3 and segments[2] == "leases":
-                return self._post_lease(campaign_id, body)
-            if (
-                len(segments) == 5
-                and segments[2] == "leases"
-                and segments[4] in ("heartbeat", "release")
+            if len(segments) == 5 and (
+                segments[2] == "leases" and segments[4] == "release"
             ):
-                return self._post_lease_action(
-                    campaign_id, segments[3], segments[4], body
-                )
+                return self._post_release(campaign_id, segments[3], body)
             if len(segments) == 5 and (
                 segments[2] == "shards" and segments[4] == "complete"
             ):
@@ -1220,25 +1200,13 @@ class CampaignService:
             )
         return queue
 
-    def _post_lease(self, campaign_id: str, body: bytes) -> Tuple[int, dict]:
-        payload = self._json_body(body) if body else {}
-        worker = str(payload.get("worker") or "anonymous")
-        queue = self._queue_for(campaign_id)
-        try:
-            lease = queue.acquire(worker)
-        except QueueError as exc:
-            raise HttpError(exc.status, exc.message) from None
-        return 200, {"lease": lease, "queue": queue.counts()}
-
-    def _post_lease_action(
-        self, campaign_id: str, token: str, action: str, body: bytes
+    def _post_release(
+        self, campaign_id: str, token: str, body: bytes
     ) -> Tuple[int, dict]:
         queue = self._queue_for(campaign_id)
+        payload = self._json_body(body) if body else {}
+        reason = str(payload.get("reason") or "released")
         try:
-            if action == "heartbeat":
-                return 200, queue.heartbeat(token)
-            payload = self._json_body(body) if body else {}
-            reason = str(payload.get("reason") or "released")
             return 200, queue.release(token, reason=reason)
         except QueueError as exc:
             raise HttpError(exc.status, exc.message) from None
@@ -1267,7 +1235,7 @@ class CampaignService:
             raise HttpError(exc.status, exc.message) from None
         # Feed the cross-campaign cache: every summary that just landed
         # is now a download for any other campaign naming this wearer.
-        self._ingest_summaries(queue, summaries)
+        self._ingest_summaries(queue.spec, summaries)
         if queue.done and self._states.get(campaign_id) != "done":
             # The last shard just landed: aggregation triggers exactly
             # here, and the artifacts are byte-identical to a single-host
@@ -1278,11 +1246,12 @@ class CampaignService:
         return 200, outcome
 
     def _ingest_summaries(
-        self, queue: CampaignQueue, summaries: Dict[str, dict]
+        self, spec: CampaignSpec, summaries: Dict[str, dict]
     ) -> None:
-        """Fold freshly-committed summaries into the wearer cache.
+        """Fold the summaries of a shard commit or a finished local
+        campaign into the wearer cache.
 
-        The queue has already CRC-validated these bytes against this
+        A shard commit's bytes were already CRC-validated against this
         campaign's shard; a divergence surfacing *here* means a different
         campaign cached other bytes for the same fingerprint.  The cache
         is first-writer-wins, so the commit still stands — but silently
@@ -1293,10 +1262,10 @@ class CampaignService:
             if not isinstance(summary, dict):
                 continue
             try:
-                wearer = queue.spec.wearer(str(wearer_id))
+                wearer = spec.wearer(str(wearer_id))
             except KeyError:
                 continue
-            fingerprint = wearer_fingerprint(queue.spec.preset, wearer)
+            fingerprint = wearer_fingerprint(spec.preset, wearer)
             try:
                 self.wearer_cache.put(fingerprint, summary)
             except WearerCacheDiverged:
@@ -1305,47 +1274,6 @@ class CampaignService:
                 obs = runtime.get_active()
                 if obs is not None:
                     obs.counter("cache.wearer_divergences").inc()
-
-    # -- cross-campaign wearer cache ---------------------------------------------
-
-    def _get_wearer_cache(self, fingerprint: str) -> Tuple[int, dict]:
-        try:
-            summary = self.wearer_cache.get(fingerprint)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-        if summary is None:
-            raise HttpError(
-                404, f"no cached wearer result for {fingerprint!r}"
-            )
-        return 200, {
-            "fingerprint": fingerprint,
-            "summary": summary,
-            "crc": summary_crc(summary),
-        }
-
-    def _put_wearer_cache(
-        self, fingerprint: str, body: bytes
-    ) -> Tuple[int, dict]:
-        payload = self._json_body(body)
-        summary = payload.get("summary")
-        if not isinstance(summary, dict):
-            raise HttpError(400, "cache put needs a 'summary' object")
-        crc = str(payload.get("crc") or "")
-        if not crc:
-            raise HttpError(400, "cache put needs the summary 'crc'")
-        if crc != summary_crc(summary):
-            raise HttpError(
-                400,
-                f"summary bytes do not match declared crc {crc!r} — "
-                "refusing to cache a corrupted upload",
-            )
-        try:
-            stored = self.wearer_cache.put(fingerprint, summary)
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from None
-        except WearerCacheDiverged as exc:
-            raise HttpError(409, str(exc)) from None
-        return 200, {"fingerprint": fingerprint, "stored": stored}
 
     # -- batched worker sync -----------------------------------------------------
 
@@ -1405,8 +1333,8 @@ class CampaignService:
         early campaign cannot starve later submissions.  A shard fully
         cached when its queue opened never gets here (:meth:`_open_queue`
         commits it); for the others, cached wearer summaries ride along
-        under ``"cached"`` — the worker never makes a separate cache
-        round-trip for work the coordinator already knew was warm.
+        under ``"cached"``, which the worker replays instead of
+        simulating.
         """
         active = [
             cid for cid in sorted(self._queues)
@@ -1483,7 +1411,6 @@ def serve_forever(
     cache_dir: Optional[str] = None,
     batch_mode: str = "auto",
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    steal_enabled: bool = True,
     fabric_secret: Optional[str] = None,
     standby_of: Optional[str] = None,
     node_name: Optional[str] = None,
@@ -1498,7 +1425,7 @@ def serve_forever(
     service = CampaignService(
         root, jobs=jobs, shards=shards, cache_dir=cache_dir,
         batch_mode=batch_mode, lease_ttl=lease_ttl,
-        steal_enabled=steal_enabled, fabric_secret=fabric_secret,
+        fabric_secret=fabric_secret,
         standby_of=standby_of, node_name=node_name,
         ping_interval=ping_interval, ping_misses=ping_misses,
         max_inflight=max_inflight, min_sync_interval=min_sync_interval,
@@ -1508,8 +1435,8 @@ def serve_forever(
     if service.auth is None:
         print(
             "hi-explore serve: WARNING — fabric auth is DISABLED (legacy "
-            "mode). Anyone who can reach this port can lease shards, "
-            "commit results, and write the wearer cache. Set "
+            "mode). Anyone who can reach this port can lease shards and "
+            "commit results, which also feed the wearer cache. Set "
             "--fabric-secret or REPRO_FABRIC_SECRET to require signed "
             "fabric RPCs.",
             flush=True,

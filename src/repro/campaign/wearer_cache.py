@@ -25,13 +25,13 @@ trusted and never fatal.  Writes are first-writer-wins and idempotent; a
 and raises loudly (:class:`WearerCacheDiverged`) instead of silently
 replacing bytes other campaigns may already have aggregated.
 
-Both ends of the fabric hold one of these: the coordinator under
-``<root>/wearer_cache/`` (fed by shard commits and local campaigns,
-served over ``GET/PUT /cache/wearers/<fingerprint>``; a fleet shard whose
-wearers all hit is committed by the coordinator at submission, and the
-hits of a partially cached shard ride its lease), each worker under its
-own local directory (consulted before any simulation, seeded by those
-lease prefetches).
+One instance, the coordinator's under ``<root>/wearer_cache/``, is the
+only reader and writer of wearer results, and the coordinator touches it
+only from its event loop.  Shard commits and finished local campaigns
+feed it; a fleet shard whose wearers all hit is committed by the
+coordinator at submission, and the hits of a partially cached shard or
+of a local campaign ride its lease or its work items.  Wearer tasks and
+workers never open one.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Dict, Optional
 
 from repro.campaign.spec import WearerSpec
 from repro.core.journal import (
-    payload_crc,
     payload_digest,
     quarantine,
     seal,
@@ -99,11 +98,6 @@ def wearer_fingerprint(preset: str, wearer: WearerSpec) -> str:
     return payload_digest(payload)
 
 
-def summary_crc(summary: dict) -> str:
-    """Content CRC of a cached summary (validated on both wire ends)."""
-    return payload_crc(summary_projection(summary))
-
-
 def _count(name: str, amount: int = 1) -> None:
     from repro.obs import runtime
 
@@ -137,12 +131,13 @@ class WearerResultCache:
     summary storable.  A missing or corrupt index is rebuilt from a
     directory scan ordered by mtime, so the index is never a correctness
     dependency: losing it only loses recency ordering.  An eviction is a
-    plain ``unlink`` — a concurrent reader that already leased against
-    the entry sees a clean miss (404 on the wire) and re-simulates,
-    which the determinism contract guarantees reproduces identical
-    bytes.  Several instances may share one directory: with a cap set,
-    each ``put`` first folds in the entries the others wrote or evicted
-    (a directory scan), so the caps count every file and the saved index
+    plain ``unlink`` — a lease prefetched before it already carries the
+    bytes, and a later lookup sees a clean miss and the wearer
+    re-simulates, which the determinism contract guarantees reproduces
+    identical bytes.  Several instances may share one directory (a
+    promoted standby and the primary it fenced): with a cap set, each
+    ``put`` first folds in the entries the others wrote or evicted (a
+    directory scan), so the caps count every file and the saved index
     names every file.  An uncapped store never evicts, so it skips the
     scan; a capped one opened on its directory later folds it in.
     """
@@ -168,8 +163,8 @@ class WearerResultCache:
 
     def _fold_directory(self) -> None:
         """Bring the in-memory index in line with the entry files, which
-        other instances on this directory (a local campaign's wearer
-        tasks each open their own) write and evict behind this one's
+        other instances on this directory (a promoted standby shares it
+        with the primary it fenced) write and evict behind this one's
         back.  Files it does not know were written since it loaded its
         index, so they join as the most recently used, oldest mtime
         first; entries whose file is gone leave."""
@@ -341,6 +336,7 @@ class WearerResultCache:
         ) + "\n"
         write_atomic(self.path_for(fingerprint), blob)
         _count("cache.wearer_stores")
+        _event("cache.wearer", action="store", fingerprint=fingerprint)
         if self.max_bytes is not None or self.max_entries is not None:
             self._fold_directory()
         self._touch(fingerprint, size=len(blob.encode("utf-8")))

@@ -14,9 +14,9 @@ commit loop against the campaign coordinator's lease endpoints
    a worker that inherits a dead worker's shard (same workdir, e.g. a
    shared scratch mount or a localhost fleet) resumes each wearer from
    its PR 5 journal and pays only the uncommitted tail, never a full
-   re-simulation.  Before simulating, each wearer is looked up in the
-   cross-campaign wearer cache (coordinator prefetch first, then the
-   worker's local store) — a hit is a file write, not a simulation.  A
+   re-simulation.  A wearer whose summary the coordinator prefetched
+   onto the lease from its wearer cache is a file write, not a
+   simulation; the worker keeps no cache of its own.  A
    background thread heartbeats the lease the whole time, and on a
    *split* shard the heartbeat response names the wearers thieves have
    taken, which the run loop then skips;
@@ -239,7 +239,6 @@ class WorkerAgent:
         backoff_cap: float = 15.0,
         exit_idle: Optional[float] = None,
         client: Optional[CoordinatorClient] = None,
-        wearer_cache_dir: Optional[str] = None,
         throttle_s: float = 0.0,
         fabric_secret: Optional[str] = None,
         rpc_timeout: float = 30.0,
@@ -264,13 +263,6 @@ class WorkerAgent:
         #: host (the straggler the work-stealing path exists for) in
         #: tests without needing heterogeneous hardware.
         self.throttle_s = max(0.0, float(throttle_s))
-        #: Local cross-campaign wearer-result store (consulted before any
-        #: simulation, seeded by coordinator prefetches).
-        self.wearer_cache_dir = pathlib.Path(
-            wearer_cache_dir
-            if wearer_cache_dir is not None
-            else self.workdir / "wearer_cache"
-        )
         self.obs = runtime.get_active()
         #: Backoff jitter source — deliberately NOT the global RNG (it
         #: must never perturb simulation determinism) and seeded per
@@ -503,8 +495,7 @@ class WorkerAgent:
         skipped: List[str] = []
         try:
             tasks = wearer_tasks(
-                lease, campaign_root, self.cache_dir, self.batch_mode,
-                str(self.wearer_cache_dir),
+                lease, campaign_root, self.cache_dir, self.batch_mode
             )
             results = []
             if self.jobs > 1 and len(tasks) > 1:
@@ -680,7 +671,6 @@ def run_worker(
     batch_mode: str = "auto",
     poll_interval: float = 1.0,
     exit_idle: Optional[float] = None,
-    wearer_cache_dir: Optional[str] = None,
     fabric_secret: Optional[str] = None,
     rpc_timeout: float = 30.0,
 ) -> int:
@@ -694,7 +684,6 @@ def run_worker(
         batch_mode=batch_mode,
         poll_interval=poll_interval,
         exit_idle=exit_idle,
-        wearer_cache_dir=wearer_cache_dir,
         fabric_secret=fabric_secret,
         rpc_timeout=rpc_timeout,
     )

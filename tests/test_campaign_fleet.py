@@ -40,7 +40,7 @@ from repro.core.journal import (
     read_summary,
 )
 
-from tests.test_campaign_service import _request
+from tests.test_campaign_service import _poll_until, _request
 
 
 def _spec(size=4, name="fleet", base_seed=40):
@@ -217,8 +217,7 @@ class TestFleetExecution:
                 # wire, runs two wearers, then vanishes — no heartbeat,
                 # no commit.
                 status, payload = await _request(
-                    port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "doomed"},
+                    port, "POST", "/fabric/sync", {"worker": "doomed"}
                 )
                 assert status == 200 and payload["lease"]
                 lease = payload["lease"]
@@ -514,6 +513,91 @@ class TestFleetHotPath:
         assert (directory / "atlas.json").read_bytes() == golden["atlas"]
 
 
+class TestOneWearerCache:
+    """The coordinator's wearer cache is the only reader and writer of
+    wearer results: a local campaign reads it before it runs and feeds
+    it before it reads ``done``, and workers keep no cache of their
+    own."""
+
+    def test_finished_local_campaign_serves_later_submissions(
+        self, tmp_path, golden
+    ):
+        """A local campaign over the golden population under another
+        name has fed the cache by the time its status reads ``done``: a
+        renamed fleet re-submission is answered ``done`` by its POST,
+        and a renamed local one writes no run journal and matches the
+        single-host golden bytes."""
+        spec = golden["spec"]
+
+        async def scenario():
+            service = CampaignService(tmp_path / "coord", jobs=1)
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                first = _spec(name="fleet-local-first")
+                status, sub = await _request(
+                    port, "POST", "/campaigns", first.to_dict()
+                )
+                assert status == 202
+                await _poll_until(port, sub["id"], ("done",))
+
+                renamed = _spec(name="fleet-from-local")
+                status, warm = await _request(
+                    port, "POST", "/campaigns",
+                    {**renamed.to_dict(), "execution": "fleet"},
+                )
+                assert (status, warm["state"]) == (200, "done")
+
+                status, sub = await _request(
+                    port, "POST", "/campaigns", spec.to_dict()
+                )
+                assert status == 202
+                await _poll_until(port, sub["id"], ("done",))
+                return sub["id"]
+            finally:
+                await service.stop()
+                await service.join()
+
+        cid = asyncio.run(scenario())
+        directory = tmp_path / "coord" / cid
+        assert list(directory.rglob(JOURNAL_FILENAME)) == []
+        _assert_golden_artifacts(directory, golden)
+
+    def test_workers_keep_no_cache_of_their_own(self, tmp_path, golden):
+        """One shard, every wearer but one cached: the worker replays the
+        prefetched summaries and simulates the last wearer, its workdir
+        holds no ``wearer_cache/``, and the commit adds that wearer to
+        the coordinator's cache."""
+        spec = golden["spec"]
+        *hits, miss = [w.wearer_id for w in spec.wearers]
+
+        async def scenario():
+            service = CampaignService(
+                tmp_path / "coord", shards=1, lease_ttl=30.0
+            )
+            for wearer_id in hits:
+                service.wearer_cache.put(
+                    wearer_fingerprint(spec.preset, spec.wearer(wearer_id)),
+                    _golden_summary(golden, wearer_id),
+                )
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                cid = await _submit_fleet(port, spec)
+                worker = _agent(port, tmp_path / "work", "w1")
+                codes = await _drain_workers([worker])
+                assert codes == {"w1": 0}
+                assert len(service.wearer_cache) == len(spec.wearers)
+                return cid
+            finally:
+                await service.stop()
+
+        cid = asyncio.run(scenario())
+        work = tmp_path / "work"
+        assert list(work.rglob(WEARER_CACHE_DIRNAME)) == []
+        journals = list(work.rglob(JOURNAL_FILENAME))
+        assert [p.parent.name for p in journals] == [miss]
+        _assert_golden_artifacts(tmp_path / "coord" / cid, golden)
+
+
 class TestCommitProtocol:
     """Wire-level commit semantics with fabricated summaries (fast)."""
 
@@ -539,8 +623,7 @@ class TestCommitProtocol:
             try:
                 cid = await _submit_fleet(port, spec)
                 status, payload = await _request(
-                    port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "w1"},
+                    port, "POST", "/fabric/sync", {"worker": "w1"}
                 )
                 lease = payload["lease"]
                 summaries = self._fake_summaries(lease)
@@ -590,14 +673,17 @@ class TestCommitProtocol:
                 cid = await _submit_fleet(port, spec)
                 # heartbeat on a never-granted token
                 status, payload = await _request(
-                    port, "POST",
-                    f"/campaigns/{cid}/leases/nosuchtoken/heartbeat",
+                    port, "POST", "/fabric/sync",
+                    {"worker": "w1", "acquire": False, "heartbeats": [
+                        {"campaign": cid, "token": "nosuchtoken"},
+                    ]},
                 )
-                assert status == 410
+                assert status == 200
+                assert payload["heartbeats"][0]["status"] == 410
                 # lease endpoints on an unknown campaign
                 status, payload = await _request(
-                    port, "POST", "/campaigns/feedfacefeedface/leases",
-                    {"worker": "w1"},
+                    port, "POST",
+                    "/campaigns/feedfacefeedface/leases/nosuchtoken/release",
                 )
                 assert status == 404
                 # lease endpoints on a local-execution campaign
@@ -608,8 +694,8 @@ class TestCommitProtocol:
                 assert status in (200, 202)
                 status, payload = await _request(
                     port, "POST",
-                    f"/campaigns/{local.fingerprint()}/leases",
-                    {"worker": "w1"},
+                    f"/campaigns/{local.fingerprint()}/leases/nosuchtoken"
+                    "/release",
                 )
                 assert status == 409
                 await service.join()
@@ -631,8 +717,7 @@ class TestCommitProtocol:
             try:
                 cid = await _submit_fleet(port, spec)
                 status, payload = await _request(
-                    port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "w1"},
+                    port, "POST", "/fabric/sync", {"worker": "w1"}
                 )
                 lease = payload["lease"]
                 summaries = self._fake_summaries(lease)
@@ -660,8 +745,7 @@ class TestCommitProtocol:
                 assert payload["queue"]["committed"] >= 1
                 # a fresh worker finishes the remaining shards
                 status, grant = await _request(
-                    port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "w2"},
+                    port, "POST", "/fabric/sync", {"worker": "w2"}
                 )
                 while grant["lease"]:
                     lease = grant["lease"]
@@ -675,8 +759,7 @@ class TestCommitProtocol:
                     )
                     assert status == 200
                     status, grant = await _request(
-                        port, "POST", f"/campaigns/{cid}/leases",
-                        {"worker": "w2"},
+                        port, "POST", "/fabric/sync", {"worker": "w2"}
                     )
                 status, payload = await _request(
                     port, "GET", f"/campaigns/{cid}/status"

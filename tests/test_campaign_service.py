@@ -19,8 +19,9 @@ from repro.campaign.queue import CampaignQueue
 from repro.campaign.runner import run_campaign
 from repro.campaign.service import SERVICE_LOG_FILENAME, CampaignService
 from repro.campaign.spec import CampaignSpec, make_population
-from repro.campaign.wearer_cache import summary_crc, wearer_fingerprint
+from repro.campaign.wearer_cache import wearer_fingerprint
 from repro.core.journal import EventLog, write_campaign_manifest
+from repro.obs import Instrumentation, MetricsRegistry, activate
 
 
 async def _request(port, method, path, payload=None):
@@ -166,6 +167,18 @@ class TestServiceApi:
 
                 status, err = await _request(port, "POST", "/healthz")
                 assert status == 405
+
+                # routes no client calls are gone: workers acquire and
+                # renew through /fabric/sync, and the wearer cache is
+                # the coordinator's own
+                for method, path, payload in (
+                    ("POST", "/campaigns/feed/leases", {"worker": "w"}),
+                    ("POST", "/campaigns/feed/leases/tok/heartbeat", None),
+                    ("GET", "/cache/wearers/ab12", None),
+                    ("PUT", "/cache/wearers/ab12", {"summary": {}}),
+                ):
+                    status, err = await _request(port, method, path, payload)
+                    assert status in (404, 405), (method, path, status)
 
                 # invalid JSON and invalid specs are 400, not crashes
                 reader, writer = await asyncio.open_connection(
@@ -421,62 +434,8 @@ def _cacheable_summary(tag="a"):
 
 
 class TestFabricEndpoints:
-    """The PR 9 surface: wearer-cache GET/PUT, batched /fabric/sync,
+    """The fleet hot path: batched /fabric/sync with cached prefetch,
     round-robin lease fairness, and keep-alive connections."""
-
-    def test_wearer_cache_roundtrip_and_integrity(self, tmp_path):
-        async def scenario():
-            service = CampaignService(tmp_path)
-            _, port = await service.start("127.0.0.1", 0)
-            try:
-                status, err = await _request(
-                    port, "GET", "/cache/wearers/ab12"
-                )
-                assert status == 404
-
-                summary = _cacheable_summary()
-                good = {"summary": summary, "crc": summary_crc(summary)}
-                status, put = await _request(
-                    port, "PUT", "/cache/wearers/ab12", good
-                )
-                assert (status, put["stored"]) == (200, True)
-
-                status, got = await _request(
-                    port, "GET", "/cache/wearers/ab12"
-                )
-                assert status == 200
-                assert got["crc"] == summary_crc(summary)
-                assert got["summary"]["status"] == "infeasible"
-
-                # idempotent repeat: stored=False, not an error
-                status, put = await _request(
-                    port, "PUT", "/cache/wearers/ab12", good
-                )
-                assert (status, put["stored"]) == (200, False)
-
-                # corrupted upload: crc does not match the bytes
-                status, err = await _request(
-                    port, "PUT", "/cache/wearers/ab12",
-                    {"summary": summary, "crc": "deadbeef"},
-                )
-                assert status == 400
-
-                # divergence: same fingerprint, different bytes → 409
-                other = _cacheable_summary("b")
-                status, err = await _request(
-                    port, "PUT", "/cache/wearers/ab12",
-                    {"summary": other, "crc": summary_crc(other)},
-                )
-                assert status == 409
-
-                status, err = await _request(
-                    port, "GET", "/cache/wearers/NOT-HEX"
-                )
-                assert status == 400
-            finally:
-                await service.stop()
-
-        asyncio.run(scenario())
 
     def test_sync_batches_heartbeats_with_per_token_status(self, tmp_path):
         async def scenario():
@@ -665,6 +624,34 @@ class TestFabricEndpoints:
                 await service.join()
 
         asyncio.run(second_life())
+
+
+class TestLocalCampaignsFeedTheCache:
+    def test_each_new_wearer_is_stored_once(self, tmp_path):
+        """A local campaign of N new wearers leaves N cache entries and
+        counts N stores: the coordinator's cache is the only writer, and
+        it writes each wearer once."""
+        spec = _spec(size=3, base_seed=71, name="stores")
+
+        async def scenario():
+            service = CampaignService(tmp_path, jobs=1)
+            _, port = await service.start("127.0.0.1", 0)
+            try:
+                status, sub = await _request(
+                    port, "POST", "/campaigns", spec.to_dict()
+                )
+                assert status == 202
+                await _poll_until(port, sub["id"], ("done",))
+                return len(service.wearer_cache)
+            finally:
+                await service.stop()
+                await service.join()
+
+        obs = Instrumentation(MetricsRegistry())
+        with activate(obs):
+            entries = asyncio.run(scenario())
+        stores = obs.counter("cache.wearer_stores").value
+        assert stores == entries == len(spec.wearers)
 
 
 class TestRequestHardening:

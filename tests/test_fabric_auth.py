@@ -20,12 +20,12 @@ from repro.campaign.auth import (
     resolve_secret,
 )
 from repro.campaign.service import CampaignService
-from repro.campaign.wearer_cache import (
-    WEARER_CACHE_DIRNAME,
-    summary_crc,
-)
+from repro.campaign.spec import make_population
 
 SECRET = "test-fabric-secret"
+
+#: One worker tick that asks for a lease.
+SYNC = {"worker": "w", "acquire": True, "heartbeats": []}
 
 
 def _fixed_auth(secret=SECRET, at=1000.0, window=60.0):
@@ -150,31 +150,31 @@ class TestWireAuth:
     """Wire-level: with a secret configured, fabric requests without a
     valid fresh signature are rejected with zero state mutation."""
 
-    def _summary_payload(self):
-        summary = {
-            "status": "infeasible",
-            "best": None,
-            "oracle_stats": {"simulations_run": 1, "cache_hits": 0},
-        }
-        return {"summary": summary, "crc": summary_crc(summary)}
+    def _fleet_queue(self, service):
+        """Queue a fleet campaign (submission is operator-plane, so it
+        needs no signature) and return its shard queue."""
+        spec = make_population(
+            2, preset="smoke", pdr_bounds=(90, 95), name="auth"
+        )
+        campaign_id = service.submit(spec, execution="fleet")["id"]
+        return service._queues[campaign_id]
 
-    def test_unauthenticated_put_is_401_and_mutates_nothing(
+    def test_unauthenticated_sync_is_401_and_mutates_nothing(
         self, tmp_path
     ):
         async def scenario():
             service = CampaignService(tmp_path, fabric_secret=SECRET)
             _, port = await service.start("127.0.0.1", 0)
             try:
+                queue = self._fleet_queue(service)
+                before = queue.counts()
                 status, err = await _exchange(
-                    port, "PUT", "/cache/wearers/ab12",
-                    self._summary_payload(),
+                    port, "POST", "/fabric/sync", SYNC
                 )
                 assert status == 401
                 assert "auth" in err["error"]
-                # zero state mutation: no cache entry, no cache dir side
-                # effects beyond what existed before
-                cache_dir = tmp_path / WEARER_CACHE_DIRNAME
-                assert not (cache_dir / "ab12.json").exists()
+                # zero state mutation: no lease granted
+                assert queue.counts() == before
             finally:
                 await service.stop()
 
@@ -185,39 +185,24 @@ class TestWireAuth:
             service = CampaignService(tmp_path, fabric_secret=SECRET)
             _, port = await service.start("127.0.0.1", 0)
             try:
-                payload = self._summary_payload()
+                queue = self._fleet_queue(service)
+                before = queue.counts()
                 wrong = FabricAuth("some-other-secret")
                 status, _ = await _exchange(
-                    port, "PUT", "/cache/wearers/ab12", payload,
-                    headers=_signed(wrong, "PUT", "/cache/wearers/ab12",
-                                    payload),
+                    port, "POST", "/fabric/sync", SYNC,
+                    headers=_signed(wrong, "POST", "/fabric/sync", SYNC),
                 )
                 assert status == 401
-                assert not (
-                    tmp_path / WEARER_CACHE_DIRNAME / "ab12.json"
-                ).exists()
+                assert queue.counts() == before
 
                 right = FabricAuth(SECRET)
-                status, put = await _exchange(
-                    port, "PUT", "/cache/wearers/ab12", payload,
-                    headers=_signed(right, "PUT", "/cache/wearers/ab12",
-                                    payload),
-                )
-                assert (status, put["stored"]) == (200, True)
-                assert (
-                    tmp_path / WEARER_CACHE_DIRNAME / "ab12.json"
-                ).exists()
-
-                # ...and a GET must be signed too
-                status, _ = await _exchange(
-                    port, "GET", "/cache/wearers/ab12"
-                )
-                assert status == 401
-                status, got = await _exchange(
-                    port, "GET", "/cache/wearers/ab12",
-                    headers=_signed(right, "GET", "/cache/wearers/ab12"),
+                status, sync = await _exchange(
+                    port, "POST", "/fabric/sync", SYNC,
+                    headers=_signed(right, "POST", "/fabric/sync", SYNC),
                 )
                 assert status == 200
+                assert sync["lease"] is not None
+                assert queue.counts()["leased"] == before["leased"] + 1
             finally:
                 await service.stop()
 
@@ -296,11 +281,14 @@ class TestWireAuth:
             try:
                 status, health = await _exchange(port, "GET", "/healthz")
                 assert (status, health["auth"]) == (200, False)
-                payload = self._summary_payload()
-                status, put = await _exchange(
-                    port, "PUT", "/cache/wearers/ab12", payload
+                queue = self._fleet_queue(service)
+                before = queue.counts()
+                status, sync = await _exchange(
+                    port, "POST", "/fabric/sync", SYNC
                 )
-                assert (status, put["stored"]) == (200, True)
+                assert status == 200
+                assert sync["lease"] is not None
+                assert queue.counts()["leased"] == before["leased"] + 1
             finally:
                 await service.stop()
 

@@ -118,12 +118,15 @@ class TestFencingEpochs:
                 assert status == 200
                 assert promoted["promoted"] is True
                 assert promoted["epoch"] == 2
-                status, beat = await _request(
-                    b_port, "POST",
-                    f"/campaigns/{cid}/leases/{old_lease['token']}"
-                    "/heartbeat",
+                status, sync = await _request(
+                    b_port, "POST", "/fabric/sync",
+                    {"worker": "w1", "acquire": False, "heartbeats": [
+                        {"campaign": cid, "token": old_lease["token"]},
+                    ]},
                 )
                 assert status == 200
+                (beat,) = sync["heartbeats"]
+                assert beat["status"] == 200
                 assert beat["shard"] == old_lease["shard"]
 
                 # fresh grants from the new primary carry the new epoch
@@ -145,10 +148,11 @@ class TestFencingEpochs:
                 assert queue_log.read_bytes() == before
                 # once fenced, fenced for life — even for plain POSTs
                 status, err = await _request(
-                    a_port, "POST", f"/campaigns/{cid}/leases",
-                    {"worker": "w3"},
+                    a_port, "POST",
+                    f"/campaigns/{cid}/leases/{old_lease['token']}/release",
                 )
                 assert (status, err["fenced"]) == (410, True)
+                assert queue_log.read_bytes() == before
             finally:
                 await standby.stop()
                 await primary.stop()

@@ -201,7 +201,7 @@ class TestFleetStartsWithoutTheSimulator:
                     base = f"/campaigns/{{campaign}}"
                     while True:
                         lease = (await call(
-                            "POST", base + "/leases", {{"worker": "w"}}
+                            "POST", "/fabric/sync", {{"worker": "w"}}
                         ))["lease"]
                         if lease is None:
                             break

@@ -24,7 +24,6 @@ from repro.campaign.spec import CampaignSpec, WearerSpec
 from repro.campaign.wearer_cache import (
     WearerCacheDiverged,
     WearerResultCache,
-    summary_crc,
     wearer_fingerprint,
 )
 from repro.core.journal import summary_projection
@@ -189,12 +188,6 @@ class TestStore:
         out = cache.prefetch("smoke", [hot, cold.to_dict()])
         assert set(out) == {"hot"}
         assert out["hot"] == summary_projection(_summary())
-
-    def test_summary_crc_matches_projection_not_raw(self):
-        summary = _summary()
-        decorated = dict(summary, transient_note="dropped by projection")
-        if summary_projection(decorated) == summary_projection(summary):
-            assert summary_crc(decorated) == summary_crc(summary)
 
 
 class TestBoundedCache:

@@ -21,7 +21,10 @@ real processes on localhost:
    write **zero** run journals — and the artifacts must again be
    byte-identical to a single-host run of the warm spec;
 6. require that no worker workdir holds a ``wearer_cache`` directory:
-   the coordinator's cache is the only one.
+   the coordinator's cache is the only one;
+7. require that the coordinator's uncapped cache holds exactly one entry
+   per distinct wearer and no ``index.json``: an uncapped store keeps no
+   recency index.
 
 If the doomed worker finishes its shard before the kill lands the test
 degrades to a plain two-worker fleet run — still asserting byte
@@ -350,6 +353,33 @@ def main(argv=None) -> int:
         log(f"FAIL: worker workdirs hold a wearer cache: {worker_caches}")
         return 1
     log("no worker workdir holds a wearer cache")
+
+    # The coordinator's cache is uncapped here, so it never evicts and
+    # keeps no recency index; the warm campaign reuses the cold one's
+    # wearers, so each distinct wearer has exactly one entry.
+    from repro.campaign.wearer_cache import (
+        INDEX_FILENAME,
+        WEARER_CACHE_DIRNAME,
+        wearer_fingerprint,
+    )
+
+    coord_cache = workdir / "coord" / WEARER_CACHE_DIRNAME
+    if (coord_cache / INDEX_FILENAME).exists():
+        log(f"FAIL: the uncapped coordinator cache wrote "
+            f"{coord_cache / INDEX_FILENAME}")
+        return 1
+    wearers = {
+        wearer_fingerprint(campaign.preset, wearer)
+        for campaign in (spec, warm_spec)
+        for wearer in campaign.wearers
+    }
+    entries = {path.stem for path in coord_cache.glob("*.json")}
+    if entries != wearers:
+        log(f"FAIL: the coordinator cache holds {sorted(entries)}, not one "
+            f"entry per distinct wearer {sorted(wearers)}")
+        return 1
+    log(f"coordinator wearer cache: {len(entries)} entries, one per "
+        "distinct wearer, no index")
 
     telemetry = json.loads(
         (workdir / "coord" / cid / "telemetry.json").read_text()

@@ -160,9 +160,9 @@ class CampaignQueue:
     All mutation happens on the coordinator's event loop (the HTTP
     service routes synchronously), so there is no internal locking; the
     ``clock`` hook exists for lease-expiry tests and defaults to wall
-    time because expiries must survive a coordinator restart.
-    ``steal_enabled`` gates the wearer-grain split path — identical
-    artifacts either way, stealing only changes who simulates what.
+    time because expiries must survive a coordinator restart.  Wearer
+    stealing (see the module docstring) changes who simulates what,
+    never the artifacts.
     """
 
     def __init__(
@@ -172,7 +172,6 @@ class CampaignQueue:
         shards: int,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         clock: Callable[[], float] = time.time,
-        steal_enabled: bool = True,
         epoch: int = 0,
     ) -> None:
         from repro.obs import runtime
@@ -182,7 +181,6 @@ class CampaignQueue:
         self.fingerprint = spec.fingerprint()
         self.lease_ttl = float(lease_ttl)
         self.clock = clock
-        self.steal_enabled = bool(steal_enabled)
         #: Fencing epoch stamped into every minted token.  Outstanding
         #: leases from *earlier* epochs stay valid across a handoff (the
         #: journal replay restores them, so in-flight work commits
@@ -428,9 +426,9 @@ class CampaignQueue:
         """Lease work to ``worker`` (None = nothing to hand out).
 
         Preference order: the lowest pending shard (a whole-shard lease:
-        its :meth:`work_item` plus token and TTL); then, with stealing
-        enabled, a pending wearer of an already-split shard; finally,
-        splitting the biggest leased straggler to steal from.
+        its :meth:`work_item` plus token and TTL); then a pending wearer
+        of an already-split shard; finally, splitting the biggest leased
+        straggler to steal from.
         """
         self.reclaim_expired()
         for index in sorted(self._shards):
@@ -454,8 +452,6 @@ class CampaignQueue:
             return {
                 **self.work_item(index), "token": token, "ttl": self.lease_ttl
             }
-        if not self.steal_enabled:
-            return None
         lease = self._acquire_sub(worker)
         if lease is not None:
             return lease

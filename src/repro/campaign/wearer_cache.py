@@ -31,7 +31,9 @@ only from its event loop.  Shard commits and finished local campaigns
 feed it; a fleet shard whose wearers all hit is committed by the
 coordinator at submission, and the hits of a partially cached shard or
 of a local campaign ride its lease or its work items.  Wearer tasks and
-workers never open one.
+workers never open one.  It is uncapped unless ``serve`` is given a cap,
+and an uncapped store keeps no recency index: a get reads one entry file
+and a put writes one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.campaign.spec import WearerSpec
 from repro.core.journal import (
@@ -122,15 +124,18 @@ class WearerResultCache:
     instead of raising — the cache may always be treated as advisory.
 
     ``max_bytes`` / ``max_entries`` bound the store (both default to
-    unbounded, the pre-PR-10 behaviour).  Recency lives in an on-disk
-    LRU index (``index.json``, atomic tmp+replace) mapping fingerprint →
-    ``{"bytes", "seq"}`` with a monotonically increasing touch sequence;
-    ``put`` evicts least-recently-used entries until the caps hold
-    again, never the entry just written — the caps are therefore
-    approximate to within one entry, which keeps a single oversized
-    summary storable.  A missing or corrupt index is rebuilt from a
-    directory scan ordered by mtime, so the index is never a correctness
-    dependency: losing it only loses recency ordering.  An eviction is a
+    unbounded).  An uncapped store never evicts, so it keeps no recency:
+    ``get`` and ``put`` touch only the entry files.  A capped store keeps
+    recency in an on-disk LRU index (``index.json``, atomic tmp+replace)
+    mapping fingerprint → ``{"bytes", "seq"}`` with a monotonically
+    increasing touch sequence; ``put`` evicts least-recently-used entries
+    until the caps hold again, never the entry just written — the caps are
+    therefore approximate to within one entry, which keeps a single
+    oversized summary storable.  A missing or corrupt index, such as on a
+    directory an uncapped store filled, is rebuilt from a directory scan
+    ordered by mtime, so the index is never a correctness dependency:
+    losing it only loses recency ordering.  :meth:`total_bytes` sums the
+    entry files in either mode.  An eviction is a
     plain ``unlink`` — a lease prefetched before it already carries the
     bytes, and a later lookup sees a clean miss and the wearer
     re-simulates, which the determinism contract guarantees reproduces
@@ -138,8 +143,7 @@ class WearerResultCache:
     promoted standby and the primary it fenced): with a cap set, each
     ``put`` first folds in the entries the others wrote or evicted (a
     directory scan), so the caps count every file and the saved index
-    names every file.  An uncapped store never evicts, so it skips the
-    scan; a capped one opened on its directory later folds it in.
+    names every file.
     """
 
     def __init__(
@@ -152,6 +156,9 @@ class WearerResultCache:
         self.max_bytes = max_bytes if max_bytes and max_bytes > 0 else None
         self.max_entries = (
             max_entries if max_entries and max_entries > 0 else None
+        )
+        self._capped = (
+            self.max_bytes is not None or self.max_entries is not None
         )
         self._index: Optional[dict] = None  # loaded lazily
 
@@ -169,16 +176,7 @@ class WearerResultCache:
         index, so they join as the most recently used, oldest mtime
         first; entries whose file is gone leave."""
         index = self._load_index()
-        found = []
-        if self.directory.exists():
-            for path in self.directory.iterdir():
-                if path.suffix != ".json" or path.name == INDEX_FILENAME:
-                    continue
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                found.append((stat.st_mtime, path.stem, stat.st_size))
+        found = self._scan()
         entries = index["entries"]
         present = {fingerprint for _, fingerprint, _ in found}
         for fingerprint in [fp for fp in entries if fp not in present]:
@@ -222,7 +220,10 @@ class WearerResultCache:
 
     def _touch(self, fingerprint: str, size: Optional[int] = None) -> None:
         """Mark ``fingerprint`` most-recently-used (in memory; persisted
-        by the next ``put`` — recency is advisory, losing it is safe)."""
+        by the next ``put`` — recency is advisory, losing it is safe).
+        Only a capped store keeps recency."""
+        if not self._capped:
+            return
         index = self._load_index()
         record = index["entries"].get(fingerprint)
         if record is None:
@@ -239,12 +240,26 @@ class WearerResultCache:
         index["next_seq"] += 1
 
     def _drop(self, fingerprint: str) -> None:
-        index = self._load_index()
-        index["entries"].pop(fingerprint, None)
+        if self._capped:
+            self._load_index()["entries"].pop(fingerprint, None)
+
+    def _scan(self) -> List[Tuple[float, str, int]]:
+        """``(mtime, fingerprint, size)`` of every entry file."""
+        found = []
+        if self.directory.exists():
+            for path in self.directory.iterdir():
+                if path.suffix != ".json" or path.name == INDEX_FILENAME:
+                    continue
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue
+                found.append((stat.st_mtime, path.stem, stat.st_size))
+        return found
 
     def total_bytes(self) -> int:
-        index = self._load_index()
-        return sum(rec["bytes"] for rec in index["entries"].values())
+        """Bytes of the entry files, whatever instance wrote them."""
+        return sum(size for _, _, size in self._scan())
 
     def _evict_over_caps(self, protect: str) -> int:
         """Delete least-recently-used entries until the caps hold,
@@ -337,11 +352,11 @@ class WearerResultCache:
         write_atomic(self.path_for(fingerprint), blob)
         _count("cache.wearer_stores")
         _event("cache.wearer", action="store", fingerprint=fingerprint)
-        if self.max_bytes is not None or self.max_entries is not None:
+        if self._capped:
             self._fold_directory()
-        self._touch(fingerprint, size=len(blob.encode("utf-8")))
-        self._evict_over_caps(protect=fingerprint)
-        self._save_index()
+            self._touch(fingerprint, size=len(blob.encode("utf-8")))
+            self._evict_over_caps(protect=fingerprint)
+            self._save_index()
         return True
 
     def prefetch(
@@ -359,15 +374,7 @@ class WearerResultCache:
         return out
 
     def __len__(self) -> int:
-        if not self.directory.exists():
-            return 0
-        return sum(
-            1
-            for p in self.directory.iterdir()
-            if p.suffix == ".json"
-            and p.name != INDEX_FILENAME
-            and not p.name.endswith(".tmp")
-        )
+        return len(self._scan())
 
     def __repr__(self) -> str:
         return f"WearerResultCache({str(self.directory)!r})"

@@ -92,16 +92,14 @@ class BranchAndBoundSolver:
         incumbent.  Zero-ish keeps the solver exact for the coarse power
         objective whose distinct values are well separated.
     lp_solver:
-        Simplex engine; injectable for testing.
-    use_warm_starts:
-        Re-solve each relaxation from the tableau the previous one left
-        (and the root from ``root_warm_start``, when given) instead of a
-        cold two-phase solve; ``False`` is the cold reference.  The simplex
-        layer returns only checked warm verdicts and falls back cold
-        otherwise, so the optimum does not depend on this flag.  The node
-        and pivot counts do: a degenerate relaxation has several optimal
-        vertices, and warm and cold solves can return different ones, which
-        branch differently.
+        Simplex engine; injectable for testing.  Each relaxation is handed
+        the tableau the previous one left (the root, ``root_warm_start``
+        when given) to re-solve in place.  The simplex layer returns only
+        checked re-solve verdicts and falls back cold otherwise, so a
+        solver that ignores ``warm_start`` gives the same optimum: the cold
+        reference.  The node and pivot counts can differ: a degenerate
+        relaxation has several optimal vertices, and warm and cold solves
+        can return different ones, which branch differently.
     """
 
     def __init__(
@@ -109,12 +107,10 @@ class BranchAndBoundSolver:
         max_nodes: int = 100000,
         gap_tol: float = 1e-9,
         lp_solver: Optional[SimplexSolver] = None,
-        use_warm_starts: bool = True,
     ) -> None:
         self.max_nodes = max_nodes
         self.gap_tol = gap_tol
         self.lp_solver = lp_solver or SimplexSolver()
-        self.use_warm_starts = use_warm_starts
 
     def solve(
         self, model: Model, root_warm_start: Optional[Tableau] = None
@@ -156,8 +152,7 @@ class BranchAndBoundSolver:
         warm_lp_solves = 0
         root_basis: Optional[Tableau] = None
         saw_unbounded_relaxation = False
-        warm = self.use_warm_starts
-        tableau = root_warm_start if warm else None
+        tableau = root_warm_start
         saved: List[_Saved] = []
 
         while heap and nodes < self.max_nodes:
@@ -172,9 +167,7 @@ class BranchAndBoundSolver:
                 c, a_ub, b_ub, a_eq, b_eq,
                 np.column_stack([node.lower, node.upper]), 0.0,
             )
-            result = self.lp_solver.solve(
-                lp, warm_start=tableau, want_basis=warm
-            )
+            result = self.lp_solver.solve(lp, warm_start=tableau)
             lp_iters += result.iterations
             if result.warm_started:
                 warm_lp_solves += 1

@@ -27,13 +27,15 @@ from repro.milp.expr import LinExpr, Var
 from repro.milp.model import Model
 from repro.milp.solution import SolveResult, SolveStatus
 
+#: Slack allowed when pinning the objective to the optimum, absorbing
+#: simplex round-off.
+OBJECTIVE_TOL = 1e-6
+
 
 def enumerate_optimal_solutions(
     model: Model,
     distinguish_vars: Optional[Sequence[Var]] = None,
     max_solutions: int = 64,
-    objective_tol: float = 1e-6,
-    solver_kwargs: Optional[dict] = None,
 ) -> Tuple[SolveStatus, List[SolveResult], Optional[float]]:
     """Return ``(status, solutions, optimum)`` for the given model.
 
@@ -50,11 +52,6 @@ def enumerate_optimal_solutions(
         Upper bound on the number of enumerated optima (a safety valve —
         Algorithm 1 only needs a representative candidate set per
         iteration).
-    objective_tol:
-        Slack allowed when pinning the objective to the optimum, absorbing
-        simplex round-off.
-    solver_kwargs:
-        Extra keyword arguments for the branch-and-bound solver.
 
     Returns
     -------
@@ -66,9 +63,8 @@ def enumerate_optimal_solutions(
     optimum:
         The shared objective value, or ``None`` when infeasible.
     """
-    solver_kwargs = solver_kwargs or {}
     work = model.copy()
-    first = work.solve(**solver_kwargs)
+    first = work.solve()
     if not first.is_optimal:
         return first.status, [], None
     assert first.objective is not None
@@ -85,18 +81,18 @@ def enumerate_optimal_solutions(
     # Pin the objective at the optimal value.
     obj = work.objective
     if work.sense == "min":
-        work.add_constraint(obj <= optimum + objective_tol, name="pin_obj_ub")
-        work.add_constraint(obj >= optimum - objective_tol, name="pin_obj_lb")
+        work.add_constraint(obj <= optimum + OBJECTIVE_TOL, name="pin_obj_ub")
+        work.add_constraint(obj >= optimum - OBJECTIVE_TOL, name="pin_obj_lb")
     else:
-        work.add_constraint(obj >= optimum - objective_tol, name="pin_obj_lb")
-        work.add_constraint(obj <= optimum + objective_tol, name="pin_obj_ub")
+        work.add_constraint(obj >= optimum - OBJECTIVE_TOL, name="pin_obj_lb")
+        work.add_constraint(obj <= optimum + OBJECTIVE_TOL, name="pin_obj_ub")
 
     solutions: List[SolveResult] = [first]
     seen = {_assignment_key(first, keys)}
     _add_no_good_cut(work, first, keys)
 
     while len(solutions) < max_solutions:
-        nxt = work.solve(**solver_kwargs)
+        nxt = work.solve()
         if nxt.status is SolveStatus.INFEASIBLE:
             break
         if not nxt.is_optimal:

@@ -214,15 +214,12 @@ class Model:
 
     # -- solving ---------------------------------------------------------------
 
-    def solve(self, **kwargs):
-        """Solve with the bundled branch-and-bound solver.
-
-        Keyword arguments are forwarded to
-        :class:`repro.milp.branch_bound.BranchAndBoundSolver`.
-        """
+    def solve(self):
+        """Solve with the bundled branch-and-bound solver
+        (:class:`repro.milp.branch_bound.BranchAndBoundSolver`)."""
         from repro.milp.branch_bound import BranchAndBoundSolver
 
-        return BranchAndBoundSolver(**kwargs).solve(self)
+        return BranchAndBoundSolver().solve(self)
 
     def copy(self) -> "Model":
         """Deep-copy the model (variables, constraints, objective)."""

@@ -28,25 +28,23 @@ validated against ``scipy.optimize.linprog`` in the test suite.  A pivot
 updates the tableau in place through a scratch buffer allocated with the
 tableau, so it allocates O(m + n) however dense its row is.
 
-Re-solves skip phase 1, in one of two ways.  A solve handed an earlier
-solve's final tableau (:class:`Tableau`) first checks that its LP has the
-same objective, constraint matrices and bound pattern (which bounds are
-finite) as the tableau's.  Such an LP differs only in its rhs, that is in
-its variable bounds and ``<=`` rows, so its ``B⁻¹b`` is the tableau's plus
+A re-solve skips phase 1.  A solve handed an earlier solve's final
+tableau (:class:`Tableau`) first checks that its LP has the same
+objective, constraint matrices, bound pattern (which bounds are finite)
+and equality rhs as the tableau's.  Such an LP differs only in its
+variable bounds and ``<=`` rows, so its ``B⁻¹b`` is the tableau's plus
 ``B⁻¹Δb``, read off the tableau's own columns, and dual-simplex pivots
-restore feasibility in the tableau itself.  Any other re-solve refactorizes
-a stored basis (:class:`WarmStartBasis`) through its slack structure
-(:class:`_SlackBasis`).  Every verdict of either path is checked against
-the LP's own standard-form data: an optimum by its residual, an
-infeasibility by a Farkas certificate.  Anything unchecked goes to the cold
-two-phase solve.
+restore feasibility in the tableau itself.  Every verdict of a re-solve
+is checked against the LP's own standard-form data: an optimum by its
+residual, an infeasibility by a Farkas certificate.  Any other LP, and
+any unchecked verdict, goes to the cold two-phase solve.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -120,27 +118,6 @@ class LinearProgram:
     @property
     def num_vars(self) -> int:
         return self.c.shape[0]
-
-
-@dataclass(frozen=True)
-class WarmStartBasis:
-    """An optimal basis exported from one solve for reuse in the next.
-
-    ``basis`` holds the standard-form column index that is basic in each
-    row; ``signature`` fingerprints the standard form it belongs to
-    (row count, column count, and the per-variable encoding kinds).  A
-    solve handed a basis refactorizes it against its own LP when the
-    signatures agree, and otherwise solves cold.  A re-solve that can use
-    the previous solve's whole tableau instead takes a :class:`Tableau`.
-    """
-
-    basis: np.ndarray
-    signature: Tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "basis", np.asarray(self.basis, dtype=int).copy()
-        )
 
 
 #: Encoding kinds of :class:`_Transform` (its ``kind`` codes).
@@ -222,10 +199,6 @@ class _Structure:
         a[np.arange(num_slacks), self.num_std + np.arange(num_slacks)] = 1.0
         self.a, self.c = a, c
 
-    @property
-    def signature(self) -> Tuple:
-        return (self.a.shape[0], self.a.shape[1], self.kind.tobytes())
-
     def matches(
         self, lp: LinearProgram, kind: np.ndarray, bounded: np.ndarray
     ) -> bool:
@@ -285,8 +258,8 @@ class Tableau:
     A solve handed a tableau re-solves it in place: afterwards the tableau
     is that LP's, and another solve can pick it up from there.  A re-solve
     whose verdict fails its check leaves the tableau spent (``live`` is
-    false), and later solves only refactorize its basis.  :meth:`copy`
-    keeps a state to come back to.
+    false), and a later solve handed it goes cold.  :meth:`copy` keeps a
+    state to come back to.
     """
 
     def __init__(
@@ -306,10 +279,6 @@ class Tableau:
         self.bound_ub = lp.bounds[structure.bound_vars, 1].copy()
         self.b_eq = lp.b_eq.copy()
         self.live = True
-
-    @property
-    def signature(self) -> Tuple:
-        return self.structure.signature
 
     _STATE = ("t", "beta", "basis", "shifts", "b_ub", "bound_ub", "b_eq")
 
@@ -334,18 +303,15 @@ class SimplexResult:
     """Solution report: status, point in the *original* variable space,
     objective value (including ``c0``), and iteration count.
 
-    ``basis`` (on optimal solves) and ``tableau`` (the final tableau, when
-    it has no artificial column left) are populated only when the caller
-    asked for them with ``want_basis=True``; ``warm_started`` records
-    whether the reported verdict (an optimum or a certified infeasibility)
-    came from a re-solve rather than the two-phase fallback."""
+    ``tableau`` is the final tableau for the next solve to re-solve, when
+    it has no artificial column left; ``warm_started`` records whether
+    the reported verdict (an optimum or a certified infeasibility) came
+    from a re-solve rather than the two-phase fallback."""
 
     status: SimplexStatus
     x: Optional[np.ndarray]
     objective: Optional[float]
     iterations: int = 0
-    phase1_objective: float = 0.0
-    basis: Optional[WarmStartBasis] = None
     warm_started: bool = False
     tableau: Optional[Tableau] = None
 
@@ -383,48 +349,33 @@ class _Transform:
         return x
 
 
-class _SlackBasis:
-    """A standard-form basis, factored through its slack columns.
+def _inverse_row(
+    structure: _Structure, basis: np.ndarray, position: int
+) -> np.ndarray:
+    """Row ``position`` of ``B⁻¹`` for ``B = structure.a[:, basis]``: the
+    ``u`` with ``Bᵀ u = e_position``; raises LinAlgError if ``B`` is
+    singular.
 
-    Column ``first_slack + i`` is row ``i``'s slack, ``±e_i`` (negative
-    when the row was flipped to make its rhs nonnegative).  So each basic
-    slack pins one row, and only the k structural basic columns, restricted
-    to the k rows no basic slack pins, form a dense block.  Solving with
-    ``B = A[:, basis]`` is one k×k solve plus a product for the slack rows.
+    Column ``structure.num_std + i`` of ``structure.a`` is row ``i``'s
+    slack, ``e_i``.  So each basic slack pins one row, and only the k
+    structural basic columns, restricted to the k rows no basic slack
+    pins, form a dense block: the row costs one k×k solve.
     """
-
-    def __init__(self, a: np.ndarray, basis: np.ndarray, first_slack: int) -> None:
-        is_slack = basis >= first_slack
-        self.slack_pos = np.flatnonzero(is_slack)
-        self.struct_pos = np.flatnonzero(~is_slack)
-        self.slack_rows = basis[self.slack_pos] - first_slack
-        self.sign = a[self.slack_rows, basis[self.slack_pos]]
-        free = np.ones(a.shape[0], dtype=bool)
-        free[self.slack_rows] = False
-        self.rows = np.flatnonzero(free)
-        cols = basis[self.struct_pos]
-        self.block = a[np.ix_(self.rows, cols)]
-        self.coupling = a[np.ix_(self.slack_rows, cols)]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """``B⁻¹ rhs`` for a matrix ``rhs``; raises LinAlgError if singular."""
-        z = np.empty_like(rhs)
-        z_struct = np.linalg.solve(self.block, rhs[self.rows])
-        z[self.struct_pos] = z_struct
-        z[self.slack_pos] = self.sign[:, None] * (
-            rhs[self.slack_rows] - self.coupling @ z_struct
-        )
-        return z
-
-    def inverse_row(self, position: int) -> np.ndarray:
-        """Row ``position`` of ``B⁻¹``: the ``u`` with ``Bᵀ u = e_position``."""
-        u = np.zeros(len(self.rows) + len(self.slack_rows))
-        hit = self.slack_pos == position
-        u[self.slack_rows[hit]] = self.sign[hit]
-        target = (self.struct_pos == position).astype(float)
-        target -= self.coupling.T @ u[self.slack_rows]
-        u[self.rows] = np.linalg.solve(self.block.T, target)
-        return u
+    a, first_slack = structure.a, structure.num_std
+    is_slack = basis >= first_slack
+    slack_pos = is_slack.nonzero()[0]
+    struct_pos = (~is_slack).nonzero()[0]
+    slack_rows = basis[slack_pos] - first_slack
+    cols = basis[struct_pos]
+    free = np.ones(a.shape[0], dtype=bool)
+    free[slack_rows] = False
+    rows = free.nonzero()[0]
+    u = np.zeros(a.shape[0])
+    u[slack_rows[slack_pos == position]] = 1.0
+    target = (struct_pos == position).astype(float)
+    target -= a[np.ix_(slack_rows, cols)].T @ u[slack_rows]
+    u[rows] = np.linalg.solve(a[np.ix_(rows, cols)].T, target)
+    return u
 
 
 def _farkas_certified(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> bool:
@@ -438,8 +389,8 @@ def _scratch(tableau: np.ndarray) -> np.ndarray:
     return np.empty(2 * tableau.size)
 
 
-#: What a solve path returns: the result and, when they have no artificial
-#: column, its final ``(B⁻¹A, B⁻¹b, basis, scratch)``.
+#: What the cold solve returns: the result and, when its final basis has
+#: no artificial column, its final ``(B⁻¹A, B⁻¹b, basis, scratch)``.
 _Outcome = Tuple[
     "SimplexResult",
     Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
@@ -465,62 +416,45 @@ class SimplexSolver:
     # -- public API -----------------------------------------------------------
 
     def solve(
-        self,
-        lp: LinearProgram,
-        warm_start: Optional[Union[WarmStartBasis, Tableau]] = None,
-        want_basis: bool = False,
+        self, lp: LinearProgram, warm_start: Optional[Tableau] = None
     ) -> SimplexResult:
         """Solve the LP and return a :class:`SimplexResult`.
 
-        ``warm_start`` skips phase 1.  A :class:`Tableau` (a previous
-        solve's ``result.tableau``) whose LP has this LP's objective,
-        constraint matrices, bound pattern and equality rhs is re-solved
-        in place: its ``B⁻¹b`` moves by ``B⁻¹Δb`` and dual-simplex pivots
-        restore feasibility.  A :class:`WarmStartBasis`, or a tableau
-        that does not qualify, is refactorized against this LP when their
-        signatures agree.  Either path returns only verdicts it has
+        ``warm_start`` is a previous solve's ``result.tableau``.  When it
+        is live and its LP has this LP's objective, constraint matrices,
+        bound pattern and equality rhs, it is re-solved in place, skipping
+        phase 1: its ``B⁻¹b`` moves by ``B⁻¹Δb`` and dual-simplex pivots
+        restore feasibility.  The re-solve returns only verdicts it has
         checked on this LP's data: an optimum whose residual is within
         tolerance, or an infeasibility with a Farkas certificate.  Any
-        other outcome — signature mismatch, singular basis, iteration
-        budget, a failed check — reruns the cold two-phase solve, so the
-        verdict and optimum are the same with or without a warm start.
-        ``want_basis=True`` attaches the optimal basis and the final
-        tableau to the result for the next solve.
+        other LP, and a re-solve that hits the iteration budget or fails
+        its check, gets the cold two-phase solve, so the verdict and
+        optimum are the same with or without a warm start.  The result
+        carries the final tableau for the next solve.
         """
         if _any(lp.bounds[:, 0] > lp.bounds[:, 1]):
             # A variable had lb > ub (caught upstream normally).
             return SimplexResult(SimplexStatus.INFEASIBLE, None, None)
         kind, bounded = _encoding(lp.bounds)
-        inheritable = (
-            isinstance(warm_start, Tableau)
+        shared = (
+            warm_start is not None
             and warm_start.live
             and warm_start.structure.matches(lp, kind, bounded)
         )
         structure = (
-            warm_start.structure if inheritable
-            else _Structure(lp, kind, bounded)
+            warm_start.structure if shared else _Structure(lp, kind, bounded)
         )
         shifts = structure.shifts(lp.bounds)
-        outcome: Optional[_Outcome] = None
-        tableau: Optional[Tableau] = None
-        standard = None
-        if inheritable and np.array_equal(lp.b_eq, warm_start.b_eq):
-            outcome = self._inherit(lp, warm_start, shifts)
-            tableau = warm_start
-        elif warm_start is not None and warm_start.signature == structure.signature:
-            standard = structure.standard(lp, shifts)
-            outcome = self._warm_solve(
-                *standard, structure.c, warm_start.basis, structure.num_std
+        result: Optional[SimplexResult] = None
+        if shared and np.array_equal(lp.b_eq, warm_start.b_eq):
+            result = self._inherit(lp, warm_start, shifts)
+        warm_used = result is not None
+        tableau = warm_start
+        if result is None:
+            result, final = self._two_phase(
+                *structure.standard(lp, shifts), structure.c
             )
-        warm_used = outcome is not None
-        if outcome is None:
-            if standard is None:
-                standard = structure.standard(lp, shifts)
-            outcome = self._two_phase(*standard, structure.c)
-            tableau = None
-        result, final = outcome
-        if want_basis and tableau is None and final is not None:
-            tableau = Tableau(structure, *final, lp, shifts)
+            tableau = Tableau(structure, *final, lp, shifts) if final else None
         # Per-solve (not per-pivot) instrumentation: two counter adds per
         # LP relaxation, invisible next to the pivoting work above.
         obs = get_active()
@@ -529,28 +463,20 @@ class SimplexSolver:
         if warm_used:
             obs.counter("simplex.warm_solves").inc()
         result.warm_started = warm_used
-        if want_basis:
-            result.tableau = tableau
-        if result.status is not SimplexStatus.OPTIMAL:
-            return result
-        assert result.x is not None
-        transform = _Transform(kind, structure.first, shifts, structure.num_std)
-        x_original = transform.recover(result.x)
-        objective = float(lp.c @ x_original + lp.c0)
-        exported = None
-        if want_basis and final is not None:
-            exported = WarmStartBasis(basis=final[2], signature=structure.signature)
-        return SimplexResult(
-            SimplexStatus.OPTIMAL, x_original, objective, result.iterations,
-            result.phase1_objective, basis=exported, warm_started=warm_used,
-            tableau=result.tableau,
-        )
+        result.tableau = tableau
+        if result.status is SimplexStatus.OPTIMAL:
+            transform = _Transform(
+                kind, structure.first, shifts, structure.num_std
+            )
+            result.x = transform.recover(result.x)
+            result.objective = float(lp.c @ result.x + lp.c0)
+        return result
 
-    # -- warm-start paths -------------------------------------------------------
+    # -- re-solve ---------------------------------------------------------------
 
     def _inherit(
         self, lp: LinearProgram, tableau: Tableau, shifts: np.ndarray
-    ) -> Optional[_Outcome]:
+    ) -> Optional[SimplexResult]:
         """Re-solve ``lp`` in place from ``tableau``, whose structure and
         equality rhs it shares; None = go cold (``tableau`` is then spent).
 
@@ -579,69 +505,18 @@ class SimplexSolver:
         tableau.shifts[:] = shifts
         tableau.b_ub[:] = lp.b_ub
         tableau.bound_ub[:] = bound_ub
-        outcome = self._reoptimize(
-            t, beta, tableau.basis, structure.a,
-            structure.rhs(lp, shifts, exact=False), structure.c,
-            structure.num_std, tableau.work,
+        result = self._reoptimize(
+            tableau, structure.rhs(lp, shifts, exact=False)
         )
-        if outcome is not None:
-            tableau.live = True
-        return outcome
-
-    def _warm_solve(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        basis0: np.ndarray,
-        first_slack: int,
-    ) -> Optional[_Outcome]:
-        """Re-optimize from a previously optimal basis; None = go cold.
-
-        The stored basis B is refactorized against the *new* (A, b) as
-        ``B⁻¹ [A | b]`` through its slack structure (:class:`_SlackBasis`),
-        then re-optimized by :meth:`_reoptimize`.
-        """
-        m, n = a.shape
-        basis = np.array(basis0, dtype=int)
-        if m == 0 or basis.shape[0] != m:
-            return None
-        if np.any(basis < 0) or np.any(basis >= n):
-            return None
-        if len(np.unique(basis)) != m:
-            return None
-        try:
-            sol = _SlackBasis(a, basis, first_slack).solve(
-                np.column_stack([a, b])
-            )
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        tableau = np.ascontiguousarray(sol[:, :n])
-        rhs = sol[:, n].copy()
-        # Snap the basic columns to exact unit vectors: _optimize/_pivot
-        # maintain this invariant and the refactorization only gives it up
-        # to round-off.
-        tableau[:, basis] = 0.0
-        tableau[np.arange(m), basis] = 1.0
-        return self._reoptimize(
-            tableau, rhs, basis, a, b, c, first_slack, _scratch(tableau)
-        )
+        tableau.live = result is not None
+        return result
 
     def _reoptimize(
-        self,
-        tableau: np.ndarray,
-        rhs: np.ndarray,
-        basis: np.ndarray,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        first_slack: int,
-        work: np.ndarray,
-    ) -> Optional[_Outcome]:
-        """Finish a re-solve whose ``tableau`` and ``rhs`` are ``B⁻¹A`` and
-        ``B⁻¹b`` of the LP ``(a, b, c)``; None = go cold.
+        self, tableau: Tableau, b: np.ndarray
+    ) -> Optional[SimplexResult]:
+        """Finish re-solving ``tableau``, whose ``t`` and ``beta`` are
+        ``B⁻¹A`` and ``B⁻¹b`` of the LP with structure ``tableau.structure``
+        and unflipped standard-form rhs ``b``; None = go cold.
 
         Constraint-data changes that keep the structure (a cut rhs
         tightened, a variable bound moved) leave the basis dual-feasible
@@ -649,80 +524,61 @@ class SimplexSolver:
         repair; a final primal pass certifies optimality.  A dual-simplex
         row with no negative entry proves the LP infeasible; the verdict is
         returned only when that row of ``B⁻¹`` is a Farkas certificate on
-        (a, b) themselves.  An optimum is returned only when its residual
-        ``‖a y − b‖∞`` and its most negative entry are within
+        (A, b) themselves.  An optimum is returned only when its residual
+        ``‖A y − b‖∞`` and its most negative entry are within
         :data:`VERIFY_TOL`.
         """
-        m, n = a.shape
+        structure, t, beta, basis, work = (
+            tableau.structure, tableau.t, tableau.beta, tableau.basis,
+            tableau.work,
+        )
+        a, c = structure.a, structure.c
         iterations = 0
-        while _any(rhs < -EPS):
+        while _any(beta < -EPS):
             if iterations >= self.max_iterations:
                 return None
             # Dual simplex: leave the most infeasible row, enter the column
             # minimizing the dual ratio.  Zero-cost columns make most
             # ratios tie at 0; ties go to the largest pivot magnitude
             # (then the first index — deterministic).
-            leaving = int(rhs.argmin())
-            row = tableau[leaving]
+            leaving = int(beta.argmin())
+            row = t[leaving]
             candidates = (row < -EPS).nonzero()[0]
             if len(candidates) == 0:
-                # Row `leaving` reads sum(row * y) = rhs < 0 with row >= 0:
+                # Row `leaving` reads sum(row * y) = beta < 0 with row >= 0:
                 # no y >= 0 satisfies it.  Re-derive the row from (A, b).
                 try:
-                    u = _SlackBasis(a, basis, first_slack).inverse_row(leaving)
+                    u = _inverse_row(structure, basis, leaving)
                 except np.linalg.LinAlgError:
                     return None
                 if not _farkas_certified(a, b, u):
                     return None
                 return SimplexResult(
                     SimplexStatus.INFEASIBLE, None, None, iterations
-                ), (tableau, rhs, basis, work)
-            reduced = c - c[basis] @ tableau
+                )
+            reduced = c - c[basis] @ t
             reduced[basis] = 0.0
             ratios = reduced[candidates] / -row[candidates]
             ties = candidates[ratios <= _min(ratios) + EPS]
             entering = int(ties[(-row[ties]).argmax()])
-            self._pivot(tableau, rhs, basis, leaving, entering, work)
+            self._pivot(t, beta, basis, leaving, entering, work)
             iterations += 1
 
-        status, iters = self._optimize(tableau, rhs, c, basis, work)
+        status, iters = self._optimize(t, beta, c, basis, work)
         iterations += iters
         if status is SimplexStatus.ITERATION_LIMIT:
             return None
         if status is not SimplexStatus.OPTIMAL:
             # UNBOUNDED: a sound conclusion from a primal-feasible basis.
-            return SimplexResult(status, None, None, iterations), None
-        y = np.zeros(n)
-        y[basis] = rhs
+            return SimplexResult(status, None, None, iterations)
+        y = np.zeros(a.shape[1])
+        y[basis] = beta
         if (
             _max(np.abs(a @ y - b)) > VERIFY_TOL
             or _min(y) < -VERIFY_TOL
         ):
             return None
-        return (
-            SimplexResult(SimplexStatus.OPTIMAL, y, float(c @ y), iterations),
-            (tableau, rhs, basis, work),
-        )
-
-    # -- standard-form reduction ----------------------------------------------
-
-    def _to_standard_form(
-        self, lp: LinearProgram
-    ) -> Tuple[
-        Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]], Optional[_Transform]
-    ]:
-        """``((A, b, c), transform)``: the columns and rows of
-        :class:`_Structure`, with every row whose rhs is negative negated,
-        slack included."""
-        if np.any(lp.bounds[:, 0] > lp.bounds[:, 1]):
-            return None, None
-        structure = _Structure(lp, *_encoding(lp.bounds))
-        shifts = structure.shifts(lp.bounds)
-        a, b = structure.standard(lp, shifts)
-        transform = _Transform(
-            structure.kind, structure.first, shifts, structure.num_std
-        )
-        return (a, b, structure.c), transform
+        return SimplexResult(SimplexStatus.OPTIMAL, y, float(c @ y), iterations)
 
     # -- two-phase driver -------------------------------------------------------
 
@@ -730,7 +586,7 @@ class SimplexSolver:
         self, a: np.ndarray, b: np.ndarray, c: np.ndarray
     ) -> _Outcome:
         """Cold solve; returns the result and, on optimal solves whose
-        final basis is artificial-free, the basis and tableau for a later
+        final basis is artificial-free, the final tableau for a later
         re-solve."""
         m, n = a.shape
         if m == 0:
@@ -763,7 +619,6 @@ class SimplexSolver:
         work = _scratch(tableau)
 
         iterations = 0
-        phase1_obj = 0.0
         if n_art > 0:
             phase1_cost = np.zeros(total)
             phase1_cost[n:] = 1.0
@@ -776,7 +631,7 @@ class SimplexSolver:
             )
             if phase1_obj > 1e-7:
                 return SimplexResult(
-                    SimplexStatus.INFEASIBLE, None, None, iterations, phase1_obj
+                    SimplexStatus.INFEASIBLE, None, None, iterations
                 ), None
             # Drive any remaining (degenerate, zero-valued) artificials out
             # of the basis, or drop their rows if they are redundant.
@@ -803,15 +658,13 @@ class SimplexSolver:
         )
         iterations += iters
         if status is not SimplexStatus.OPTIMAL:
-            return SimplexResult(status, None, None, iterations, phase1_obj), None
+            return SimplexResult(status, None, None, iterations), None
 
         y = np.zeros(n)
         for i in range(m):
             if basis[i] < n:
                 y[basis[i]] = rhs[i]
-        result = SimplexResult(
-            SimplexStatus.OPTIMAL, y, float(c @ y), iterations, phase1_obj
-        )
+        result = SimplexResult(SimplexStatus.OPTIMAL, y, float(c @ y), iterations)
         # Export only a fully artificial-free basis (a zeroed redundant
         # row keeps its artificial and cannot be re-solved against a
         # future rhs).
@@ -928,6 +781,6 @@ def _row_dots(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.array([row @ x for row in a], dtype=float).reshape(-1)
 
 
-def solve_lp(lp: LinearProgram, **kwargs) -> SimplexResult:
+def solve_lp(lp: LinearProgram) -> SimplexResult:
     """Convenience wrapper: solve an LP with default solver settings."""
-    return SimplexSolver(**kwargs).solve(lp)
+    return SimplexSolver().solve(lp)

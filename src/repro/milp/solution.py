@@ -56,7 +56,7 @@ class SolveResult:
         (:class:`repro.milp.simplex.Tableau`), exported so the *next*
         solve of the same formulation (an Algorithm-1 cut iteration) can
         re-solve it in place; ``None`` when the root was not optimal or
-        the solver was built with warm starts disabled.
+        its final basis kept an artificial column (a redundant equality).
     """
 
     status: SolveStatus

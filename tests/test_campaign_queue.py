@@ -183,12 +183,10 @@ class TestWorkStealing:
     """Wearer-grain stealing: split, tail-first sub-leases, merged
     commits, and the races satellite (c) pins."""
 
-    def _split_queue(self, tmp_path, ttl=30.0, clock=None, steal=True,
-                     size=5):
+    def _split_queue(self, tmp_path, ttl=30.0, clock=None, size=5):
         queue = CampaignQueue(
             _spec(size=size), tmp_path / "campaign", shards=1,
             lease_ttl=ttl, clock=clock or FakeClock(),
-            steal_enabled=steal,
         )
         return queue, queue.acquire("holder")
 
@@ -206,11 +204,6 @@ class TestWorkStealing:
         # a second thief gets the next wearer from the tail
         second = queue.acquire("thief2")
         assert second["sub"] == wearers[-2]
-
-    def test_steal_disabled_leaves_straggler_alone(self, tmp_path):
-        queue, _ = self._split_queue(tmp_path, steal=False)
-        assert queue.acquire("thief") is None
-        assert queue.counts()["split"] == 0
 
     def test_worker_never_steals_from_itself(self, tmp_path):
         queue, _ = self._split_queue(tmp_path)

@@ -1,7 +1,7 @@
 """Warm-started simplex and the Dantzig→Bland anti-cycling switch.
 
-The warm-start contract is behavioural: with or without a warm basis the
-solver must return the *same* verdict and optimum (warm starting is a
+The warm-start contract is behavioural: with or without a warm tableau
+the solver must return the *same* verdict and optimum (warm starting is a
 pure speedup).  These tests drive the contract at three levels — a single
 LP re-solved after an rhs change, the branch-and-bound solver across
 parent→child bound changes, and the full Algorithm-1 formulation over
@@ -24,6 +24,13 @@ from repro.milp.simplex import (
     Tableau,
     solve_lp,
 )
+
+
+class ColdSimplex(SimplexSolver):
+    """The cold reference: a simplex that ignores ``warm_start``."""
+
+    def solve(self, lp, warm_start=None):
+        return super().solve(lp)
 
 
 def lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None, c0=0.0):
@@ -113,12 +120,12 @@ class TestSimplexWarmStart:
 
     def test_rhs_change_warm_solve_matches_cold(self):
         solver = SimplexSolver()
-        first = solver.solve(lp(b_ub=[4.0, 9.0], **self._base()), want_basis=True)
+        first = solver.solve(lp(b_ub=[4.0, 9.0], **self._base()))
         assert first.status is SimplexStatus.OPTIMAL
-        assert first.basis is not None
+        assert first.tableau is not None
 
         tightened = lp(b_ub=[3.0, 9.0], **self._base())
-        warm = solver.solve(tightened, warm_start=first.basis)
+        warm = solver.solve(tightened, warm_start=first.tableau)
         cold = solver.solve(tightened)
         assert warm.status is SimplexStatus.OPTIMAL
         assert warm.warm_started
@@ -126,17 +133,19 @@ class TestSimplexWarmStart:
         assert np.array_equal(warm.x, cold.x)
 
     def test_signature_mismatch_falls_back_cold(self):
+        """An LP of another shape never touches the tableau."""
         solver = SimplexSolver()
-        first = solver.solve(lp(b_ub=[4.0, 9.0], **self._base()), want_basis=True)
+        first = solver.solve(lp(b_ub=[4.0, 9.0], **self._base()))
         other = lp(
             [-1.0, -2.0, 0.0],
             a_ub=[[1.0, 1.0, 0.0], [1.0, 3.0, 1.0]],
             b_ub=[4.0, 9.0],
             bounds=[[0.0, 10.0]] * 3,
         )
-        result = solver.solve(other, warm_start=first.basis)
+        result = solver.solve(other, warm_start=first.tableau)
         assert result.status is SimplexStatus.OPTIMAL
         assert not result.warm_started
+        assert first.tableau.live
 
     def test_warm_start_on_infeasible_tightening(self):
         """Tightening the rhs to infeasibility must be detected on the
@@ -147,16 +156,16 @@ class TestSimplexWarmStart:
             bounds=[[0.0, 2.0]],
         )
         solver = SimplexSolver()
-        first = solver.solve(lp(b_ub=[-1.0], **base), want_basis=True)
+        first = solver.solve(lp(b_ub=[-1.0], **base))
         assert first.status is SimplexStatus.OPTIMAL
         infeasible = lp(b_ub=[-3.0], **base)  # x >= 3 with x <= 2
-        warm = solver.solve(infeasible, warm_start=first.basis)
+        warm = solver.solve(infeasible, warm_start=first.tableau)
         cold = solver.solve(infeasible)
         assert warm.status is cold.status is SimplexStatus.INFEASIBLE
 
     def test_randomized_rhs_sequences_warm_equals_cold(self):
         """Random walks over the rhs, warm-starting each solve from the
-        previous basis, agree with cold solves throughout.  (Up to an ulp:
+        previous tableau, agree with cold solves throughout.  (Up to an ulp:
         the two pivot paths accumulate round-off differently; exact
         equality is only promised at the MILP level, where incumbents are
         rounded integer points — see TestBranchAndBoundWarmStart.)"""
@@ -169,17 +178,17 @@ class TestSimplexWarmStart:
             c = rng.normal(size=n).round(2)
             b = (np.abs(rng.normal(size=m)) + 1.0).round(2)
             bounds = [[0.0, 5.0]] * n
-            basis = None
+            tableau = None
             for _step in range(6):
                 problem = lp(c, a_ub=a, b_ub=b.copy(), bounds=bounds)
-                warm = solver.solve(problem, warm_start=basis, want_basis=True)
+                warm = solver.solve(problem, warm_start=tableau)
                 cold = solver.solve(problem)
                 assert warm.status is cold.status
                 if warm.status is SimplexStatus.OPTIMAL:
                     assert warm.objective == pytest.approx(
                         cold.objective, rel=1e-12, abs=1e-12
                     )
-                basis = warm.basis
+                tableau = warm.tableau
                 b[int(rng.integers(0, m))] -= float(
                     np.abs(rng.normal()) * 0.1
                 )
@@ -196,8 +205,8 @@ class TestBranchAndBoundWarmStart:
 
     def test_warm_solver_matches_cold_over_tightening_cuts(self):
         form, _ = self._model()
-        warm_solver = BranchAndBoundSolver(use_warm_starts=True)
-        cold_solver = BranchAndBoundSolver(use_warm_starts=False)
+        warm_solver = BranchAndBoundSolver()
+        cold_solver = BranchAndBoundSolver(lp_solver=ColdSimplex())
         basis = None
         cuts = []
         for _ in range(4):
@@ -213,14 +222,14 @@ class TestBranchAndBoundWarmStart:
             cuts = [warm.objective]
 
     def test_warm_lp_solves_counted(self):
-        # Adding a cut row changes the standard-form signature, so the
-        # warmable sequence is one-cut model → one-cut model (the steady
-        # state of Algorithm 1's loop, and what the bench measures).
+        # Adding a cut row changes the LP's shape, so the warmable
+        # sequence is one-cut model → one-cut model (the steady state of
+        # Algorithm 1's loop, and what the bench measures).
         form, _ = self._model()
-        probe = BranchAndBoundSolver(use_warm_starts=False)
+        probe = BranchAndBoundSolver(lp_solver=ColdSimplex())
         base = probe.solve(form.build([])[0])
         assert base.is_optimal
-        solver = BranchAndBoundSolver(use_warm_starts=True)
+        solver = BranchAndBoundSolver()
         first = solver.solve(form.build([base.objective])[0])
         assert first.is_optimal
         second = solver.solve(
@@ -234,12 +243,12 @@ class TestBranchAndBoundWarmStart:
         agree with a cold solver bit for bit."""
         form, _ = self._model()
         rng = np.random.default_rng(3)
-        probe = BranchAndBoundSolver(use_warm_starts=False)
+        probe = BranchAndBoundSolver(lp_solver=ColdSimplex())
         base = probe.solve(form.build([])[0])
         assert base.is_optimal
         lo, hi = base.objective, base.objective + 0.4
 
-        warm_solver = BranchAndBoundSolver(use_warm_starts=True)
+        warm_solver = BranchAndBoundSolver()
         basis = None
         for _ in range(6):
             cut = float(rng.uniform(lo, hi))
@@ -254,7 +263,8 @@ class TestBranchAndBoundWarmStart:
     def test_tree_keeps_a_bounded_number_of_tableaux(self, monkeypatch):
         """A tree of hundreds of nodes allocates at most three tableaux
         beyond its cold root's: the root's copy and the two saved parents',
-        whose arrays later copies reuse."""
+        whose arrays later copies reuse.  (Only the warm tree is counted:
+        the cold reference gets a fresh tableau from every solve.)"""
         from repro.milp import Model
         from repro.milp.branch_bound import SAVED_TABLEAUX
         from repro.milp.expr import LinExpr
@@ -280,8 +290,9 @@ class TestBranchAndBoundWarmStart:
             return result
 
         monkeypatch.setattr(Tableau, "copy", counting)
-        warm = BranchAndBoundSolver(use_warm_starts=True).solve(model)
-        cold = BranchAndBoundSolver(use_warm_starts=False).solve(model)
+        warm = BranchAndBoundSolver().solve(model)
+        monkeypatch.undo()
+        cold = BranchAndBoundSolver(lp_solver=ColdSimplex()).solve(model)
         assert warm.nodes_explored > 100
         assert warm.warm_lp_solves == warm.nodes_explored - 1
         assert len(allocated) == 1 + SAVED_TABLEAUX
@@ -327,89 +338,52 @@ class TestCertifiedInfeasibility:
     """A child made infeasible by one bound change is proved infeasible
     on the warm path, by a Farkas certificate checked on its own data."""
 
-    @pytest.mark.parametrize("up", [False, True], ids=["down", "up"])
-    def test_infeasible_child_is_certified_warm(self, up):
-        rng = np.random.default_rng(5 if up else 4)
-        solver = SimplexSolver()
-        for trial in range(30):
-            parent_lp, child_lp = _weighted_pair(rng, up)
-            parent = solver.solve(parent_lp, want_basis=True)
-            assert parent.status is SimplexStatus.OPTIMAL, trial
-            assert parent.basis is not None, trial
-            warm = solver.solve(child_lp, warm_start=parent.basis)
-            cold = solver.solve(child_lp)
-            assert cold.status is SimplexStatus.INFEASIBLE, trial
-            assert warm.status is SimplexStatus.INFEASIBLE, trial
-            assert warm.warm_started, trial
-            ref = linprog(
-                child_lp.c, A_ub=child_lp.a_ub, b_ub=child_lp.b_ub,
-                bounds=child_lp.bounds, method="highs",
-            )
-            assert ref.status == 2, trial  # HiGHS: infeasible
-
     def test_failed_certificate_falls_back_cold(self, monkeypatch):
         """A certificate that fails the Farkas check on (A, b) is not a
         verdict: the solve reruns cold and reports that it did."""
         parent_lp, child_lp = _weighted_pair(np.random.default_rng(4), False)
         solver = SimplexSolver()
-        parent = solver.solve(parent_lp, want_basis=True)
-        true_row = simplex._SlackBasis.inverse_row
+        tableau = solver.solve(parent_lp).tableau
+        true_row = simplex._inverse_row
         negated = []
 
-        def corrupted(self, position):
+        def corrupted(structure, basis, position):
             negated.append(position)
-            return -true_row(self, position)
+            return -true_row(structure, basis, position)
 
-        monkeypatch.setattr(simplex._SlackBasis, "inverse_row", corrupted)
-        result = solver.solve(child_lp, warm_start=parent.basis)
+        monkeypatch.setattr(simplex, "_inverse_row", corrupted)
+        result = solver.solve(child_lp, warm_start=tableau)
         assert negated  # the warm path did reach a certificate
         assert result.status is SimplexStatus.INFEASIBLE
         assert not result.warm_started
+        assert not tableau.live
 
     def test_certificate_check_reads_the_lp_data(self, monkeypatch):
         """The true certificate passes the check; scaled below the
         tolerance or negated it does not."""
         parent_lp, child_lp = _weighted_pair(np.random.default_rng(4), False)
         solver = SimplexSolver()
-        parent = solver.solve(parent_lp, want_basis=True)
-        (a, b, _c), _transform = solver._to_standard_form(child_lp)
+        tableau = solver.solve(parent_lp).tableau
+        structure = simplex._Structure(
+            child_lp, *simplex._encoding(child_lp.bounds)
+        )
+        a = structure.a
+        b = structure.rhs(
+            child_lp, structure.shifts(child_lp.bounds), exact=True
+        )
         captured = {}
-        true_row = simplex._SlackBasis.inverse_row
+        true_row = simplex._inverse_row
 
-        def spy(self, position):
-            captured["u"] = true_row(self, position)
+        def spy(*args):
+            captured["u"] = true_row(*args)
             return captured["u"]
 
-        monkeypatch.setattr(simplex._SlackBasis, "inverse_row", spy)
-        assert solver.solve(child_lp, warm_start=parent.basis).warm_started
+        monkeypatch.setattr(simplex, "_inverse_row", spy)
+        assert solver.solve(child_lp, warm_start=tableau).warm_started
         u = captured["u"]
         assert simplex._farkas_certified(a, b, u)
         assert not simplex._farkas_certified(a, b, -u)
         assert not simplex._farkas_certified(a, b, u * 1e-12)
-
-    def test_bad_warm_residual_falls_back_cold(self, monkeypatch):
-        """A warm optimum whose residual on (A, b) exceeds the tolerance is
-        not returned: the solve reruns cold, with the cold optimum."""
-        base = dict(
-            c=[-1.0, -2.0], a_ub=[[1.0, 1.0], [1.0, 3.0]],
-            bounds=[[0.0, 10.0], [0.0, 10.0]],
-        )
-        solver = SimplexSolver()
-        first = solver.solve(lp(b_ub=[4.0, 9.0], **base), want_basis=True)
-        tightened = lp(b_ub=[3.0, 9.0], **base)
-        true_solve = simplex._SlackBasis.solve
-
-        def skewed(self, rhs):
-            z = true_solve(self, rhs)
-            z[:, -1] += 1e-5  # corrupt B⁻¹b only
-            return z
-
-        monkeypatch.setattr(simplex._SlackBasis, "solve", skewed)
-        result = solver.solve(tightened, warm_start=first.basis)
-        monkeypatch.undo()
-        cold = solver.solve(tightened)
-        assert not result.warm_started
-        assert result.objective == cold.objective
 
 
 def _reference_standard_form(lp_):
@@ -540,12 +514,16 @@ class TestVectorisedStandardForm:
     arrays: same column order, row order and row flips."""
 
     def _assert_same(self, problem, rng):
-        std, transform = SimplexSolver()._to_standard_form(problem)
+        structure = simplex._Structure(
+            problem, *simplex._encoding(problem.bounds)
+        )
+        shifts = structure.shifts(problem.bounds)
+        std = (*structure.standard(problem, shifts), structure.c)
+        transform = simplex._Transform(
+            structure.kind, structure.first, shifts, structure.num_std
+        )
         ref_std, encodings, num_std = _reference_standard_form(problem)
-        if ref_std is None:
-            assert std is None
-            return
-        for got, want in zip(std, ref_std):
+        for got, want in zip(std, ref_std, strict=True):
             assert got.shape == want.shape
             assert np.array_equal(got, want)
         assert transform.num_std_vars == num_std
@@ -582,9 +560,15 @@ class TestVectorisedStandardForm:
             problem = LinearProgram(*arrays[:5], bounds, arrays[6])
             self._assert_same(problem, rng)
 
-    def test_crossed_bounds_have_no_standard_form(self):
+    def test_crossed_bounds_have_no_standard_form(self, monkeypatch):
+        """A variable with lb > ub is infeasible before any reduction."""
         problem = lp([1.0, 1.0], bounds=[[0.0, 1.0], [2.0, 1.0]])
-        assert SimplexSolver()._to_standard_form(problem)[0] is None
+        assert _reference_standard_form(problem)[0] is None
+        built = []
+        monkeypatch.setattr(simplex, "_Structure", lambda *a: built.append(a))
+        result = SimplexSolver().solve(problem)
+        assert result.status is SimplexStatus.INFEASIBLE
+        assert not built
 
 
 def _smoke_lowering(cuts):
@@ -643,14 +627,14 @@ class TestInheritedTableau:
                 c, a_ub, b_ub[cuts[int(rng.integers(0, len(cuts)))]],
                 a_eq, b_eq, _random_node(rng, bounds), c0,
             )
-            warm = solver.solve(problem, warm_start=tableau, want_basis=True)
+            warm = solver.solve(problem, warm_start=tableau)
             cold = solver.solve(problem)
             assert warm.status is cold.status, step
             statuses.add(warm.status)
             if cold.is_optimal:
                 # up to round-off well inside branch and bound's 1e-9 gap
                 # tolerance: this chain re-solves one tableau 80 times,
-                # each moving several bounds, and never refactorizes
+                # each moving several bounds
                 assert warm.objective == pytest.approx(
                     cold.objective, rel=1e-9, abs=1e-9
                 ), step
@@ -667,36 +651,49 @@ class TestInheritedTableau:
     def test_corrupted_tableau_falls_back_cold(self, part):
         parent_lp, child_lp = self._pair()
         solver = SimplexSolver()
-        tableau = solver.solve(parent_lp, want_basis=True).tableau
+        tableau = solver.solve(parent_lp).tableau
         if part == "rhs":
             tableau.beta += 1e-5
         else:
             # the moved row's slack column, which B⁻¹Δb is read from
             tableau.t[:, tableau.structure.num_std] += 1e-3
-        result = solver.solve(child_lp, warm_start=tableau, want_basis=True)
+        result = solver.solve(child_lp, warm_start=tableau)
         cold = solver.solve(child_lp)
         assert not result.warm_started
         assert not tableau.live
         assert result.tableau is not tableau
         assert result.objective == cold.objective
         assert np.array_equal(result.x, cold.x)
+        # a spent tableau is never re-solved again: the solve goes cold
+        again = solver.solve(child_lp, warm_start=tableau)
+        assert not again.warm_started
+        assert again.tableau is not tableau and again.tableau.live
+        assert again.objective == cold.objective
 
     @pytest.mark.parametrize("up", [False, True], ids=["down", "up"])
     def test_infeasible_child_is_certified_from_the_tableau(self, up):
-        rng = np.random.default_rng(7 if up else 6)
         solver = SimplexSolver()
-        for trial in range(30):
-            parent_lp, child_lp = _weighted_pair(rng, up)
-            tableau = solver.solve(parent_lp, want_basis=True).tableau
-            assert tableau is not None, trial
-            warm = solver.solve(child_lp, warm_start=tableau)
-            assert warm.status is SimplexStatus.INFEASIBLE, trial
-            assert warm.warm_started and tableau.live, trial
+        for seed in (5, 7) if up else (4, 6):
+            rng = np.random.default_rng(seed)
+            for trial in range(30):
+                parent_lp, child_lp = _weighted_pair(rng, up)
+                tableau = solver.solve(parent_lp).tableau
+                assert tableau is not None, (seed, trial)
+                warm = solver.solve(child_lp, warm_start=tableau)
+                cold = solver.solve(child_lp)
+                assert cold.status is SimplexStatus.INFEASIBLE, (seed, trial)
+                assert warm.status is SimplexStatus.INFEASIBLE, (seed, trial)
+                assert warm.warm_started and tableau.live, (seed, trial)
+                ref = linprog(
+                    child_lp.c, A_ub=child_lp.a_ub, b_ub=child_lp.b_ub,
+                    bounds=child_lp.bounds, method="highs",
+                )
+                assert ref.status == 2, (seed, trial)  # HiGHS: infeasible
 
     def test_infeasible_child_without_certificate_goes_cold(self, monkeypatch):
         parent_lp, child_lp = _weighted_pair(np.random.default_rng(6), False)
         solver = SimplexSolver()
-        tableau = solver.solve(parent_lp, want_basis=True).tableau
+        tableau = solver.solve(parent_lp).tableau
         checked = []
 
         def refused(a, b, u):
@@ -712,8 +709,8 @@ class TestInheritedTableau:
 
     @pytest.mark.parametrize("change", ["a_ub", "a_ub in place", "c", "a_eq"])
     def test_different_matrix_never_uses_the_tableau(self, change, monkeypatch):
-        """Same signature, different data: the tableau is neither re-solved
-        nor changed; the solve refactorizes its basis or goes cold."""
+        """Same shape, different data: the tableau is neither re-solved
+        nor changed; the solve goes cold."""
         base = dict(
             c=np.array([-1.0, -2.0, -0.5]),
             a_ub=np.array([[1.0, 1.0, 1.0], [1.0, 3.0, 0.0]]),
@@ -722,7 +719,7 @@ class TestInheritedTableau:
             bounds=[[0.0, 10.0]] * 3,
         )
         solver = SimplexSolver()
-        tableau = solver.solve(lp(**base), want_basis=True).tableau
+        tableau = solver.solve(lp(**base)).tableau
         before = tableau.copy()
         if change == "a_ub in place":
             base["a_ub"][0, 2] = 2.0  # the very array the tableau saw
@@ -735,10 +732,11 @@ class TestInheritedTableau:
             SimplexSolver, "_inherit",
             lambda self, *args: inherited.append(args),
         )
-        result = solver.solve(problem, warm_start=tableau, want_basis=True)
+        result = solver.solve(problem, warm_start=tableau)
         monkeypatch.undo()
         cold = solver.solve(problem)
         assert not inherited
+        assert not result.warm_started
         assert result.tableau is not tableau
         for name in Tableau._STATE:
             assert np.array_equal(getattr(tableau, name), getattr(before, name))
@@ -785,7 +783,7 @@ class TestAllocationFreePivots:
         c.setflags(write=False)
         b_ub = rng.uniform(5.0, 10.0, size=self.M)
         solver = SimplexSolver()
-        first = solver.solve(lp(c, a_ub=a_ub, b_ub=b_ub), want_basis=True)
+        first = solver.solve(lp(c, a_ub=a_ub, b_ub=b_ub))
         tableau = first.tableau
         assert tableau.t.shape == (self.M, self.M + self.N)
         for step in range(4):
@@ -826,7 +824,9 @@ class TestAlgorithmOneWalks:
         walks = []
         for warm in (True, False):
             formulation = MilpFormulation(make_problem(0.9, preset))
-            formulation._solver = BranchAndBoundSolver(use_warm_starts=warm)
+            formulation._solver = BranchAndBoundSolver(
+                lp_solver=None if warm else ColdSimplex()
+            )
             walks.append(self._walk(formulation))
         assert len(walks[0]) == 19  # 18 levels, then infeasible
         assert walks[0] == walks[1]

@@ -17,6 +17,7 @@ re-simulation, never a wrong result).
 
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -287,6 +288,28 @@ class TestBoundedCache:
         for i in range(20):
             cache.put(f"cc{i:02d}", _summary(str(i)))
         assert len(cache) == 20
+
+    def test_uncapped_store_keeps_no_index(self, tmp_path):
+        # An uncapped store never evicts, so its puts and gets keep no
+        # recency; a capped instance opened on the directory later
+        # orders the entries by mtime, as for a lost index.
+        cache = WearerResultCache(tmp_path / "wc")
+        names = [f"dd{i:02d}" for i in range(40)]
+        for age, name in enumerate(reversed(names)):
+            cache.put(name, _summary(name))
+            # the oldest write is dd39, the newest dd00
+            os.utime(cache.path_for(name), (1e9 + age, 1e9 + age))
+            assert cache.get(name) == summary_projection(_summary(name))
+        assert not cache.index_path.exists()
+        entries = list((tmp_path / "wc").glob("*.json"))
+        assert len(entries) == len(cache) == 40
+        assert cache.total_bytes() == sum(p.stat().st_size for p in entries)
+
+        capped = WearerResultCache(tmp_path / "wc", max_entries=39)
+        capped.put("ee00", _summary("new"))
+        assert len(capped) == 39
+        assert cache.get("dd39") is None and cache.get("dd38") is None
+        assert all(cache.get(name) is not None for name in names[:38])
 
     def test_index_file_is_not_an_entry(self, tmp_path):
         cache = WearerResultCache(tmp_path / "wc", max_entries=4)
